@@ -1,9 +1,9 @@
 """Benchmark-suite configuration.
 
-Every ``bench_table*.py`` file regenerates one table/figure from the
-paper's evaluation and prints the same rows the paper reports (run with
-``-s`` to see them inline; they are also summarised in EXPERIMENTS.md).
-Set ``REPRO_FAST=1`` to scale the heavy sweeps down further.
+The ``bench_ablation*.py`` files print the result table they compute
+(run with ``-s`` to see it inline).  The paper's evaluation tables and
+figures themselves are regenerated by the scenario registry
+(``python -m repro.experiments``), not from here.
 """
 
 import sys

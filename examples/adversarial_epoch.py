@@ -14,6 +14,7 @@ Run with::
 """
 
 from repro import constants
+from repro.core import phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.crypto.keys import generate_keypair
 from repro.sidechain.adversary import corrupt_members
@@ -84,7 +85,7 @@ def demo_rollback() -> None:
     system._traffic_start = system.clock.now
     system._run_epoch(0, inject=True)
     system.mainchain.produce_blocks_until(system.clock.now + 36)
-    system._check_pending_syncs()
+    phases.check_pending_syncs(system)
     print(f"  epoch 0 synced, TokenBank at epoch {system.token_bank.last_synced_epoch}")
 
     sync_tx = next(
@@ -98,7 +99,7 @@ def demo_rollback() -> None:
 
     system._run_epoch(1, inject=True)
     system.mainchain.produce_blocks_until(system.clock.now + 36)
-    system._check_pending_syncs()
+    phases.check_pending_syncs(system)
     print(f"  next epoch mass-synced; TokenBank now at epoch "
           f"{system.token_bank.last_synced_epoch}")
     consistent = all(

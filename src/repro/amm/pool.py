@@ -64,32 +64,28 @@ class SwapResult:
     fee_paid: int
 
 
-@dataclass(slots=True)
 class PendingSwap:
-    """A fully-computed swap awaiting :meth:`commit` — one tick walk total.
+    """A fully-computed swap awaiting :meth:`commit` — a batch of one.
 
-    ``prepare_swap`` walks the tick range without mutating the pool,
-    recording the post-walk state and the fee-growth flips of every tick
-    crossed.  Callers inspect the outcome (slippage limits, deposit
-    coverage) and either drop the object — a pure quote — or ``commit`` it,
-    which applies the recorded effects without walking again.  This is what
-    lets the executor validate-then-execute with a single pass instead of
-    quoting and re-simulating.
+    ``prepare_swap`` opens a private :class:`SwapBatch`, quotes the swap on
+    it and hands back this handle.  Callers inspect the outcome (slippage
+    limits, deposit coverage) and either drop the object — a pure quote —
+    or ``commit`` it, which accepts the quote and applies the batch without
+    walking again.
     """
 
-    pool: "Pool"
-    zero_for_one: bool
-    amount0: int
-    amount1: int
-    sqrt_price_after_x96: int
-    tick_after: int
-    liquidity_after: int
-    fee_growth_global_x128: int
-    fee_paid: int
-    #: (tick, new_fee_growth_outside0, new_fee_growth_outside1) per crossing.
-    crossings: list[tuple[int, int, int]]
-    _pre_tick: int
-    _pre_state_version: int
+    __slots__ = (
+        "_batch", "zero_for_one",
+        "amount0", "amount1", "fee_paid", "sqrt_price_after_x96",
+    )
+
+    def __init__(self, batch: "SwapBatch", zero_for_one: bool) -> None:
+        self._batch = batch
+        self.zero_for_one = zero_for_one
+        self.amount0 = batch.amount0
+        self.amount1 = batch.amount1
+        self.fee_paid = batch.fee_paid
+        self.sqrt_price_after_x96 = batch.sqrt_price_after_x96
 
     def trader_amounts(self) -> tuple[int, int]:
         """(amount_in, amount_out) from the trader's perspective."""
@@ -105,69 +101,60 @@ class PendingSwap:
         mint/burn/collect, a flash, or an earlier commit of this same
         object — voids the pending swap.
         """
-        pool = self.pool
-        if pool._state_version != self._pre_state_version:
+        batch = self._batch
+        pool = batch.pool
+        if pool._state_version != batch._version:
             raise AMMError("pool state changed since swap was prepared")
         if timestamp is not None:
-            pool.oracle.write(timestamp, self._pre_tick)
-        pool._state_version += 1
-        ticks = pool.ticks.ticks
-        for tick, outside0, outside1 in self.crossings:
-            info = ticks.get(tick)
-            if info is not None:
-                info.fee_growth_outside0_x128 = outside0
-                info.fee_growth_outside1_x128 = outside1
-        pool.sqrt_price_x96 = self.sqrt_price_after_x96
-        pool.tick = self.tick_after
-        pool.liquidity = self.liquidity_after
-        if self.zero_for_one:
-            pool.fee_growth_global0_x128 = self.fee_growth_global_x128
-        else:
-            pool.fee_growth_global1_x128 = self.fee_growth_global_x128
-        pool.balance0 += self.amount0
-        pool.balance1 += self.amount1
+            pool.oracle.write(timestamp, pool.tick)
+        batch.accept()
+        batch.commit()
         return SwapResult(
             amount0=self.amount0,
             amount1=self.amount1,
-            sqrt_price_x96=self.sqrt_price_after_x96,
-            tick=self.tick_after,
-            liquidity=self.liquidity_after,
+            sqrt_price_x96=pool.sqrt_price_x96,
+            tick=pool.tick,
+            liquidity=pool.liquidity,
             fee_paid=self.fee_paid,
         )
 
 
 class SwapBatch:
-    """Round-level batch quoting: one amortized tick walk for many swaps.
+    """The swap walker: one amortized tick walk for any number of swaps.
+
+    Every swap in the engine runs through :meth:`quote` — a round's run of
+    swaps in the executor, a lone ``Pool.prepare_swap`` (a batch of one)
+    and a ``PoolSnapshot`` quote (a batch that never commits).
 
     ``Pool.begin_swap_batch`` snapshots the pool's swap state (price, tick,
     liquidity, fee growth) and aliases the sorted initialized-tick index
     once.  Each :meth:`quote` then continues the walk from the batch's
     *virtual* state, finding neighbouring ticks through an incrementally
-    maintained cursor into that index instead of a fresh bisect per step,
-    and without allocating a ``PendingSwap``.  The caller inspects the
-    quote (``amount0``/``amount1``/``fee_paid``), then either :meth:`accept`
-    — folding it into the virtual state — or simply quotes the next swap,
-    which discards the candidate.  :meth:`commit` applies the whole batch
-    to the pool in one shot.
+    maintained cursor into that index instead of a fresh bisect per step.
+    The caller inspects the quote (``amount0``/``amount1``/``fee_paid``/
+    ``sqrt_price_after_x96``), then either :meth:`accept` — folding it
+    into the virtual state — or simply quotes the next swap, which
+    discards the candidate.  :meth:`commit` applies the whole batch to
+    the pool in one shot.
 
-    Equivalence with the sequential path: for the same transaction order,
-    quote/accept per transaction is arithmetically identical to
-    ``prepare_swap``/``commit`` per transaction —
+    For the same transaction order, quote/accept per transaction followed
+    by one commit leaves the pool exactly where one batch-of-one per
+    transaction would (``tests/swap_oracle.py`` is the naive sequential
+    reference both are tested against) —
 
-    * the step loop is the same arithmetic, step for step;
     * the cursor invariant (down-next ``= index[lo]``, up-next
       ``= index[lo + 1]``) reproduces ``next_initialized_tick`` exactly,
       including the boundary cases after a swap stops on a crossed tick,
       because crossings move the cursor by exactly one slot and mid-range
       stops leave it untouched;
     * fee-growth-outside flips of accepted swaps live in an overlay that
-      later quotes read back, which is precisely what sequential commits
+      later quotes read back, which is precisely what per-swap commits
       would have written into the tick records;
     * the current tick is tracked symbolically (``tick_next - 1`` /
       ``tick_next`` on crossings) and resolved with a single
       ``get_tick_at_sqrt_ratio`` at commit when the last accepted swap
-      stopped mid-range — the same value the last sequential commit
-      would have stored, minus the per-swap log-price calls.
+      stopped mid-range, so quotes that are never committed pay for no
+      log-price call at all.
 
     The pool must not be mutated while the batch is open: commit checks
     the state version recorded at open and refuses to apply otherwise,
@@ -175,7 +162,7 @@ class SwapBatch:
     """
 
     __slots__ = (
-        "pool", "amount0", "amount1", "fee_paid",
+        "pool", "amount0", "amount1", "fee_paid", "sqrt_price_after_x96",
         "_version", "_iticks", "_lo",
         "_sqrt_price", "_tick", "_tick_known", "_liquidity",
         "_fg0", "_fg1", "_delta0", "_delta1", "_accepted",
@@ -211,10 +198,7 @@ class SwapBatch:
         self.amount0 = 0
         self.amount1 = 0
         self.fee_paid = 0
-
-    @property
-    def accepted_count(self) -> int:
-        return self._accepted
+        self.sqrt_price_after_x96 = 0
 
     def trader_amounts(self) -> tuple[int, int]:
         """(amount_in, amount_out) of the last quote, trader's perspective."""
@@ -233,10 +217,10 @@ class SwapBatch:
     ) -> tuple[int, int]:
         """Quote one swap against the batch's virtual state.
 
-        Returns ``(amount0, amount1)`` with pool-perspective signs and
-        stores them (plus ``fee_paid``) on the batch.  Raises exactly what
-        ``prepare_swap`` would raise in the same pool state.  The quote is
-        a *candidate*: nothing changes until :meth:`accept`.
+        Arguments as for :meth:`Pool.swap`.  Returns ``(amount0, amount1)``
+        with pool-perspective signs and stores them (plus ``fee_paid`` and
+        ``sqrt_price_after_x96``) on the batch.  The quote is a
+        *candidate*: nothing changes until :meth:`accept`.
         """
         self._cand = None
         if amount_specified == 0:
@@ -273,8 +257,9 @@ class SwapBatch:
         crossings = self._crossings
         crossings.clear()
 
-        # Hot loop, locals-bound like prepare_swap; the per-step
-        # next_initialized_tick bisect is replaced by the cursor.
+        # Hot loop: bind everything to locals.  Ticks coming out of the
+        # table were range-checked on mint, so the unchecked cached ratio
+        # lookup is safe; the MIN/MAX fallbacks are in range by definition.
         iticks = self._iticks
         n = len(iticks)
         lo = self._lo
@@ -319,6 +304,8 @@ class SwapBatch:
                 )
 
             if liquidity == 0:
+                # No liquidity in range: the price jumps to the target
+                # without exchanging anything.
                 sqrt_price = target
             else:
                 sqrt_price, amount_in, amount_out, fee_amount = step_values(
@@ -377,6 +364,11 @@ class SwapBatch:
             amount0 = amount_calculated
             amount1 = amount_specified - amount_remaining
         if amount0 == 0 and amount1 == 0:
+            # The walk exchanged nothing: no liquidity in the swap's
+            # direction (e.g. a freshly opened pool on an empty shard).
+            # Committing would only crash the price to the limit and
+            # wedge the pool, so every caller — quoter, router, the
+            # sidechain executor — gets a typed error instead.
             raise NoLiquidityError(
                 f"no liquidity for "
                 f"{'zero-for-one' if zero_for_one else 'one-for-zero'} swap "
@@ -385,9 +377,9 @@ class SwapBatch:
         self.amount0 = amount0
         self.amount1 = amount1
         self.fee_paid = total_fee
+        self.sqrt_price_after_x96 = sqrt_price
         self._cand = (
-            zero_for_one, sqrt_price, tick, tick_known,
-            liquidity, fee_growth_global, lo,
+            zero_for_one, tick, tick_known, liquidity, fee_growth_global, lo,
         )
         return amount0, amount1
 
@@ -396,9 +388,9 @@ class SwapBatch:
         cand = self._cand
         if cand is None:
             raise AMMError("no quote outstanding")
-        zero_for_one, sqrt_price, tick, tick_known, liquidity, fee_growth, lo = cand
+        zero_for_one, tick, tick_known, liquidity, fee_growth, lo = cand
         self._cand = None
-        self._sqrt_price = sqrt_price
+        self._sqrt_price = self.sqrt_price_after_x96
         self._tick = tick
         self._tick_known = tick_known
         self._liquidity = liquidity
@@ -677,161 +669,14 @@ class Pool:
     ) -> PendingSwap:
         """Compute a swap's full outcome without touching pool state.
 
-        The returned :class:`PendingSwap` carries the post-walk state and
-        the per-crossing fee flips; ``commit`` applies them in O(crossings)
-        without re-walking.  Quotes use the same walk, so a quote and its
+        A batch of one: the returned :class:`PendingSwap` holds the
+        walker's quote, and ``commit`` applies it in O(crossings) without
+        re-walking.  Quotes use the same walk, so a quote and its
         subsequent execution agree to the wei by construction.
         """
-        self._require_initialized()
-        if amount_specified == 0:
-            raise AMMError("swap amount must be non-zero")
-        if sqrt_price_limit_x96 is None:
-            sqrt_price_limit_x96 = (
-                backend.MIN_SQRT_RATIO + 1
-                if zero_for_one
-                else backend.MAX_SQRT_RATIO - 1
-            )
-        if zero_for_one:
-            if not (
-                backend.MIN_SQRT_RATIO < sqrt_price_limit_x96 < self.sqrt_price_x96
-            ):
-                raise SlippageError(
-                    f"price limit {sqrt_price_limit_x96} invalid for zero-for-one"
-                )
-        else:
-            if not (
-                self.sqrt_price_x96 < sqrt_price_limit_x96 < backend.MAX_SQRT_RATIO
-            ):
-                raise SlippageError(
-                    f"price limit {sqrt_price_limit_x96} invalid for one-for-zero"
-                )
-
-        exact_input = amount_specified > 0
-        amount_remaining = amount_specified
-        amount_calculated = 0
-        sqrt_price = self.sqrt_price_x96
-        tick = self.tick
-        liquidity = self.liquidity
-        fee_growth_global = (
-            self.fee_growth_global0_x128 if zero_for_one else self.fee_growth_global1_x128
-        )
-        fee_growth_other = (
-            self.fee_growth_global1_x128 if zero_for_one else self.fee_growth_global0_x128
-        )
-        total_fee = 0
-        crossings: list[tuple[int, int, int]] = []
-
-        # Hot loop: bind everything to locals.  Ticks coming out of the
-        # table were range-checked on mint, so the unchecked cached ratio
-        # lookup is safe; the MIN/MAX fallbacks are in range by definition.
-        next_tick = self.ticks.next_initialized_tick
-        tick_records = self.ticks.ticks
-        sqrt_at = backend.sqrt_ratio_at_tick_unchecked
-        tick_at = backend.get_tick_at_sqrt_ratio
-        step_values = backend.compute_swap_step_values
-        fee_pips = self.config.fee_pips
-        min_tick, max_tick = backend.MIN_TICK, backend.MAX_TICK
-
-        while amount_remaining != 0 and sqrt_price != sqrt_price_limit_x96:
-            step_start_price = sqrt_price
-            tick_next, initialized = next_tick(tick, lte=zero_for_one)
-            if tick_next is None:
-                tick_next = min_tick if zero_for_one else max_tick
-            elif tick_next < min_tick:
-                tick_next = min_tick
-            elif tick_next > max_tick:
-                tick_next = max_tick
-            sqrt_price_next = sqrt_at(tick_next)
-
-            if zero_for_one:
-                target = (
-                    sqrt_price_next
-                    if sqrt_price_next > sqrt_price_limit_x96
-                    else sqrt_price_limit_x96
-                )
-            else:
-                target = (
-                    sqrt_price_next
-                    if sqrt_price_next < sqrt_price_limit_x96
-                    else sqrt_price_limit_x96
-                )
-
-            if liquidity == 0:
-                # No liquidity in range: the price jumps to the target
-                # without exchanging anything.
-                sqrt_price = target
-            else:
-                sqrt_price, amount_in, amount_out, fee_amount = step_values(
-                    sqrt_price, target, liquidity, amount_remaining, fee_pips
-                )
-                total_fee += fee_amount
-                if exact_input:
-                    amount_remaining -= amount_in + fee_amount
-                    amount_calculated -= amount_out
-                else:
-                    amount_remaining += amount_out
-                    amount_calculated += amount_in + fee_amount
-                fee_growth_global = (
-                    fee_growth_global + (fee_amount * Q128) // liquidity
-                ) % Q128
-
-            if sqrt_price == sqrt_price_next:
-                if initialized:
-                    info = tick_records.get(tick_next)
-                    if info is not None:
-                        if zero_for_one:
-                            crossings.append((
-                                tick_next,
-                                (fee_growth_global - info.fee_growth_outside0_x128) % Q128,
-                                (fee_growth_other - info.fee_growth_outside1_x128) % Q128,
-                            ))
-                            liquidity = liquidity_math.add_delta(
-                                liquidity, -info.liquidity_net
-                            )
-                        else:
-                            crossings.append((
-                                tick_next,
-                                (fee_growth_other - info.fee_growth_outside0_x128) % Q128,
-                                (fee_growth_global - info.fee_growth_outside1_x128) % Q128,
-                            ))
-                            liquidity = liquidity_math.add_delta(
-                                liquidity, info.liquidity_net
-                            )
-                tick = tick_next - 1 if zero_for_one else tick_next
-            elif sqrt_price != step_start_price:
-                tick = tick_at(sqrt_price)
-
-        if zero_for_one == exact_input:
-            amount0 = amount_specified - amount_remaining
-            amount1 = amount_calculated
-        else:
-            amount0 = amount_calculated
-            amount1 = amount_specified - amount_remaining
-        if amount0 == 0 and amount1 == 0:
-            # The walk exchanged nothing: no liquidity in the swap's
-            # direction (e.g. a freshly opened pool on an empty shard).
-            # Committing would only crash the price to the limit and
-            # wedge the pool, so every caller — quoter, router, the
-            # sidechain executor — gets a typed error instead.
-            raise NoLiquidityError(
-                f"no liquidity for "
-                f"{'zero-for-one' if zero_for_one else 'one-for-zero'} swap "
-                f"in pool {self.config.token0}/{self.config.token1}"
-            )
-        return PendingSwap(
-            pool=self,
-            zero_for_one=zero_for_one,
-            amount0=amount0,
-            amount1=amount1,
-            sqrt_price_after_x96=sqrt_price,
-            tick_after=tick,
-            liquidity_after=liquidity,
-            fee_growth_global_x128=fee_growth_global,
-            fee_paid=total_fee,
-            crossings=crossings,
-            _pre_tick=self.tick,
-            _pre_state_version=self._state_version,
-        )
+        batch = SwapBatch(self)
+        batch.quote(zero_for_one, amount_specified, sqrt_price_limit_x96)
+        return PendingSwap(batch, zero_for_one)
 
     def begin_swap_batch(self) -> SwapBatch:
         """Open a round-level batch: many swaps, one amortized tick walk.
@@ -917,14 +762,15 @@ class Pool:
 class PoolSnapshot:
     """Read-only view of a :class:`Pool` frozen at an epoch boundary.
 
-    Quotes delegate to :meth:`Pool.prepare_swap` on a private deep copy
-    of the frozen state, so ``PoolSnapshot.quote`` agrees with
-    :func:`repro.amm.quoter.quote_swap` on the live pool at freeze time
-    to the wei — same walk, same rounding, same error types and
+    Quotes run on one :class:`SwapBatch` opened over a private deep copy
+    of the frozen state and never accepted or committed, so every quote
+    starts from the freeze-time state and ``PoolSnapshot.quote`` agrees
+    with :func:`repro.amm.quoter.quote_swap` on the live pool at freeze
+    time to the wei — same walk, same rounding, same error types and
     messages — while later mutations of the live pool can never leak in.
     """
 
-    __slots__ = ("_pool", "epoch", "state_version")
+    __slots__ = ("_pool", "_walker", "epoch", "state_version")
 
     def __init__(self, pool: Pool, epoch: int = 0) -> None:
         pool._require_initialized()
@@ -950,6 +796,7 @@ class PoolSnapshot:
         }
         table._sorted = list(pool.ticks._sorted)
         self._pool = frozen
+        self._walker = SwapBatch(frozen)
         #: Epoch whose boundary this view captures (copy-on-epoch stamp).
         self.epoch = epoch
         #: Live pool's state version at freeze time, for staleness checks.
@@ -990,11 +837,11 @@ class PoolSnapshot:
         """
         from repro.amm.quoter import Quote
 
-        return Quote.from_pending(
-            self._pool.prepare_swap(
-                zero_for_one, amount_specified, sqrt_price_limit_x96
-            )
+        walker = self._walker
+        amount0, amount1 = walker.quote(
+            zero_for_one, amount_specified, sqrt_price_limit_x96
         )
+        return Quote(amount0, amount1, walker.sqrt_price_after_x96, walker.fee_paid)
 
     def snapshot(self) -> dict:
         """Plain-data form of the frozen state (mirrors ``Pool.snapshot``)."""

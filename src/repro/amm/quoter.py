@@ -2,12 +2,13 @@
 
 Quotes the exact swap loop against a pool without mutating it, so callers
 can validate slippage bounds and deposit coverage *before* executing.
-Since PR 1 this is a thin view over :meth:`Pool.prepare_swap` — the quote
-and a subsequent execution literally share one walk implementation, so
-they agree to the wei by construction (the ammBoost executor relies on
-this to reject uncovered transactions without corrupting pool state: the
-sidechain must "accept only these for which issuing users own tokens on
-the mainchain").
+This is a thin view over :meth:`Pool.prepare_swap`, itself a batch of one
+on the engine's only tick walker (:meth:`SwapBatch.quote
+<repro.amm.pool.SwapBatch.quote>`) — the quote and a subsequent execution
+literally share one walk implementation, so they agree to the wei by
+construction (the ammBoost executor relies on this to reject uncovered
+transactions without corrupting pool state: the sidechain must "accept
+only these for which issuing users own tokens on the mainchain").
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.amm import backend, liquidity_math
-from repro.amm.pool import Pool
+from repro.amm.pool import Pool, SwapBatch
 from repro.core.transactions import (
     BurnTx,
     CollectTx,
@@ -79,11 +79,13 @@ class SidechainExecutor:
         and leaves all state untouched (validation happens before any
         mutation, via quoting).
         """
+        if isinstance(tx, SwapTx):
+            accepted: list[SidechainTx] = []
+            self._process_swap_run([tx], accepted, current_round)
+            return bool(accepted)
         self.current_round = current_round
         try:
-            if isinstance(tx, SwapTx):
-                self._process_swap(tx)
-            elif isinstance(tx, MintTx):
+            if isinstance(tx, MintTx):
                 self._process_mint(tx)
             elif isinstance(tx, BurnTx):
                 self._process_burn(tx)
@@ -105,9 +107,9 @@ class SidechainExecutor:
 
         Rejected transactions carry ``reject_reason`` and leave state
         untouched, exactly as :meth:`process` does one at a time.  Runs of
-        consecutive swaps execute through the pool's batch walker — one
+        consecutive swaps share one batch on the pool's walker — one
         amortized tick walk for the whole run — with acceptance decisions,
-        reject reasons and effects identical to the sequential path.
+        reject reasons and effects identical to a batch per swap.
         """
         accepted: list[SidechainTx] = []
         i, n = 0, len(txs)
@@ -134,25 +136,21 @@ class SidechainExecutor:
         accepted: list[SidechainTx],
         current_round: int,
     ) -> None:
-        """Batch-execute a run of consecutive swaps, preserving order.
+        """Execute a run of consecutive swaps (or a lone one), in order.
 
-        Validation order per swap (deadline, amount, slippage, deposit
-        coverage) and every reject-reason string match :meth:`_process_swap`
-        exactly — the walker quotes each swap against the batch's virtual
-        state with the same arithmetic ``prepare_swap`` would use.
-        Accepted outcomes accumulate in the per-round parallel arrays and
-        materialise into ``tx.effects`` dicts once the batch commits.
+        Fused quote/execute: the walker quotes each swap against the
+        batch's virtual state without touching the pool; only after the
+        swap passes every check (deadline, amount, slippage, deposit
+        coverage — in that order) is its quote accepted, and the batch
+        commits once at the end.  A rejected swap leaves all state
+        untouched.  Accepted outcomes accumulate in the per-round parallel
+        arrays and materialise into ``tx.effects`` dicts once the batch
+        commits.
         """
         self.current_round = current_round
-        pool = self.pool
-        if len(swaps) == 1 or not pool.initialized:
-            # A lone swap gains nothing from a batch, and an uninitialized
-            # pool must reject per transaction with prepare_swap's error.
-            for tx in swaps:
-                if self.process(tx, current_round=current_round):
-                    accepted.append(tx)
-            return
-        batch = pool.begin_swap_batch()
+        # Opened at the first swap that reaches the walk, so an
+        # uninitialized pool rejects each such swap with the pool's error.
+        batch: SwapBatch | None = None
         rec_tx = self._round_tx
         rec_delta0 = self._round_delta0
         rec_delta1 = self._round_delta1
@@ -169,6 +167,8 @@ class SidechainExecutor:
                 if tx.amount <= 0:
                     raise AMMError("swap amount must be positive")
                 amount_specified = tx.amount if tx.exact_input else -tx.amount
+                if batch is None:
+                    batch = self.pool.begin_swap_batch()
                 batch.quote(
                     tx.zero_for_one, amount_specified, tx.sqrt_price_limit_x96
                 )
@@ -205,7 +205,8 @@ class SidechainExecutor:
             rec_delta1.append(delta1)
             rec_fee.append(batch.fee_paid)
             self.processed_count += 1
-        batch.commit()
+        if batch is not None:
+            batch.commit()
         for idx, tx in enumerate(rec_tx):
             tx.effects = {
                 "delta0": rec_delta0[idx],
@@ -213,44 +214,6 @@ class SidechainExecutor:
                 "fee": rec_fee[idx],
             }
             accepted.append(tx)
-
-    # -- swaps -----------------------------------------------------------------------
-
-    def _process_swap(self, tx: SwapTx) -> None:
-        if tx.deadline is not None and self.current_round > tx.deadline:
-            raise AMMError(f"deadline round {tx.deadline} passed")
-        if tx.amount <= 0:
-            raise AMMError("swap amount must be positive")
-        amount_specified = tx.amount if tx.exact_input else -tx.amount
-        # Fused quote/execute: one tick walk computes the outcome without
-        # touching pool state; only after slippage and deposit coverage
-        # pass is the prepared swap committed (in O(crossings), no
-        # re-simulation).  Rejection leaves the pool untouched.
-        pending = self.pool.prepare_swap(
-            tx.zero_for_one, amount_specified, tx.sqrt_price_limit_x96
-        )
-        amount_in, amount_out = pending.trader_amounts()
-        if tx.exact_input:
-            if tx.amount_limit is not None and amount_out < tx.amount_limit:
-                raise AMMError(
-                    f"slippage: output {amount_out} < minimum {tx.amount_limit}"
-                )
-        else:
-            if tx.amount_limit is not None and amount_in > tx.amount_limit:
-                raise AMMError(
-                    f"slippage: input {amount_in} > maximum {tx.amount_limit}"
-                )
-        balance = self.deposit_of(tx.user)
-        in_index = 0 if tx.zero_for_one else 1
-        if balance[in_index] < amount_in:
-            raise DepositError(
-                f"deposit {balance[in_index]} cannot cover swap input {amount_in}"
-            )
-        result = pending.commit()
-        delta0, delta1 = -result.amount0, -result.amount1
-        balance[0] += delta0
-        balance[1] += delta1
-        tx.effects = {"delta0": delta0, "delta1": delta1, "fee": result.fee_paid}
 
     # -- mints ------------------------------------------------------------------------
 

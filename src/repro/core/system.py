@@ -416,31 +416,24 @@ class AmmBoostSystem:
         self.mainchain.produce_blocks_until(
             self.clock.now + 3 * self.mainchain.config.block_interval
         )
-        self._check_pending_syncs()
-        self._finalize_metrics()
+        epoch_phases_mod.check_pending_syncs(self)
+        MetricsFinalizePhase().run(self)
         return self.metrics
 
     def _run_epoch(self, epoch: int, inject: bool) -> EpochContext:
-        """Run one epoch through the phase pipeline; returns its context."""
-        ctx = EpochContext(epoch=epoch, inject=inject, epoch_start=self.clock.now)
-        if trace.enabled() or profile.active() is not None:
-            return self._run_epoch_observed(ctx)
-        for phase in self.epoch_phases:
-            phase.run(self, ctx)
-        return ctx
+        """Run one epoch through the phase pipeline; returns its context.
 
-    def _run_epoch_observed(self, ctx: EpochContext) -> EpochContext:
-        """The same phase pipeline, wrapped in spans / profiler timings.
-
-        Split out so the default loop above stays the untouched fast
-        path; this variant only *observes* (clock reads and wall-time
-        stamps) and must never alter simulation state.
+        Every phase runs inside a trace span (the shared no-op span while
+        tracing is off) and is timed for the profiler when one is
+        installed.  Both only *observe* — clock reads and wall-time
+        stamps — and must never alter simulation state.
         """
+        ctx = EpochContext(epoch=epoch, inject=inject, epoch_start=self.clock.now)
         profiler = profile.active()
         clock = lambda: self.clock.now  # noqa: E731 - span endpoint reader
-        with trace.span("epoch.run", clock, epoch=ctx.epoch, inject=ctx.inject):
+        with trace.span("epoch.run", clock, epoch=epoch, inject=inject):
             for phase in self.epoch_phases:
-                with trace.span(phase_trace_name(phase), clock, epoch=ctx.epoch):
+                with trace.span(phase_trace_name(phase), clock, epoch=epoch):
                     wall_start = time.perf_counter()
                     phase.run(self, ctx)
                     if profiler is not None:
@@ -505,43 +498,3 @@ class AmmBoostSystem:
     def _all_sync_records(self) -> list[_PendingSync]:
         """Pending plus already-confirmed sync records (for rollbacks)."""
         return self._pending_syncs + self._confirmed_syncs
-
-    # -- thin delegations into the phase layer --------------------------------------------
-    # Kept for tests, benchmarks and downstream code that drives stages of
-    # the loop directly; each simply forwards to repro.core.phases.
-
-    def _elect_and_key(self, epoch: int):
-        return epoch_phases_mod.elect_and_key(self, epoch)
-
-    def _merge_new_deposits(self) -> None:
-        epoch_phases_mod.merge_new_deposits(self)
-
-    def _inject_traffic(self, rho: int, submitted_at: float) -> None:
-        epoch_phases_mod.WorkloadIngestPhase.inject_traffic(self, rho, submitted_at)
-
-    def _enqueue_bootstrap(self, submitted_at: float) -> None:
-        epoch_phases_mod.WorkloadIngestPhase.enqueue_bootstrap(self, submitted_at)
-
-    def _mine_meta_block(self, epoch: int, round_index: int, round_end: float) -> None:
-        epoch_phases_mod.RoundExecutionPhase.mine_meta_block(
-            self, epoch, round_index, round_end
-        )
-
-    def _mine_summary_and_sync(
-        self,
-        epoch: int,
-        epoch_initial_deposits: dict[str, list[int]],
-        round_end: float,
-    ) -> None:
-        epoch_phases_mod.SummarySyncPhase.mine_summary_and_sync(
-            self, epoch, epoch_initial_deposits, round_end
-        )
-
-    def _build_sync_payload(self, epoch: int) -> SyncPayload:
-        return epoch_phases_mod.build_sync_payload(self, epoch)
-
-    def _check_pending_syncs(self) -> None:
-        epoch_phases_mod.check_pending_syncs(self)
-
-    def _finalize_metrics(self) -> None:
-        MetricsFinalizePhase().run(self, None)

@@ -2,8 +2,8 @@
 
 Each ``run_*`` function executes the (optionally volume-scaled) experiment
 and returns an :class:`ExperimentResult` whose rows mirror the paper's
-table.  The ``benchmarks/`` directory wraps these in pytest-benchmark
-targets that print the same rows the paper reports.
+table.  The scenario registry (``python -m repro.experiments``) runs
+them and ``tests/golden/`` pins the rows the paper reports.
 """
 
 from repro.experiments.common import ExperimentResult, scaled_ammboost_config

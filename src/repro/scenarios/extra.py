@@ -23,6 +23,7 @@ substreams, so tables are stable across runs and job counts.
 from __future__ import annotations
 
 from repro import constants
+from repro.core import phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.core.transactions import MintTx
 from repro.crypto.keys import generate_keypair
@@ -184,7 +185,7 @@ def adversarial_point(params) -> dict:
         system._traffic_start = system.clock.now
         system._run_epoch(0, inject=True)
         system.mainchain.produce_blocks_until(system.clock.now + 36)
-        system._check_pending_syncs()
+        phases.check_pending_syncs(system)
         sync_tx = next(
             tx
             for block in system.mainchain.blocks
@@ -195,8 +196,8 @@ def adversarial_point(params) -> dict:
         system.inject_mainchain_rollback(depth)
         system._run_epoch(1, inject=True)
         system.mainchain.produce_blocks_until(system.clock.now + 36)
-        system._check_pending_syncs()
-        system._finalize_metrics()
+        phases.check_pending_syncs(system)
+        phases.MetricsFinalizePhase().run(system)
         epochs = 2
         metrics = system.metrics
     else:

@@ -25,6 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.core import phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.errors import ConfigurationError
 from repro.serving.clients import ClientFleet, FleetConfig
@@ -180,10 +181,10 @@ class ServingRun:
                     system.clock.now
                     + 3 * system.mainchain.config.block_interval
                 )
-                system._check_pending_syncs()
+                phases.check_pending_syncs(system)
                 gateway.settle_finality(system, boundary_epoch=epoch + 1)
 
-        system._finalize_metrics()
+        phases.MetricsFinalizePhase().run(system)
         return ServingReport(
             config=cfg,
             log=self.fleet.merged_log(),

@@ -44,6 +44,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core import phases
 from repro.core.executor import SidechainExecutor
 from repro.core.phases import (
     CommitteeHandoverPhase,
@@ -658,7 +659,7 @@ class Shard:
                     system.clock.now
                     + 3 * system.mainchain.config.block_interval
                 )
-                system._check_pending_syncs()
+                phases.check_pending_syncs(system)
                 recoveries = 0
                 while system._unsynced and recoveries < 3:
                     recoveries += 1
@@ -669,8 +670,8 @@ class Shard:
                         system.clock.now
                         + 3 * system.mainchain.config.block_interval
                     )
-                    system._check_pending_syncs()
-                system._finalize_metrics()
+                    phases.check_pending_syncs(system)
+                phases.MetricsFinalizePhase().run(system)
         finally:
             if traced:
                 trace.set_track(prev_track)

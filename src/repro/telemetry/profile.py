@@ -69,7 +69,7 @@ def install(profiler: PhaseProfiler) -> None:
 
 
 def uninstall() -> None:
-    """Deactivate profiling; the epoch loop returns to its fast path."""
+    """Deactivate profiling; the epoch loop stops timing its phases."""
     global _active
     _active = None
 

@@ -1,20 +1,25 @@
-"""Property suite: batch quoting is equivalent to sequential quoting.
+"""Property suite: the swap walker is equivalent to a naive sequential swap.
 
-The batch walker (``Pool.begin_swap_batch``) must be *bit-identical* to
-the sequential ``prepare_swap``/``commit`` path for any transaction
-sequence — same amounts, same fees, same errors, same final pool state
-including every tick record's fee-growth-outside values and the state
-version.  These properties drive generated swap mixes (both directions,
-exact input and exact output, price limits, tick-crossing sizes,
-rejections that discard a quote) through both paths on identically
-constructed pools and compare everything observable.
+``SwapBatch.quote`` is the only tick walker in ``src/`` (a lone
+``prepare_swap`` is a batch of one), so it is compared against
+``tests/swap_oracle.py`` — the textbook step loop, sharing none of the
+walker's cursor/overlay/symbolic-tick machinery — and must be
+*bit-identical* to it for any transaction sequence: same amounts, same
+fees, same errors, same final pool state including every tick record's
+fee-growth-outside values and the state version.  These properties drive
+generated swap mixes (both directions, exact input and exact output,
+price limits, tick-crossing sizes, rejections that discard a quote)
+through both on identically constructed pools and compare everything
+observable; a second property pins one batch of N against N batches of
+one.
 
-The executor-level property does the same one layer up:
-``SidechainExecutor.process_round`` (batch walker + struct-of-arrays
-records) against per-transaction ``process`` — acceptance decisions,
+The executor-level properties do the same one layer up:
+``SidechainExecutor.process_round`` (one batch per run of swaps) against
+per-transaction ``process`` (a batch per swap) — acceptance decisions,
 reject-reason strings, effects dicts, deposits and pool state all match.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.amm.fixed_point import encode_price_sqrt
@@ -22,6 +27,7 @@ from repro.amm.pool import Pool, PoolConfig
 from repro.core.executor import SidechainExecutor
 from repro.core.transactions import MintTx, SwapTx
 from repro.errors import AMMError
+from tests.swap_oracle import oracle_execute, oracle_quote
 
 
 def build_pool() -> Pool:
@@ -56,6 +62,30 @@ SWAP = st.tuples(
 )
 
 
+def price_limit(pool: Pool, zero_for_one: bool, mode: int) -> int | None:
+    """Mode 1: a tight limit in the swap direction, where both sides must
+    stop at the same price (and may reject with NoLiquidityError when the
+    limit allows no movement at all)."""
+    if mode != 1:
+        return None
+    price = pool.sqrt_price_x96
+    return price - price // 500 if zero_for_one else price + price // 500
+
+
+def outcome_of(quote, *args):
+    """("ok", amount0, amount1, fee, price after) or the typed error."""
+    try:
+        q = quote(*args)
+    except AMMError as exc:  # SlippageError / NoLiquidityError included
+        return ("err", type(exc).__name__, str(exc)), None
+    return ("ok", q.amount0, q.amount1, q.fee_paid, q.sqrt_price_after_x96), q
+
+
+def batch_quote(batch, *args):
+    batch.quote(*args)
+    return batch
+
+
 @settings(max_examples=80, deadline=None)
 @given(swaps=st.lists(SWAP, min_size=1, max_size=16))
 def test_batch_quoting_equals_sequential(swaps):
@@ -64,33 +94,73 @@ def test_batch_quoting_equals_sequential(swaps):
     batch = bat.begin_swap_batch()
     for zero_for_one, exact_input, amount, mode in swaps:
         amount_specified = amount if exact_input else -amount
-        limit = None
-        if mode == 1:
-            # A tight limit in the swap direction: both paths must stop at
-            # the same price (and may reject with NoLiquidityError when
-            # the limit allows no movement at all).
-            price = seq.sqrt_price_x96
-            limit = price - price // 500 if zero_for_one else price + price // 500
-        try:
-            pending = seq.prepare_swap(zero_for_one, amount_specified, limit)
-            seq_outcome = ("ok", pending.amount0, pending.amount1, pending.fee_paid)
-        except AMMError as exc:  # SlippageError / NoLiquidityError included
-            pending = None
-            seq_outcome = ("err", type(exc).__name__, str(exc))
-        try:
-            amount0, amount1 = batch.quote(zero_for_one, amount_specified, limit)
-            bat_outcome = ("ok", amount0, amount1, batch.fee_paid)
-        except AMMError as exc:
-            bat_outcome = ("err", type(exc).__name__, str(exc))
+        limit = price_limit(seq, zero_for_one, mode)
+        seq_outcome, oracle_swap = outcome_of(
+            oracle_quote, seq, zero_for_one, amount_specified, limit
+        )
+        bat_outcome, _ = outcome_of(
+            batch_quote, batch, zero_for_one, amount_specified, limit
+        )
         assert seq_outcome == bat_outcome
-        if pending is not None and mode != 3:
-            pending.commit()
+        if oracle_swap is not None and mode != 3:
+            oracle_execute(seq, oracle_swap)
             batch.accept()
-        # mode == 3 (or an error): the quote is discarded on both paths.
+        # mode == 3 (or an error): the quote is discarded on both sides.
     batch.commit()
     assert seq.snapshot() == bat.snapshot()
     assert seq._state_version == bat._state_version
     assert tick_fee_state(seq) == tick_fee_state(bat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(swaps=st.lists(SWAP, min_size=1, max_size=16))
+def test_batch_of_n_equals_n_batches_of_one(swaps):
+    one = build_pool()
+    many = build_pool()
+    batch = many.begin_swap_batch()
+    for zero_for_one, exact_input, amount, mode in swaps:
+        amount_specified = amount if exact_input else -amount
+        limit = price_limit(one, zero_for_one, mode)
+        one_outcome, pending = outcome_of(
+            one.prepare_swap, zero_for_one, amount_specified, limit
+        )
+        many_outcome, _ = outcome_of(
+            batch_quote, batch, zero_for_one, amount_specified, limit
+        )
+        assert one_outcome == many_outcome
+        if pending is not None and mode != 3:
+            result = pending.commit()
+            batch.accept()
+            assert result.sqrt_price_x96 == pending.sqrt_price_after_x96
+            assert (result.tick, result.liquidity) == (one.tick, one.liquidity)
+    batch.commit()
+    assert one.snapshot() == many.snapshot()
+    assert one._state_version == many._state_version
+    assert tick_fee_state(one) == tick_fee_state(many)
+
+
+def test_stale_or_spent_pending_swap_is_refused():
+    """Whatever moved the pool — another handle, an open batch's commit,
+    this handle's own commit — a later commit raises and writes nothing,
+    the TWAP oracle included."""
+    pool = build_pool()
+    first = pool.prepare_swap(True, 10**16)
+    second = pool.prepare_swap(False, 10**16)
+    batch = pool.begin_swap_batch()
+    batch.quote(True, 10**15)
+    batch.accept()
+    first.commit(timestamp=12.0)
+    after_first = (pool.snapshot(), tick_fee_state(pool), pool._state_version)
+    oracle_before = list(pool.oracle.observations)
+    for stale_commit in (
+        lambda: first.commit(timestamp=24.0),
+        lambda: second.commit(timestamp=24.0),
+        batch.commit,
+    ):
+        with pytest.raises(AMMError):
+            stale_commit()
+    assert (pool.snapshot(), tick_fee_state(pool), pool._state_version) == after_first
+    assert list(pool.oracle.observations) == oracle_before
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,12 +198,21 @@ TX = st.tuples(
 )
 
 
-def build_executor() -> SidechainExecutor:
-    executor = SidechainExecutor(build_pool())
+def build_executor(pool: Pool | None = None) -> SidechainExecutor:
+    executor = SidechainExecutor(pool or build_pool())
     deposits = {user: [10**20, 10**20] for user in RICH}
     deposits["poor"] = [0, 0]
     executor.begin_epoch(deposits)
     return executor
+
+
+def assert_same_books(a: SidechainExecutor, b: SidechainExecutor) -> None:
+    assert a.pool.snapshot() == b.pool.snapshot()
+    assert a.pool._state_version == b.pool._state_version
+    assert tick_fee_state(a.pool) == tick_fee_state(b.pool)
+    assert a.deposits == b.deposits
+    assert a.processed_count == b.processed_count
+    assert a.rejected_count == b.rejected_count
 
 
 def make_txs(entries):
@@ -187,9 +266,48 @@ def test_process_round_batch_equals_sequential(entries):
         assert b.reject_reason == s.reject_reason
         if isinstance(b, SwapTx) and not isinstance(b, MintTx):
             assert b.effects == s.effects
-    assert batch_ex.pool.snapshot() == seq_ex.pool.snapshot()
-    assert batch_ex.pool._state_version == seq_ex.pool._state_version
-    assert tick_fee_state(batch_ex.pool) == tick_fee_state(seq_ex.pool)
-    assert batch_ex.deposits == seq_ex.deposits
-    assert batch_ex.processed_count == seq_ex.processed_count
-    assert batch_ex.rejected_count == seq_ex.rejected_count
+    assert_same_books(batch_ex, seq_ex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.lists(TX, min_size=1, max_size=10))
+def test_process_equals_process_round_of_one(entries):
+    single_ex = build_executor()
+    round_ex = build_executor()
+    for single_tx, round_tx in zip(make_txs(entries), make_txs(entries)):
+        accepted = single_ex.process(single_tx, current_round=5)
+        assert round_ex.process_round([round_tx], current_round=5) == (
+            [round_tx] if accepted else []
+        )
+        assert single_tx.reject_reason == round_tx.reject_reason
+        if type(single_tx) is SwapTx:
+            assert single_tx.effects == round_tx.effects
+        assert_same_books(single_ex, round_ex)
+
+
+def test_uninitialized_pool_rejects_each_swap_with_the_pools_message():
+    def txs():
+        return [
+            SwapTx(user="u0", zero_for_one=True, exact_input=True, amount=10**15),
+            # Checks that come before the walk still answer first.
+            SwapTx(user="u0", zero_for_one=True, exact_input=True, amount=10**15,
+                   deadline=1),
+            SwapTx(user="u0", zero_for_one=False, exact_input=True, amount=0),
+            SwapTx(user="u1", zero_for_one=False, exact_input=False, amount=10**15),
+        ]
+
+    reasons = [
+        "pool not initialized",
+        "deadline round 1 passed",
+        "swap amount must be positive",
+        "pool not initialized",
+    ]
+    single_ex = build_executor(Pool(PoolConfig(token0="A", token1="B")))
+    round_ex = build_executor(Pool(PoolConfig(token0="A", token1="B")))
+    single_txs, round_txs = txs(), txs()
+    assert not any(single_ex.process(tx, current_round=5) for tx in single_txs)
+    assert round_ex.process_round(round_txs, current_round=5) == []
+    assert [tx.reject_reason for tx in single_txs] == reasons
+    assert [tx.reject_reason for tx in round_txs] == reasons
+    assert single_ex.rejected_count == round_ex.rejected_count == 4
+    assert_same_books(single_ex, round_ex)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.phases import RoundExecutionPhase
 from repro.core.transactions import BurnTx, MintTx, SwapTx
 from repro.errors import RevertError
 from repro.mainchain.contracts.base import CallContext
@@ -47,7 +48,7 @@ def test_nft_not_created_before_sync():
     system.queue.append(mint)
     system._traffic_start = system.clock.now
     # Process the mint in a meta round but stop before the sync confirms.
-    system._mine_meta_block(0, 0, system.clock.now + 7)
+    RoundExecutionPhase.mine_meta_block(system, 0, 0, system.clock.now + 7)
     position_id = mint.effects["position_id"]
     assert position_id in system.executor.positions
     assert system.nft_registry.token_of(position_id) is None

@@ -98,8 +98,8 @@ def test_epoch_phases_constructor_argument():
     assert calls and calls[0] == 0
 
 
-def test_legacy_private_helpers_still_drive_single_stages():
-    """The thin delegation shims on AmmBoostSystem keep working."""
+def test_phase_helpers_drive_single_stages():
+    """Single stages of the loop can be driven through the phase layer."""
     system = small_system()
     system.setup()
     system._traffic_start = system.clock.now
@@ -107,10 +107,10 @@ def test_legacy_private_helpers_still_drive_single_stages():
     # snapshot by hand — without it every transaction is uncovered (and
     # zero-liquidity swaps are now typed rejections, not nothing-swaps).
     system.executor.begin_epoch(system.snapshot_bank.take(0).deposits)
-    system._inject_traffic(5, system.clock.now)
+    WorkloadIngestPhase.inject_traffic(system, 5, system.clock.now)
     assert len(system.queue) == 5
-    system._enqueue_bootstrap(system.clock.now)
-    system._mine_meta_block(0, 0, system.clock.now + 7)
+    WorkloadIngestPhase.enqueue_bootstrap(system, system.clock.now)
+    RoundExecutionPhase.mine_meta_block(system, 0, 0, system.clock.now + 7)
     assert system.ledger.live_meta_blocks(0)
     assert system.metrics.processed_txs > 0
 

@@ -8,6 +8,7 @@ hand-over certificate chain.
 
 import pytest
 
+from repro.core import phases
 from repro.mainchain.transactions import TxStatus
 from tests.conftest import small_system
 
@@ -88,7 +89,7 @@ def test_pruning_deferred_until_mass_sync():
     assert system.ledger.live_meta_blocks(1), "epoch 1 must not be pruned yet"
     system._run_epoch(2, inject=True)
     system.mainchain.produce_blocks_until(system.clock.now + 36)
-    system._check_pending_syncs()
+    phases.check_pending_syncs(system)
     assert system.ledger.live_meta_blocks(1) == []
 
 
@@ -99,7 +100,7 @@ def test_rollback_lost_sync_recovered():
     system._run_epoch(0, inject=True)
     # Let the epoch-0 sync confirm, then abandon those blocks.
     system.mainchain.produce_blocks_until(system.clock.now + 36)
-    system._check_pending_syncs()
+    phases.check_pending_syncs(system)
     assert system.ledger.is_synced(0)
     sync_tx = next(
         tx
@@ -115,7 +116,7 @@ def test_rollback_lost_sync_recovered():
     # The next epoch's sync mass-covers epoch 0 again.
     system._run_epoch(1, inject=True)
     system.mainchain.produce_blocks_until(system.clock.now + 36)
-    system._check_pending_syncs()
+    phases.check_pending_syncs(system)
     assert system.token_bank.last_synced_epoch == 1
     for user, balance in system.executor.deposits.items():
         assert system.token_bank.deposit_of(user) == (balance[0], balance[1])

@@ -1,11 +1,16 @@
 """Property suite: copy-on-epoch snapshots quote like the frozen pool.
 
-Three guarantees back the serving layer's snapshot isolation:
+Four guarantees back the serving layer's snapshot isolation:
 
 * equivalence — ``PoolSnapshot.quote(...)`` returns exactly what
   ``quote_swap(pool, ...)`` returned on the live pool at freeze time,
-  for generated pool states and quote parameters (amounts, directions,
+  and what the naive sequential swap of ``tests/swap_oracle.py`` (which
+  shares no code with the walker both of those run on) computes, for
+  generated pool states and quote parameters (amounts, directions,
   price limits, error cases included);
+* statelessness — the snapshot answers every quote from one persistent,
+  never-committed walker, and thousands of interleaved quotes leave no
+  trace in it: each answer equals the first answer to the same question;
 * immutability — mutating the live pool afterwards (swaps, mints,
   burns, flash fees, epoch advances) never changes an outstanding
   snapshot's answers;
@@ -15,15 +20,17 @@ Three guarantees back the serving layer's snapshot isolation:
 """
 
 import asyncio
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
-from repro.amm.quoter import quote_swap
+from repro.amm.quoter import Quote, quote_swap
 from repro.errors import AMMError, NoLiquidityError, SlippageError
 from repro.serving.gateway import QuoteGateway
+from tests.swap_oracle import oracle_quote
 
 
 def build_pool(positions) -> Pool:
@@ -64,6 +71,13 @@ def _outcome(fn, *args):
         return ("err", type(exc).__name__, str(exc))
 
 
+def _oracle_as_quote(*args) -> Quote:
+    swap = oracle_quote(*args)
+    return Quote(
+        swap.amount0, swap.amount1, swap.sqrt_price_after_x96, swap.fee_paid
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     positions=st.lists(POSITION, min_size=1, max_size=6),
@@ -76,6 +90,63 @@ def test_snapshot_quote_equivalent_to_live_quoter(positions, quotes):
         live = _outcome(quote_swap, pool, zero_for_one, amount)
         frozen = _outcome(snapshot.quote, zero_for_one, amount)
         assert frozen == live
+        assert frozen == _outcome(_oracle_as_quote, pool, zero_for_one, amount)
+
+
+@pytest.mark.parametrize(
+    "positions, nudge, error_kinds",
+    [
+        # Price inside overlapping ranges, off the initial tick boundary:
+        # quotes cross ticks both ways.
+        (
+            [(-20, 40, 10**17), (-4, 8, 10**18), (2, 6, 5 * 10**17)],
+            10**16,
+            {"AMMError", "SlippageError"},
+        ),
+        # Price above every range: upward quotes find nothing, downward
+        # ones first jump the empty gap.
+        (
+            [(-20, 15, 10**17), (-6, 4, 10**18)],
+            0,
+            {"AMMError", "SlippageError", "NoLiquidityError"},
+        ),
+    ],
+)
+def test_persistent_walker_leaks_no_state_between_quotes(
+    positions, nudge, error_kinds
+):
+    """4000 interleaved quotes — both directions, exact input and output,
+    tick-crossing sizes, price limits, every error kind — each answered
+    exactly like the first time the same question was asked."""
+    pool = build_pool(positions)
+    if nudge:
+        pool.swap(True, nudge)
+    snapshot = pool.freeze(epoch=1)
+    price = snapshot.sqrt_price_x96
+    questions = [
+        (zero_for_one, sign * amount, limit)
+        for zero_for_one in (True, False)
+        for sign in (1, -1)
+        for amount in (10**13, 10**16, 3 * 10**17, 10**19)
+        for limit in (None, price - price // 300 if zero_for_one else price + price // 300)
+    ]
+    questions += [
+        (True, 0, None),            # AMMError: zero amount
+        (True, 10**15, price + 1),  # SlippageError: limit on the wrong side
+        (False, 10**15, price),     # SlippageError: limit at the price
+    ]
+    first = [_outcome(snapshot.quote, *question) for question in questions]
+    assert {answer[1] for answer in first if answer[0] == "err"} == error_kinds
+    assert any(answer[0] == "ok" for answer in first)
+    assert first == [_outcome(_oracle_as_quote, pool, *q) for q in questions]
+    state = snapshot.snapshot()
+    # A stride coprime to the list length visits the questions in an order
+    # that puts every kind of quote right after every other kind.
+    assert math.gcd(11, len(questions)) == 1
+    for i in range(4000):
+        k = (i * 11) % len(questions)
+        assert _outcome(snapshot.quote, *questions[k]) == first[k]
+    assert snapshot.snapshot() == state
 
 
 @settings(max_examples=40, deadline=None)
