@@ -287,7 +287,7 @@ def measure_shard_scaling(mode: str) -> dict:
 def measure_serving_latency(mode: str) -> dict:
     """Closed-loop serving percentiles: p50/p99 quote, swap-to-finality.
 
-    Drives the asyncio quote/swap gateway with >=1000 deterministic
+    Drives the quote/swap gateway with >=1000 deterministic
     closed-loop clients against copy-on-epoch pool snapshots.  The tick
     and finality percentiles (and the log digest) are seed-deterministic;
     the wall-clock percentiles and throughput depend on the machine, so

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.telemetry.metrics import LogHistogram, MetricsRegistry
+from repro.telemetry.metrics import LogHistogram
 
 
 @dataclass
@@ -115,31 +115,6 @@ class MetricsCollector:
         key = reason or "unspecified"
         self.refunds_by_reason[key] = self.refunds_by_reason.get(key, 0) + 1
         self.aborted_legs += 1
-
-    def to_registry(self, registry: MetricsRegistry, prefix: str = "run") -> None:
-        """Publish this collector into a telemetry MetricsRegistry.
-
-        Histograms are merged (not copied), so registries folded across
-        shards report true run-wide percentiles.
-        """
-        registry.counter(f"{prefix}.processed_txs").inc(self.processed_txs)
-        registry.counter(f"{prefix}.rejected_txs").inc(self.rejected_txs)
-        registry.counter(f"{prefix}.num_syncs").inc(self.num_syncs)
-        registry.counter(f"{prefix}.num_deposits").inc(self.num_deposits)
-        registry.counter(f"{prefix}.total_gas").inc(self.total_gas)
-        registry.counter(f"{prefix}.aborted_legs").inc(self.aborted_legs)
-        for reason, count in sorted(self.refunds_by_reason.items()):
-            registry.counter(f"{prefix}.refunds.{reason}").inc(count)
-        registry.gauge(f"{prefix}.peak_queue_depth").set(self.peak_queue_depth)
-        registry.histogram(f"{prefix}.sidechain_latency_s").merge(
-            self.sidechain_latency.histogram
-        )
-        registry.histogram(f"{prefix}.payout_latency_s").merge(
-            self.payout_latency.histogram
-        )
-        registry.histogram(f"{prefix}.mainchain_latency_s").merge(
-            self.mainchain_latency.histogram
-        )
 
     def summary(self) -> dict:
         """Plain-dict summary convenient for benches and reports."""

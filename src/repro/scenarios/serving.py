@@ -1,11 +1,11 @@
 """Serving-layer scenarios: closed-loop latency and typed overload.
 
 * ``serving_latency`` — a closed-loop client fleet (hundreds to
-  thousands of asyncio clients on seeded bursty arrivals) quotes and
+  thousands of simulated clients on seeded bursty arrivals) quotes and
   swaps against the gateway; rows report p50/p99 quote latency in
   serving ticks and swap-to-finality in epoch boundaries.  The log
-  digest column pins byte-identical behaviour across runs, ``--jobs``
-  fan-out and asyncio interleavings.
+  digest column pins byte-identical behaviour across runs and
+  ``--jobs`` fan-out.
 * ``serving_overload`` — the same fleet against progressively tighter
   admission bounds, with a deliberately lagging snapshot
   (``publish_every=2`` with ``max_snapshot_age=0``), so saturation shows

@@ -22,6 +22,7 @@ from repro.serving.gateway import (
     QuoteGateway,
     QuoteRequest,
     QuoteResponse,
+    Reply,
     SwapReceipt,
     SwapSubmission,
     TokenBucket,
@@ -47,6 +48,7 @@ __all__ = [
     "QuoteGateway",
     "QuoteRequest",
     "QuoteResponse",
+    "Reply",
     "ServingConfig",
     "ServingReport",
     "ServingRun",

@@ -1,34 +1,35 @@
 """Deterministic closed-loop client fleet for the gateway.
 
-Thousands of simulated clients run as real asyncio tasks, each driving a
-quote → (maybe) submit loop off its own seeded
-:class:`~repro.simulation.rng.DeterministicRng` stream and a per-client
-:class:`~repro.workload.arrivals.BurstyArrivals` schedule.  The fleet is
-*closed-loop*: a client blocked on a response issues nothing new until it
-resolves, so offered load self-throttles exactly like real users behind
-latency.
+Thousands of simulated clients each drive a quote → (maybe) submit loop
+off their own seeded :class:`~repro.simulation.rng.DeterministicRng`
+stream and a per-client :class:`~repro.workload.arrivals.BurstyArrivals`
+schedule.  The fleet is *closed-loop*: a client blocked on a reply issues
+nothing new until it resolves, so offered load self-throttles exactly
+like real users behind latency.
 
-Determinism across asyncio interleavings comes from two rules:
+A client is a generator that yields whenever it blocks — the
+:class:`~repro.serving.gateway.Reply` it waits for, or ``None`` at the
+tick gate — and the fleet is the one place that decides who runs when:
 
-* virtual time advances in lock-step — the fleet releases one tick, lets
-  every task run until it is *parked* (awaiting the tick gate or a
-  gateway future), and only then lets the gateway decide the tick;
-* the gateway decides each tick's requests in sorted ``(client, seq)``
-  order, never in task-scheduling order.
+* when a tick opens, every client runs until it blocks again; then the
+  gateway decides the tick (in sorted ``(client, seq)`` order, never in
+  the order the fleet happened to resume clients);
+* between ticks only clients whose reply resolved run; a client waiting
+  at the gate stays there until the next tick opens.
 
-Together these make the merged request log a pure function of the seed:
-byte-identical no matter how the event loop schedules the tasks (the
-``task_shuffle`` knob exists precisely to prove that in tests).
+Virtual time therefore advances in lock-step and the merged request log
+is a pure function of the seed.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
+from collections.abc import Generator
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import AMMError
-from repro.serving.gateway import QuoteGateway, QuoteResponse, SwapReceipt
+from repro.serving.gateway import QuoteGateway, Reply
 from repro.simulation.rng import DeterministicRng
 from repro.workload.arrivals import BurstyArrivals
 
@@ -46,13 +47,15 @@ class FleetConfig:
     burst_fraction: float = 0.2
     amount_lo: int = 10**15
     amount_hi: int = 10**18
-    #: Shuffle seed for task start order — changes asyncio interleaving,
-    #: must never change the logs.  None keeps index order.
-    task_shuffle: int | None = None
+
+
+#: What a blocked client yields: the reply it waits for, or ``None`` at
+#: the tick gate.
+_Blocked = Reply[Any] | None
 
 
 class _Client:
-    __slots__ = ("index", "user", "rng", "arrivals", "seq", "log")
+    __slots__ = ("index", "user", "rng", "arrivals", "seq", "log", "steps", "blocked_on")
 
     def __init__(self, index: int, user: str, seed: int | str, cfg: FleetConfig):
         self.index = index
@@ -65,10 +68,14 @@ class _Client:
         )
         self.seq = 0
         self.log: list[dict] = []
+        #: The client's closed loop and what it last blocked on; every
+        #: client starts at the gate, before its first tick.
+        self.steps: Generator[_Blocked, None, None]
+        self.blocked_on: _Blocked = None
 
 
 class ClientFleet:
-    """Drives the client tasks in deterministic virtual-time ticks."""
+    """Drives the clients in deterministic virtual-time ticks."""
 
     def __init__(
         self,
@@ -84,156 +91,121 @@ class ClientFleet:
             _Client(i, users[i % len(users)], config.seed, config)
             for i in range(config.num_clients)
         ]
+        for client in self.clients:
+            client.steps = self._client_loop(client)
         #: Wall-clock seconds per resolved quote (non-deterministic; kept
         #: out of the logs so those stay byte-identical).
         self.wall_quote_seconds: list[float] = []
-        self._gate = asyncio.Event()
-        self._parked = 0
-        self._done = 0
-        self._closing = False
-        self._tasks: list[asyncio.Task] | None = None
-
-    # -- lock-step machinery ---------------------------------------------------
-
-    async def _park(self, awaitable):
-        self._parked += 1
-        try:
-            return await awaitable
-        finally:
-            self._parked -= 1
-
-    async def _wait_gate(self) -> None:
-        if self._closing:
-            return
-        gate = self._gate
-        await self._park(gate.wait())
-
-    def _release_gate(self) -> None:
-        gate, self._gate = self._gate, asyncio.Event()
-        gate.set()
-
-    async def _settle(self) -> None:
-        """Yield to the loop until every client task is parked or done.
-
-        The first yield is unconditional: wakeups scheduled by the gate
-        release (or by resolved futures) have not run yet, so the parked
-        count still looks full — checking before yielding would return
-        early and starve the woken tasks.
-        """
-        await asyncio.sleep(0)
-        while self._parked + self._done < len(self.clients):
-            await asyncio.sleep(0)
-
-    def _start(self) -> None:
-        order = list(range(len(self.clients)))
-        if self.config.task_shuffle is not None:
-            DeterministicRng(f"shuffle/{self.config.task_shuffle}").shuffle(order)
-        self._tasks = [
-            asyncio.ensure_future(self._client_loop(self.clients[i])) for i in order
-        ]
 
     # -- the closed loop -------------------------------------------------------
 
-    async def _client_loop(self, client: _Client) -> None:
+    def _client_loop(self, client: _Client) -> Generator[_Blocked, None, None]:
         gateway = self.gateway
         cfg = self.config
-        try:
-            while not self._closing:
-                tick = gateway.now_tick
-                count = client.arrivals.rate_for_round(1, tick, float(tick))
-                for _ in range(count):
-                    if self._closing:
-                        break
-                    seq = client.seq
-                    client.seq += 1
-                    zero_for_one = client.rng.random() < 0.5
-                    amount = client.rng.randint(cfg.amount_lo, cfg.amount_hi)
-                    started = time.perf_counter()
-                    try:
-                        response: QuoteResponse = await self._park(
-                            gateway.quote(client.index, seq, zero_for_one, amount)
-                        )
-                    except AMMError as exc:
-                        client.log.append(
-                            {
-                                "kind": "quote",
-                                "client": client.index,
-                                "seq": seq,
-                                "tick": tick,
-                                "accepted": False,
-                                "reason": f"error:{type(exc).__name__}",
-                            }
-                        )
-                        continue
-                    self.wall_quote_seconds.append(time.perf_counter() - started)
+        while True:
+            tick = gateway.now_tick
+            count = client.arrivals.rate_for_round(1, tick, float(tick))
+            for _ in range(count):
+                seq = client.seq
+                client.seq += 1
+                zero_for_one = client.rng.random() < 0.5
+                amount = client.rng.randint(cfg.amount_lo, cfg.amount_hi)
+                started = time.perf_counter()
+                quoted = gateway.quote(client.index, seq, zero_for_one, amount)
+                yield quoted
+                try:
+                    response = quoted.result()
+                except AMMError as exc:
                     client.log.append(
                         {
                             "kind": "quote",
                             "client": client.index,
                             "seq": seq,
-                            "tick": response.submitted_tick,
-                            "served_tick": response.served_tick,
-                            "accepted": response.accepted,
-                            "reason": response.reason,
-                            "amount_in": response.amount_in,
-                            "amount_out": response.amount_out,
-                            "snapshot_epoch": response.snapshot_epoch,
+                            "tick": tick,
+                            "accepted": False,
+                            "reason": f"error:{type(exc).__name__}",
                         }
                     )
-                    if (
-                        response.accepted
-                        and client.rng.random() < cfg.submit_fraction
-                    ):
-                        swap_seq = client.seq
-                        client.seq += 1
-                        receipt: SwapReceipt = await self._park(
-                            gateway.submit(
-                                client.index,
-                                swap_seq,
-                                client.user,
-                                zero_for_one,
-                                amount,
-                                response.snapshot_epoch,
-                            )
-                        )
-                        client.log.append(
-                            {
-                                "kind": "swap",
-                                "client": client.index,
-                                "seq": swap_seq,
-                                "tick": receipt.submitted_tick,
-                                "decided_tick": receipt.decided_tick,
-                                "accepted": receipt.accepted,
-                                "reason": receipt.reason,
-                            }
-                        )
-                await self._wait_gate()
-        finally:
-            self._done += 1
+                    continue
+                self.wall_quote_seconds.append(time.perf_counter() - started)
+                client.log.append(
+                    {
+                        "kind": "quote",
+                        "client": client.index,
+                        "seq": seq,
+                        "tick": response.submitted_tick,
+                        "served_tick": response.served_tick,
+                        "accepted": response.accepted,
+                        "reason": response.reason,
+                        "amount_in": response.amount_in,
+                        "amount_out": response.amount_out,
+                        "snapshot_epoch": response.snapshot_epoch,
+                    }
+                )
+                if response.accepted and client.rng.random() < cfg.submit_fraction:
+                    swap_seq = client.seq
+                    client.seq += 1
+                    submitted = gateway.submit(
+                        client.index,
+                        swap_seq,
+                        client.user,
+                        zero_for_one,
+                        amount,
+                        response.snapshot_epoch,
+                    )
+                    yield submitted
+                    receipt = submitted.result()
+                    client.log.append(
+                        {
+                            "kind": "swap",
+                            "client": client.index,
+                            "seq": swap_seq,
+                            "tick": receipt.submitted_tick,
+                            "decided_tick": receipt.decided_tick,
+                            "accepted": receipt.accepted,
+                            "reason": receipt.reason,
+                        }
+                    )
+            yield None
+
+    def _resume(self, tick_opens: bool) -> None:
+        """Run every runnable client, once, until it blocks again: the
+        ones whose reply resolved and, when a tick opens, the ones at the
+        gate.  A reply resolved on the spot (the gateway is draining)
+        does not block."""
+        for client in self.clients:
+            blocked_on = client.blocked_on
+            runnable = tick_opens if blocked_on is None else blocked_on.done
+            if not runnable:
+                continue
+            steps = client.steps
+            blocked_on = next(steps)
+            while blocked_on is not None and blocked_on.done:
+                blocked_on = next(steps)
+            client.blocked_on = blocked_on
 
     # -- driver API ------------------------------------------------------------
 
-    async def run_window(self, ticks: int) -> None:
+    def run_window(self, ticks: int) -> None:
         """Serve ``ticks`` virtual-time ticks of closed-loop traffic."""
-        if self._tasks is None:
-            self._start()
         for _ in range(ticks):
-            self._release_gate()
-            await self._settle()
+            self._resume(tick_opens=True)
             self.gateway.process_tick()
-        # Let clients woken by the last tick's responses log them and
-        # park again (their follow-ups join the next window's inbox).
-        await self._settle()
+        # Clients answered by the last tick log their replies now; their
+        # follow-ups join the next window's inbox.
+        self.deliver_replies()
 
-    async def close(self) -> None:
-        """Stop the fleet; call after ``gateway.shutdown()`` so no client
-        is left awaiting a future."""
-        self._closing = True
-        self._release_gate()
-        if self._tasks is None:
-            return
-        await self._settle()
-        await asyncio.gather(*self._tasks)
+    def deliver_replies(self) -> None:
+        """Between ticks: run the clients whose reply resolved; whoever
+        waits at the gate stays there until the next tick opens."""
+        self._resume(tick_opens=False)
+
+    def close(self) -> None:
+        """Stop the fleet: no client runs again.  Replies the gateway has
+        not resolved (``gateway.shutdown`` resolves them all) are never
+        logged."""
+        for client in self.clients:
+            client.steps.close()
 
     # -- results ---------------------------------------------------------------
 

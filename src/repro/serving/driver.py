@@ -14,13 +14,12 @@ boundary snapshot:
    epochs flush the backlog until every admitted swap reached finality.
 
 Everything a :class:`ServingReport` exposes except the wall-clock quote
-latencies is a pure function of the config — byte-identical across runs,
-process fan-out and asyncio interleavings.
+latencies is a pure function of the config — byte-identical across runs
+and process fan-out.
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -50,7 +49,6 @@ class ServingConfig:
     amount_hi: int = 10**18
     #: Also inject the generated workload during serving epochs.
     background_traffic: bool = False
-    task_shuffle: int | None = None
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     # System shape (kept small: serving load comes from the fleet).
     num_users: int = 32
@@ -139,11 +137,10 @@ class ServingRun:
                 burst_fraction=cfg.burst_fraction,
                 amount_lo=cfg.amount_lo,
                 amount_hi=cfg.amount_hi,
-                task_shuffle=cfg.task_shuffle,
             ),
         )
 
-    async def run(self) -> ServingReport:
+    def execute(self) -> ServingReport:
         cfg = self.config
         system = self.system
         gateway = self.gateway
@@ -156,12 +153,12 @@ class ServingRun:
         epoch = 0
 
         for _ in range(cfg.epochs):
-            await self.fleet.run_window(cfg.ticks_per_epoch)
+            self.fleet.run_window(cfg.ticks_per_epoch)
             epoch += 1
             system._run_epoch(epoch, inject=cfg.background_traffic)
 
-        await gateway.shutdown()
-        await self.fleet.close()
+        gateway.shutdown(between_ticks=self.fleet.deliver_replies)
+        self.fleet.close()
 
         # Flush: extra inject-free epochs until the backlog and every
         # in-flight swap settled (the boundary phase keeps scoring
@@ -192,6 +189,3 @@ class ServingRun:
             wall_quote_seconds=list(self.fleet.wall_quote_seconds),
             metrics_summary=system.metrics.summary(),
         )
-
-    def execute(self) -> ServingReport:
-        return asyncio.run(self.run())

@@ -19,23 +19,29 @@ Admission control is explicit and fully typed:
 Every request is therefore *exactly* accepted or rejected-with-reason —
 the gateway never drops work silently and never hangs a caller.
 
-Determinism: requests land in a per-tick inbox and are only *decided* in
+Determinism: :meth:`QuoteGateway.quote` and :meth:`QuoteGateway.submit`
+only enqueue — they hand back a :class:`Reply` slot and the request lands
+in a per-tick inbox.  Requests are *decided* in
 :meth:`QuoteGateway.process_tick`, which sorts the inbox by
-``(client, seq)`` before touching any shared state.  Outcomes are thus a
-pure function of the request set, not of asyncio task scheduling order.
+``(client, seq)`` before touching any shared state, so outcomes are a
+pure function of the request set, not of the order callers enqueued in.
+The gateway decides ticks and nothing else: who runs between two ticks
+is the caller's business (:mod:`repro.serving.clients`).
 """
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any, Generic, TypeVar, cast
 
 from repro.amm.pool import Pool, PoolSnapshot
 from repro.core.transactions import SwapTx
 from repro.errors import AMMError
 from repro.telemetry import trace
-from repro.telemetry.metrics import MetricsRegistry
+
+T = TypeVar("T")
 
 REASON_QUEUE_FULL = "queue_full"
 REASON_STALE_SNAPSHOT = "stale_snapshot"
@@ -136,6 +142,33 @@ class SwapReceipt:
     decided_tick: int
 
 
+class Reply(Generic[T]):
+    """Where one request's answer lands once a tick has decided it."""
+
+    __slots__ = ("done", "_value", "_error")
+
+    def __init__(self) -> None:
+        self.done = False
+        self._value: T | None = None
+        self._error: AMMError | None = None
+
+    def resolve(self, value: T) -> None:
+        self._value = value
+        self.done = True
+
+    def fail(self, error: AMMError) -> None:
+        self._error = error
+        self.done = True
+
+    def result(self) -> T:
+        """The answer; raises the pool's own error if the quote failed."""
+        if self._error is not None:
+            raise self._error
+        if not self.done:
+            raise RuntimeError("reply read before a tick decided it")
+        return cast(T, self._value)
+
+
 @dataclass
 class _InflightSwap:
     """An admitted swap awaiting inclusion + sync (finality tracking)."""
@@ -171,33 +204,9 @@ class GatewayStats:
     def submits_rejected(self) -> int:
         return sum(self.submit_rejections.values())
 
-    def to_registry(
-        self, registry: MetricsRegistry, prefix: str = "gateway"
-    ) -> None:
-        """Publish gateway counters + latency histograms into a registry."""
-        registry.counter(f"{prefix}.quotes_served").inc(self.quotes_served)
-        registry.counter(f"{prefix}.submits_accepted").inc(self.submits_accepted)
-        registry.counter(f"{prefix}.executor_rejected").inc(self.executor_rejected)
-        for reason, count in sorted(self.quote_rejections.items()):
-            registry.counter(f"{prefix}.quote_rejections.{reason}").inc(count)
-        for reason, count in sorted(self.submit_rejections.items()):
-            registry.counter(f"{prefix}.submit_rejections.{reason}").inc(count)
-        registry.gauge(f"{prefix}.peak_admission_queue").set(
-            self.peak_admission_queue
-        )
-        registry.gauge(f"{prefix}.peak_pending_quotes").set(
-            self.peak_pending_quotes
-        )
-        latency = registry.histogram(f"{prefix}.quote_latency_ticks")
-        for ticks in self.quote_latency_ticks:
-            latency.record(ticks)
-        finality = registry.histogram(f"{prefix}.finality_epochs")
-        for epochs in self.finality_epochs:
-            finality.record(epochs)
-
 
 class QuoteGateway:
-    """Asyncio serving gateway over one pool (see module docstring)."""
+    """Serving gateway over one pool (see module docstring)."""
 
     def __init__(self, pool: Pool, config: GatewayConfig | None = None) -> None:
         self.pool = pool
@@ -209,10 +218,12 @@ class QuoteGateway:
         self.now_tick = 0
         self.draining = False
         self.stats = GatewayStats()
-        self._inbox: list[
-            tuple[QuoteRequest | SwapSubmission, asyncio.Future]
-        ] = []
-        self._pending_quotes: deque[tuple[QuoteRequest, asyncio.Future]] = deque()
+        #: A request's kind fixes its reply's type; the pair is re-typed
+        #: where ``process_tick`` dispatches on the request.
+        self._inbox: list[tuple[QuoteRequest | SwapSubmission, Reply[Any]]] = []
+        self._pending_quotes: deque[tuple[QuoteRequest, Reply[QuoteResponse]]] = (
+            deque()
+        )
         self._admitted: deque[SwapTx] = deque()
         self._inflight: list[_InflightSwap] = []
         self._buckets: dict[int, TokenBucket] = {}
@@ -233,25 +244,24 @@ class QuoteGateway:
 
     # -- request entry points -------------------------------------------------
 
-    async def quote(
+    def quote(
         self, client: int, seq: int, zero_for_one: bool, amount: int
-    ) -> QuoteResponse:
-        """Request a quote; resolves when a later tick serves it.
+    ) -> Reply[QuoteResponse]:
+        """Enqueue a quote request; a later tick resolves the reply.
 
-        Raises the frozen pool's own errors (``NoLiquidityError`` et al.)
+        A failed quote resolves with the frozen pool's own error
+        (``NoLiquidityError`` et al.), which :meth:`Reply.result` raises
         exactly as the direct quoter would.
         """
-        if self.draining:
-            return self._quote_reject(
-                QuoteRequest(client, seq, zero_for_one, amount, self.now_tick),
-                REASON_SHUTTING_DOWN,
-            )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        reply: Reply[QuoteResponse] = Reply()
         request = QuoteRequest(client, seq, zero_for_one, amount, self.now_tick)
-        self._inbox.append((request, future))
-        return await future
+        if self.draining:
+            reply.resolve(self._quote_reject(request, REASON_SHUTTING_DOWN))
+        else:
+            self._inbox.append((request, reply))
+        return reply
 
-    async def submit(
+    def submit(
         self,
         client: int,
         seq: int,
@@ -259,22 +269,17 @@ class QuoteGateway:
         zero_for_one: bool,
         amount: int,
         snapshot_epoch: int,
-    ) -> SwapReceipt:
-        """Submit a quoted swap; resolves with a typed accept/reject."""
-        if self.draining:
-            return self._submit_reject(
-                SwapSubmission(
-                    client, seq, user, zero_for_one, amount,
-                    snapshot_epoch, self.now_tick,
-                ),
-                REASON_SHUTTING_DOWN,
-            )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+    ) -> Reply[SwapReceipt]:
+        """Enqueue a quoted swap; resolves with a typed accept/reject."""
+        reply: Reply[SwapReceipt] = Reply()
         submission = SwapSubmission(
             client, seq, user, zero_for_one, amount, snapshot_epoch, self.now_tick
         )
-        self._inbox.append((submission, future))
-        return await future
+        if self.draining:
+            reply.resolve(self._submit_reject(submission, REASON_SHUTTING_DOWN))
+        else:
+            self._inbox.append((submission, reply))
+        return reply
 
     # -- the deterministic decision pass --------------------------------------
 
@@ -282,7 +287,7 @@ class QuoteGateway:
         """Decide this tick's inbox and serve pending quotes.
 
         The inbox is sorted by ``(client, seq)`` first, so the outcome is
-        independent of the order asyncio happened to run the client tasks.
+        independent of the order the requests were enqueued in.
         """
         traced = trace.enabled()
         prev_track = trace.set_track("gateway") if traced else ""
@@ -296,28 +301,28 @@ class QuoteGateway:
         inbox = sorted(self._inbox, key=lambda entry: (entry[0].client, entry[0].seq))
         self._inbox.clear()
         config = self.config
-        for request, future in inbox:
+        for request, reply in inbox:
             bucket = self._buckets.get(request.client)
             if bucket is None:
                 bucket = TokenBucket(config.bucket_rate, config.bucket_burst)
                 self._buckets[request.client] = bucket
             if not bucket.try_take(self.now_tick):
-                self._resolve_reject(request, future, REASON_RATE_LIMITED)
+                self._resolve_reject(request, reply, REASON_RATE_LIMITED)
             elif isinstance(request, QuoteRequest):
                 if len(self._pending_quotes) >= config.pending_quote_bound:
-                    self._resolve_reject(request, future, REASON_QUEUE_FULL)
+                    self._resolve_reject(request, reply, REASON_QUEUE_FULL)
                 else:
-                    self._pending_quotes.append((request, future))
+                    self._pending_quotes.append((request, reply))
                     depth = len(self._pending_quotes)
                     if depth > self.stats.peak_pending_quotes:
                         self.stats.peak_pending_quotes = depth
             else:
-                self._decide_submission(request, future)
+                self._decide_submission(request, reply)
         self._serve_quotes()
         self.now_tick += 1
 
     def _decide_submission(
-        self, submission: SwapSubmission, future: asyncio.Future
+        self, submission: SwapSubmission, reply: Reply[SwapReceipt]
     ) -> None:
         snap = self.snapshot
         if (
@@ -325,10 +330,10 @@ class QuoteGateway:
             or self.epoch - submission.snapshot_epoch > self.config.max_snapshot_age
             or self.epoch - snap.epoch > self.config.max_snapshot_age
         ):
-            self._resolve_reject(submission, future, REASON_STALE_SNAPSHOT)
+            self._resolve_reject(submission, reply, REASON_STALE_SNAPSHOT)
             return
         if len(self._admitted) >= self.config.queue_capacity:
-            self._resolve_reject(submission, future, REASON_QUEUE_FULL)
+            self._resolve_reject(submission, reply, REASON_QUEUE_FULL)
             return
         tx = SwapTx(
             user=submission.user,
@@ -351,7 +356,7 @@ class QuoteGateway:
             client=submission.client,
             seq=submission.seq,
         )
-        future.set_result(
+        reply.resolve(
             SwapReceipt(
                 client=submission.client,
                 seq=submission.seq,
@@ -365,11 +370,11 @@ class QuoteGateway:
     def _serve_quotes(self) -> None:
         served = 0
         while self._pending_quotes and served < self.config.quote_capacity_per_tick:
-            request, future = self._pending_quotes.popleft()
+            request, reply = self._pending_quotes.popleft()
             served += 1
             snap = self.snapshot
             if snap is None:
-                self._resolve_reject(request, future, REASON_STALE_SNAPSHOT)
+                self._resolve_reject(request, reply, REASON_STALE_SNAPSHOT)
                 continue
             try:
                 quote = snap.quote(request.zero_for_one, request.amount)
@@ -378,7 +383,7 @@ class QuoteGateway:
                 self.stats.quote_errors[name] = (
                     self.stats.quote_errors.get(name, 0) + 1
                 )
-                future.set_exception(exc)
+                reply.fail(exc)
                 continue
             amount_in, amount_out = quote.trader_amounts(request.zero_for_one)
             self.stats.quotes_served += 1
@@ -393,7 +398,7 @@ class QuoteGateway:
                 seq=request.seq,
                 snapshot_epoch=snap.epoch,
             )
-            future.set_result(
+            reply.resolve(
                 QuoteResponse(
                     client=request.client,
                     seq=request.seq,
@@ -415,8 +420,8 @@ class QuoteGateway:
             self.stats.quote_rejections.get(reason, 0) + 1
         )
         if trace.enabled():
-            # Drain-path rejects fire from client coroutines, outside the
-            # process_tick track scope — pin them to the gateway track.
+            # Drain-path rejects fire straight from quote()/submit(), outside
+            # the process_tick track scope — pin them to the gateway track.
             prev_track = trace.set_track("gateway")
             trace.instant(
                 "gateway.reject",
@@ -467,13 +472,13 @@ class QuoteGateway:
     def _resolve_reject(
         self,
         request: QuoteRequest | SwapSubmission,
-        future: asyncio.Future,
+        reply: Reply[Any],
         reason: str,
     ) -> None:
         if isinstance(request, QuoteRequest):
-            future.set_result(self._quote_reject(request, reason))
+            reply.resolve(self._quote_reject(request, reason))
         else:
-            future.set_result(self._submit_reject(request, reason))
+            reply.resolve(self._submit_reject(request, reason))
 
     # -- epoch-pipeline bridge -------------------------------------------------
 
@@ -518,14 +523,18 @@ class QuoteGateway:
 
     # -- shutdown --------------------------------------------------------------
 
-    async def shutdown(self) -> None:
+    def shutdown(self, between_ticks: Callable[[], None] | None = None) -> None:
         """Graceful drain: serve what is queued, refuse new work typed.
 
-        Loops ticks until the inbox and pending-quote buffer are empty.
-        Requests arriving while draining resolve immediately with
-        ``shutting_down``; admitted swaps stay queued for the pipeline.
+        Runs ticks until the inbox and pending-quote buffer are empty,
+        calling ``between_ticks`` after each one so closed-loop callers
+        can read the replies that tick resolved.  Whatever they request
+        while draining resolves at once with ``shutting_down``, stamped
+        with the tick it was issued in; admitted swaps stay queued for
+        the pipeline.
         """
         self.draining = True
         while self._inbox or self._pending_quotes:
             self.process_tick()
-            await asyncio.sleep(0)
+            if between_ticks is not None:
+                between_ticks()

@@ -88,7 +88,7 @@ def test_baseline_cli(tmp_path, monkeypatch, capsys):
 #: Extra scenarios whose fixtures ride the nightly golden grid alongside
 #: the paper set (PR 5: the shard engine's regression net; PR 6: the
 #: recovery engine's — forks, migrations; PR 8: the serving gateway's
-#: typed-overload behaviour).
+#: typed-overload behaviour; PR 16: its closed-loop latency log).
 EXTRA_GOLDEN = {
     "shard_scaling",
     "hot_shard",
@@ -96,6 +96,7 @@ EXTRA_GOLDEN = {
     "fork_recovery",
     "shard_rebalance",
     "serving_overload",
+    "serving_latency",
 }
 
 

@@ -2,21 +2,23 @@
 
 The headline guarantees under test:
 
-* byte-identical request logs across repeated runs *and* across asyncio
-  task interleavings (the fleet's ``task_shuffle`` knob permutes task
-  creation order without touching the workload);
+* byte-identical request logs across repeated runs, and the same log
+  when ``ServingRun.execute`` is called from inside a running event loop
+  (serving is plain synchronous code; it used to call ``asyncio.run``);
 * under overload every request resolves exactly once — accepted or
   rejected with a typed reason — and the admission queue never exceeds
   its configured bound;
 * gateway unit behaviour: token-bucket refill, ``stale_snapshot`` and
   ``queue_full`` rejections, and graceful shutdown that serves queued
-  quotes while refusing new work with ``shutting_down``.
+  quotes while refusing new work with ``shutting_down`` — each refusal
+  stamped with the tick it was issued in.
 """
 
 import asyncio
 
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
+from repro.serving.clients import ClientFleet, FleetConfig
 from repro.serving.driver import ServingConfig, ServingRun
 from repro.serving.gateway import (
     REASON_QUEUE_FULL,
@@ -59,14 +61,14 @@ def test_repeated_runs_are_byte_identical():
     assert first.summary() == second.summary()
 
 
-def test_task_interleavings_are_byte_identical():
-    baseline = ServingRun(ServingConfig(**SMALL_RUN)).execute()
-    for shuffle in (1, 99):
-        shuffled = ServingRun(
-            ServingConfig(**SMALL_RUN, task_shuffle=shuffle)
-        ).execute()
-        assert shuffled.digest() == baseline.digest()
-        assert shuffled.summary() == baseline.summary()
+def test_execute_runs_inside_a_running_event_loop():
+    async def from_async_code():
+        return ServingRun(ServingConfig(**SMALL_RUN)).execute()
+
+    inside = asyncio.run(from_async_code())
+    plain = ServingRun(ServingConfig(**SMALL_RUN)).execute()
+    assert inside.digest() == plain.digest()
+    assert inside.summary() == plain.summary()
 
 
 def test_different_seeds_diverge():
@@ -150,76 +152,101 @@ def test_token_bucket_burst_then_refill():
 
 
 def test_stale_snapshot_rejects_submission():
-    async def run():
-        gateway = QuoteGateway(
-            small_pool(),
-            GatewayConfig(max_snapshot_age=0, publish_every=2),
-        )
-        gateway.publish_snapshot(0)
-        gateway.on_epoch_boundary(1)  # view lags: publish_every=2 keeps epoch-0 snap
-        task = asyncio.ensure_future(
-            gateway.submit(0, 0, "user-0", True, 10**15, snapshot_epoch=0)
-        )
-        await asyncio.sleep(0)
-        gateway.process_tick()
-        return await task
+    gateway = QuoteGateway(
+        small_pool(),
+        GatewayConfig(max_snapshot_age=0, publish_every=2),
+    )
+    gateway.publish_snapshot(0)
+    gateway.on_epoch_boundary(1)  # view lags: publish_every=2 keeps epoch-0 snap
+    reply = gateway.submit(0, 0, "user-0", True, 10**15, snapshot_epoch=0)
+    gateway.process_tick()
 
-    receipt = asyncio.run(run())
+    receipt = reply.result()
     assert not receipt.accepted
     assert receipt.reason == REASON_STALE_SNAPSHOT
 
 
 def test_admission_queue_full_rejects_submission():
-    async def run():
-        gateway = QuoteGateway(small_pool(), GatewayConfig(queue_capacity=1))
-        gateway.publish_snapshot(0)
-        tasks = [
-            asyncio.ensure_future(
-                gateway.submit(i, 0, f"user-{i}", True, 10**15, snapshot_epoch=0)
-            )
-            for i in range(2)
-        ]
-        await asyncio.sleep(0)
-        gateway.process_tick()
-        return await asyncio.gather(*tasks)
+    gateway = QuoteGateway(small_pool(), GatewayConfig(queue_capacity=1))
+    gateway.publish_snapshot(0)
+    replies = [
+        gateway.submit(i, 0, f"user-{i}", True, 10**15, snapshot_epoch=0)
+        for i in range(2)
+    ]
+    gateway.process_tick()
 
-    first, second = asyncio.run(run())
+    first, second = (reply.result() for reply in replies)
     assert first.accepted
     assert not second.accepted
     assert second.reason == REASON_QUEUE_FULL
 
 
 def test_shutdown_serves_queued_quotes_and_refuses_new_work():
-    async def run():
-        gateway = QuoteGateway(small_pool())
-        gateway.publish_snapshot(0)
-        queued = asyncio.ensure_future(gateway.quote(0, 0, True, 10**15))
-        await asyncio.sleep(0)  # request reaches the inbox, not yet decided
-        await gateway.shutdown()
-        late = await gateway.quote(1, 0, True, 10**15)
-        return await queued, late
+    gateway = QuoteGateway(small_pool())
+    gateway.publish_snapshot(0)
+    queued = gateway.quote(0, 0, True, 10**15)
+    assert not queued.done  # request reached the inbox, not yet decided
+    gateway.shutdown()
+    refused = gateway.quote(1, 0, True, 10**15)
 
-    served, late = asyncio.run(run())
+    served, late = queued.result(), refused.result()
     assert served.accepted
     assert not late.accepted
     assert late.reason == REASON_SHUTTING_DOWN
 
 
 def test_rate_limited_rejection_is_typed():
-    async def run():
-        gateway = QuoteGateway(
-            small_pool(), GatewayConfig(bucket_rate=0.0, bucket_burst=1.0)
-        )
-        gateway.publish_snapshot(0)
-        tasks = [
-            asyncio.ensure_future(gateway.quote(0, seq, True, 10**15))
-            for seq in range(2)
-        ]
-        await asyncio.sleep(0)
-        gateway.process_tick()
-        return await asyncio.gather(*tasks)
+    gateway = QuoteGateway(
+        small_pool(), GatewayConfig(bucket_rate=0.0, bucket_burst=1.0)
+    )
+    gateway.publish_snapshot(0)
+    replies = [gateway.quote(0, seq, True, 10**15) for seq in range(2)]
+    gateway.process_tick()
 
-    first, second = asyncio.run(run())
+    first, second = (reply.result() for reply in replies)
     assert first.accepted
     assert not second.accepted
     assert second.reason == REASON_RATE_LIMITED
+
+
+def test_shutdown_refusals_carry_the_tick_they_were_issued_in():
+    # Four quotes served a tick against a fleet of 24: the drain takes
+    # several ticks, and the clients each one answers ask again at once.
+    gateway = QuoteGateway(
+        small_pool(), GatewayConfig(quote_capacity_per_tick=4, bucket_burst=50.0)
+    )
+    gateway.publish_snapshot(0)
+    fleet = ClientFleet(
+        gateway, ["user-0", "user-1"], FleetConfig(num_clients=24, seed=5)
+    )
+    fleet.run_window(2)
+
+    def refusals():
+        return [
+            entry
+            for entry in fleet.merged_log()
+            if entry["reason"] == REASON_SHUTTING_DOWN
+        ]
+
+    #: (client, seq) -> the gateway's tick when the refusal was issued.
+    issued_in: dict[tuple[int, int], int] = {}
+
+    def between_ticks():
+        fleet.deliver_replies()
+        for entry in refusals():
+            issued_in.setdefault((entry["client"], entry["seq"]), gateway.now_tick)
+
+    gateway.shutdown(between_ticks)
+    fleet.close()
+
+    assert len(set(issued_in.values())) > 1  # the drain really spanned ticks
+    assert len(refusals()) == len(issued_in)
+    for entry in refusals():
+        issued = issued_in[entry["client"], entry["seq"]]
+        assert entry["tick"] == issued
+        assert entry.get("served_tick", entry.get("decided_tick")) == issued
+    # Nothing is left waiting on the gateway, and every request the
+    # fleet issued was logged with an outcome.
+    assert not gateway._inbox and not gateway._pending_quotes
+    assert all(client.blocked_on is None for client in fleet.clients)
+    assert fleet.requests_issued == sum(client.seq for client in fleet.clients)

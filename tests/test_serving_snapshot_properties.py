@@ -19,7 +19,6 @@ Four guarantees back the serving layer's snapshot isolation:
   the direct quoter.
 """
 
-import asyncio
 import math
 
 import pytest
@@ -203,19 +202,12 @@ def test_snapshots_independent_across_epoch_advances(positions, epochs, quote):
 
 
 def _gateway_quote(pool: Pool, zero_for_one: bool, amount: int):
-    """One quote through the full async gateway path."""
-
-    async def run():
-        gateway = QuoteGateway(pool)
-        gateway.publish_snapshot(0)
-        task = asyncio.ensure_future(
-            gateway.quote(0, 0, zero_for_one, amount)
-        )
-        await asyncio.sleep(0)
-        gateway.process_tick()
-        return await task
-
-    return asyncio.run(run())
+    """One quote through the full gateway path."""
+    gateway = QuoteGateway(pool)
+    gateway.publish_snapshot(0)
+    reply = gateway.quote(0, 0, zero_for_one, amount)
+    gateway.process_tick()
+    return reply.result()
 
 
 def test_no_liquidity_error_propagates_through_gateway():

@@ -191,25 +191,3 @@ def test_latency_stats_percentiles_and_merge():
     assert stats.count == 5
     assert stats.as_dict()["max"] == 100.0
     assert stats.as_dict()["p99"] == pytest.approx(100.0, rel=0.1)
-
-
-def test_collector_to_registry():
-    from repro.metrics.collector import MetricsCollector
-    from repro.telemetry.metrics import MetricsRegistry
-
-    collector = MetricsCollector()
-    collector.processed_txs = 3
-    collector.rejected_txs = 1
-    collector.peak_queue_depth = 12
-    collector.sidechain_latency.record(0.5)
-    collector.record_refund("shard_offline")
-    registry = MetricsRegistry()
-    collector.to_registry(registry)
-    snap = registry.snapshot()
-    assert snap["run.processed_txs"]["value"] == 3
-    assert snap["run.rejected_txs"]["value"] == 1
-    assert snap["run.peak_queue_depth"]["peak"] == 12
-    assert snap["run.sidechain_latency_s"]["count"] == 1
-    assert snap["run.refunds.shard_offline"]["value"] == 1
-    assert snap["run.aborted_legs"]["value"] == 1
-    json.dumps(snap, allow_nan=False)
