@@ -1,6 +1,7 @@
 """Ablation: what does TSQC authentication cost per sync?
 
-DESIGN.md calls out the sync-authentication mechanism as a design choice:
+``src/repro/crypto/README.md`` describes the sync-authentication
+mechanism (threshold BLS over a symbolic pairing group) as a design choice:
 the quorum certificate + threshold BLS adds a fixed pairing-check cost and
 192 bytes per sync.  This ablation quantifies that share of the total
 Sync gas, showing authentication is a small constant tax.

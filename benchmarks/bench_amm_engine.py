@@ -195,6 +195,63 @@ def make_pbft_round_op():
     return op
 
 
+COMMITTEE_EPOCH_MEMBERS = 500  # the paper's committee, drawn from
+COMMITTEE_EPOCH_MINERS = 1_000  # AmmBoostConfig's default miner population
+
+
+def make_committee_epoch_op():
+    """The committee crypto of one paper-scale epoch, and nothing else.
+
+    Sortition of 500 members out of 1 000 miners, the DKG fast path for
+    the 334-of-500 key, and the two threshold signatures every epoch
+    makes (hand-over certificate + sync) — what ``system_epoch`` and
+    ``pbft_round`` cannot show with their 8-member committees.  Ops/sec
+    is epochs of committee work per second.
+    """
+    from repro import constants
+    from repro.core.sync import KeyHandover, TsqcAuthenticator
+    from repro.crypto.bls import bls_verify
+    from repro.crypto.dkg import simulate_dkg
+    from repro.crypto.hashing import keccak256
+    from repro.crypto.vrf import vrf_keygen
+    from repro.sidechain.election import elect_committee
+    from repro.simulation.rng import DeterministicRng
+
+    miners = {f"miner{i}": vrf_keygen(i) for i in range(COMMITTEE_EPOCH_MINERS)}
+    stakes = {name: 1.0 for name in miners}
+    threshold = constants.committee_quorum(COMMITTEE_EPOCH_MEMBERS)
+    rng = DeterministicRng("committee-epoch")
+    state = {"epoch": 0}
+
+    def op():
+        state["epoch"] += 1
+        epoch = state["epoch"]
+        committee = elect_committee(
+            miners,
+            stakes,
+            epoch,
+            keccak256(b"epoch-seed", epoch),
+            COMMITTEE_EPOCH_MEMBERS,
+        )
+        dkg = simulate_dkg(COMMITTEE_EPOCH_MEMBERS, threshold, rng.child(f"dkg{epoch}"))
+        auth = TsqcAuthenticator(
+            threshold=threshold,
+            group_vk=dkg.group_vk,
+            shares=dict(zip(committee.members, dkg.shares)),
+        )
+        signers = committee.members[:threshold]
+        cert = auth.certify_handover(epoch + 1, dkg.group_vk, signers)
+        signature = auth.threshold_sign(signers, b"sync", epoch)
+        if not (
+            bls_verify(dkg.group_vk, cert.signature, *KeyHandover.message(epoch + 1, cert.vkc))
+            and bls_verify(dkg.group_vk, signature, b"sync", epoch)
+        ):
+            raise RuntimeError(f"epoch {epoch}: committee signature does not verify")
+        return signature
+
+    return op
+
+
 SYSTEM_EPOCH_VOLUME = 500_000
 SYSTEM_EPOCH_ROUNDS = 6
 
@@ -406,6 +463,10 @@ def test_bench_system_epoch(benchmark):
 def test_bench_pbft_round(benchmark):
     outcome = benchmark(make_pbft_round_op())
     assert outcome.decided
+
+
+def test_bench_committee_epoch(benchmark):
+    benchmark(make_committee_epoch_op())
 
 
 def test_bench_sharded_epoch(benchmark):

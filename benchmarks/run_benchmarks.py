@@ -113,6 +113,12 @@ SEED_BASELINE_OPS_PER_SEC = {
     # migrating pool's volume slice is dormant inside each handoff
     # window, so epochs carry fewer transactions than nominal.
     "migration_epoch": 28_872.4,
+    # committee_epoch was added with the linear committee crypto: sortition
+    # of 500 out of 1 000 miners + simulate_dkg(500, 334) + two threshold
+    # signatures, in epochs of committee work per second.  Baseline
+    # measured with this op on the parent tree (per-signer Lagrange
+    # coefficients, coefficient-form dealing, one hash-to-curve per signer).
+    "committee_epoch": 8.4,
 }
 
 # Scenario bodies are defined once in bench_amm_engine.py (shared with the
@@ -127,6 +133,7 @@ SCENARIOS = {
     "executor_round": bench_amm_engine.make_executor_round_op,
     "system_epoch": bench_amm_engine.make_system_epoch_op,
     "pbft_round": bench_amm_engine.make_pbft_round_op,
+    "committee_epoch": bench_amm_engine.make_committee_epoch_op,
     "sharded_epoch": bench_amm_engine.make_sharded_epoch_op,
     "migration_epoch": bench_amm_engine.make_migration_epoch_op,
 }

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from repro import constants
 from repro.core.summary import EpochSummary
-from repro.crypto.bls import BlsSignature, ThresholdBls
-from repro.crypto.groups import G2Element
+from repro.crypto.bls import BlsSignature, ThresholdBls, bls_verify_hashed
+from repro.crypto.groups import G2Element, PairingGroup
 from repro.crypto.hashing import keccak256
 from repro.crypto.shamir import Share
 from repro.errors import SyncAuthError, ThresholdError
@@ -145,18 +145,39 @@ class TsqcAuthenticator:
         return payload
 
     def threshold_sign(self, signers: list[str], *message) -> BlsSignature:
-        """Threshold-sign an arbitrary message (also used for hand-overs)."""
+        """Threshold-sign an arbitrary message (also used for hand-overs).
+
+        Aggregate, then attribute: the message is hashed to the curve
+        once, every signer's partial is formed from that point and the
+        combined signature is checked with one pairing against ``vk_c``.
+        Only when that fails is each partial checked against its
+        signer's key share ``y_i · g2``, and the culprits named — rather
+        than TokenBank discovering an unattributable bad signature later.
+        """
         if len(signers) < self.threshold:
             raise ThresholdError(
                 f"need {self.threshold} signers, got {len(signers)}"
             )
-        partials = []
+        shares = []
         for signer in signers:
             share = self.shares.get(signer)
             if share is None:
                 raise SyncAuthError(f"{signer} holds no signing share")
-            partials.append(ThresholdBls.partial_sign(share, *message))
-        return self._scheme.combine(partials)
+            shares.append(share)
+        h = PairingGroup.hash_to_g1(*message)
+        partials = [ThresholdBls.partial_sign_hashed(share, h) for share in shares]
+        signature = self._scheme.combine(partials)
+        if not bls_verify_hashed(self.group_vk, signature, h):
+            culprits = [
+                signer
+                for signer, share, (_, partial) in zip(signers, shares, partials)
+                if not bls_verify_hashed(PairingGroup.G2 * share.y, partial, h)
+            ]
+            raise SyncAuthError(
+                "threshold signature does not verify against vk_c; "
+                f"invalid partial signatures from: {', '.join(culprits) or 'nobody'}"
+            )
+        return signature
 
     def certify_handover(
         self, epoch: int, vkc: G2Element, signers: list[str]

@@ -6,7 +6,8 @@ signatures, Shamir secret sharing, hash-based VRF, Merkle trees), and a
 their discrete logs internally but only expose group-law operations and a
 pairing check, so the protocol semantics (aggregation, thresholds,
 verification) are exactly those of BLS over BN256 while staying fast enough
-for thousand-node simulations.  See DESIGN.md for the substitution notes.
+for thousand-node simulations.  See ``README.md`` in this package for the
+substitution notes and the per-epoch operation counts.
 """
 
 from repro.crypto.hashing import keccak256, keccak256_int, hash_to_scalar

@@ -9,6 +9,11 @@ signature verified on-chain with BN256 pairing precompiles (Section IV-C,
 * threshold: partial signatures are combined with Lagrange coefficients
   over the signer indices, reconstructing ``sk * H(m)`` in the exponent.
 
+Every operation that takes a message has a ``*_hashed`` entry taking
+``H(m)`` itself, and the message form is that entry applied to
+:meth:`PairingGroup.hash_to_g1` — so n signers or verifiers of one
+message share one hash-to-curve.
+
 Sizes match BN256: signatures are 64 bytes (G1), verification keys 128
 bytes (G2) — the numbers Table IV reports.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.groups import G1Element, G2Element, PairingGroup
-from repro.crypto.shamir import Share, lagrange_coefficient
+from repro.crypto.shamir import Share, lagrange_at_zero
 from repro.errors import SignatureError, ThresholdError
 
 
@@ -52,18 +57,24 @@ def bls_keygen(seed) -> BlsKeyPair:
     return BlsKeyPair(sk=sk, vk=PairingGroup.G2 * sk)
 
 
+def bls_sign_hashed(sk: int, h: G1Element) -> BlsSignature:
+    """Sign the already-hashed message ``h = H(m)``: ``sigma = sk * h``."""
+    return BlsSignature(point=h * sk)
+
+
 def bls_sign(sk: int, *message) -> BlsSignature:
     """Sign: ``sigma = sk * H(m)``."""
-    h = PairingGroup.hash_to_g1(*message)
-    return BlsSignature(point=h * sk)
+    return bls_sign_hashed(sk, PairingGroup.hash_to_g1(*message))
+
+
+def bls_verify_hashed(vk: G2Element, signature: BlsSignature, h: G1Element) -> bool:
+    """Verify against ``h = H(m)``: ``e(sigma, g2) == e(h, vk)``."""
+    return PairingGroup.pairing_check(signature.point, PairingGroup.G2, h, vk)
 
 
 def bls_verify(vk: G2Element, signature: BlsSignature, *message) -> bool:
     """Verify via the pairing check ``e(sigma, g2) == e(H(m), vk)``."""
-    h = PairingGroup.hash_to_g1(*message)
-    return PairingGroup.pairing_check(
-        signature.point, PairingGroup.G2, h, vk
-    )
+    return bls_verify_hashed(vk, signature, PairingGroup.hash_to_g1(*message))
 
 
 def bls_aggregate(signatures: list[BlsSignature]) -> BlsSignature:
@@ -86,28 +97,37 @@ def bls_aggregate_vks(vks: list[G2Element]) -> G2Element:
     return acc
 
 
-def bls_aggregate_verify(
-    vks: list[G2Element], signatures: list[BlsSignature], *message
+def bls_aggregate_verify_hashed(
+    vks: list[G2Element], signatures: list[BlsSignature], h: G1Element
 ) -> bool:
     """Batched same-message verification with a single pairing check.
 
-    Checks ``e(Σ sigma_i, g2) == e(H(m), Σ vk_i)`` — two pairings total
-    instead of ``2n``, the pairing-count-minimizing check a BN256 verifier
-    runs on an aggregated quorum certificate.  Sound against rogue-key
-    splitting only when every ``vk`` comes with a proof of possession; in
-    this simulation all vote keys derive deterministically from registered
-    identity keys, which plays that role.
+    Checks ``e(Σ sigma_i, g2) == e(h, Σ vk_i)`` for ``h = H(m)`` — two
+    pairings total instead of ``2n``, the pairing-count-minimizing check a
+    BN256 verifier runs on an aggregated quorum certificate.  Sound against
+    rogue-key splitting only when every ``vk`` comes with a proof of
+    possession; in this simulation all vote keys derive deterministically
+    from registered identity keys, which plays that role.
 
     A valid batch always passes; a batch with invalid members fails unless
     the errors cancel in the sum (as with any aggregate-BLS check).  A
     False result says nothing about which signer is at fault — fall back
-    to per-signature :func:`bls_verify` to attribute the failure.
+    to per-signature :func:`bls_verify_hashed` to attribute the failure.
     """
     if len(vks) != len(signatures):
         raise SignatureError(
             f"aggregate verify got {len(vks)} keys for {len(signatures)} signatures"
         )
-    return bls_verify(bls_aggregate_vks(vks), bls_aggregate(signatures), *message)
+    return bls_verify_hashed(bls_aggregate_vks(vks), bls_aggregate(signatures), h)
+
+
+def bls_aggregate_verify(
+    vks: list[G2Element], signatures: list[BlsSignature], *message
+) -> bool:
+    """:func:`bls_aggregate_verify_hashed` on ``H(message)``."""
+    return bls_aggregate_verify_hashed(
+        vks, signatures, PairingGroup.hash_to_g1(*message)
+    )
 
 
 class ThresholdBls:
@@ -126,29 +146,41 @@ class ThresholdBls:
         self.group_vk = group_vk
 
     @staticmethod
+    def partial_sign_hashed(share: Share, h: G1Element) -> tuple[int, BlsSignature]:
+        """Member ``share.x``'s partial signature on ``h = H(m)``."""
+        return share.x, bls_sign_hashed(share.y, h)
+
+    @staticmethod
     def partial_sign(share: Share, *message) -> tuple[int, BlsSignature]:
         """Produce member ``share.x``'s partial signature on ``message``."""
-        h = PairingGroup.hash_to_g1(*message)
-        return share.x, BlsSignature(point=h * share.y)
+        return ThresholdBls.partial_sign_hashed(
+            share, PairingGroup.hash_to_g1(*message)
+        )
 
     def combine(
         self, partials: list[tuple[int, BlsSignature]]
     ) -> BlsSignature:
-        """Combine at least ``threshold`` distinct partial signatures."""
+        """Combine at least ``threshold`` distinct partial signatures.
+
+        Every partial supplied takes part (any superset of a quorum
+        interpolates the same key), as one multi-scalar multiplication by
+        the signer set's Lagrange vector.  The result is *not* verified
+        here: a forged partial yields a signature that fails
+        :meth:`verify`, which the caller holding ``H(m)`` checks with one
+        pairing before attributing anything.
+        """
         if len(partials) < self.threshold:
             raise ThresholdError(
                 f"need {self.threshold} partial signatures, got {len(partials)}"
             )
-        chosen = partials[: self.threshold]
-        xs = [x for x, _ in chosen]
-        if len(set(xs)) != len(xs):
-            raise ThresholdError("duplicate signer indices")
-        order = PairingGroup.ORDER
-        acc = G1Element(0)
-        for i, (_, partial) in enumerate(chosen):
-            lam = lagrange_coefficient(xs, i, order)
-            acc = acc + partial.point * lam
-        return BlsSignature(point=acc)
+        coefficients = lagrange_at_zero(
+            tuple(x for x, _ in partials), PairingGroup.ORDER
+        )
+        return BlsSignature(
+            point=PairingGroup.multi_scalar_mul_g1(
+                (partial.point for _, partial in partials), coefficients
+            )
+        )
 
     def verify(self, signature: BlsSignature, *message) -> bool:
         """Verify a combined signature against the committee key."""

@@ -13,12 +13,14 @@ Two groups live here:
   reproduces BLS protocol semantics exactly while keeping thousand-signer
   simulations fast.  It is NOT cryptographically hard and must never be
   used outside simulation — the module docstring of :mod:`repro.crypto`
-  and DESIGN.md document this substitution.
+  and ``README.md`` in this package document this substitution.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import mul
 
 # RFC 3526 group 5 (1536-bit MODP).  p is a safe prime: q = (p - 1) / 2.
 _RFC3526_P = int(
@@ -133,6 +135,18 @@ class PairingGroup:
         from repro.crypto.hashing import hash_to_scalar
 
         return G1Element(hash_to_scalar(cls.ORDER, b"hash-to-g1", *parts))
+
+    @classmethod
+    def multi_scalar_mul_g1(
+        cls, points: Iterable[G1Element], scalars: Sequence[int]
+    ) -> G1Element:
+        """``Σ scalars[i] · points[i]`` as one operation (a real curve would
+        run Pippenger here; symbolically it is one dot product of logs and
+        one reduction instead of a point object per term)."""
+        logs = [point.log for point in points]
+        if len(logs) != len(scalars):
+            raise ValueError(f"{len(logs)} points for {len(scalars)} scalars")
+        return G1Element(sum(map(mul, logs, scalars)) % cls.ORDER)
 
     @classmethod
     def pairing_check(

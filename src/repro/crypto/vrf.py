@@ -13,8 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.bls import BlsKeyPair, BlsSignature, bls_keygen, bls_sign, bls_verify
-from repro.crypto.groups import G2Element
+from repro.crypto.bls import (
+    BlsKeyPair,
+    BlsSignature,
+    bls_keygen,
+    bls_sign_hashed,
+    bls_verify_hashed,
+)
+from repro.crypto.groups import G1Element, G2Element, PairingGroup
 from repro.crypto.hashing import keccak256
 from repro.errors import VRFError
 
@@ -31,6 +37,11 @@ class VrfOutput:
         return int.from_bytes(self.value[:8], "big") / 2**64
 
 
+def vrf_input_point(*alpha) -> G1Element:
+    """``H(alpha)``: the G1 point every evaluator of ``alpha`` signs."""
+    return PairingGroup.hash_to_g1(b"vrf", *alpha)
+
+
 @dataclass
 class VrfKeyPair:
     """A VRF keypair (BLS keypair underneath)."""
@@ -41,10 +52,15 @@ class VrfKeyPair:
     def vk(self) -> G2Element:
         return self.keypair.vk
 
+    def evaluate_hashed(self, h: G1Element) -> VrfOutput:
+        """Evaluate on ``h = vrf_input_point(alpha)`` — a whole population
+        drawing on one input (sortition) hashes it to the curve once."""
+        proof = bls_sign_hashed(self.keypair.sk, h)
+        return VrfOutput(value=keccak256(proof.encode()), proof=proof)
+
     def evaluate(self, *alpha) -> VrfOutput:
         """Evaluate the VRF on input ``alpha``."""
-        proof = bls_sign(self.keypair.sk, b"vrf", *alpha)
-        return VrfOutput(value=keccak256(proof.encode()), proof=proof)
+        return self.evaluate_hashed(vrf_input_point(*alpha))
 
 
 def vrf_keygen(seed) -> VrfKeyPair:
@@ -54,7 +70,7 @@ def vrf_keygen(seed) -> VrfKeyPair:
 
 def vrf_verify(vk: G2Element, output: VrfOutput, *alpha) -> bool:
     """Check the proof and that the claimed value matches it."""
-    if not bls_verify(vk, output.proof, b"vrf", *alpha):
+    if not bls_verify_hashed(vk, output.proof, vrf_input_point(*alpha)):
         return False
     return output.value == keccak256(output.proof.encode())
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.groups import G2Element
-from repro.crypto.vrf import VrfKeyPair, VrfOutput, vrf_verify
+from repro.crypto.vrf import VrfKeyPair, VrfOutput, vrf_input_point, vrf_verify
 from repro.errors import ElectionError
 
 
@@ -69,12 +69,14 @@ def elect_committee(
     total_stake = sum(stakes.get(m, 0.0) for m in miners)
     if total_stake <= 0:
         raise ElectionError("total stake must be positive")
+    # Every miner evaluates its VRF on the same input: hash it once.
+    input_point = vrf_input_point(*election_input(seed, epoch))
     priorities: list[tuple[float, str, VrfOutput]] = []
     for miner_id, keypair in miners.items():
         stake_share = stakes.get(miner_id, 0.0) / total_stake
         if stake_share <= 0:
             continue
-        output = keypair.evaluate(*election_input(seed, epoch))
+        output = keypair.evaluate_hashed(input_point)
         # Lower is better; dividing by stake share makes seats
         # proportional to stake in expectation.
         priority = output.as_unit_float() / stake_share

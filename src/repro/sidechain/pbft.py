@@ -39,11 +39,12 @@ from typing import Any, Callable
 
 from repro.crypto.bls import (
     BlsKeyPair,
-    bls_aggregate_verify,
+    bls_aggregate_verify_hashed,
     bls_keygen,
-    bls_sign,
-    bls_verify,
+    bls_sign_hashed,
+    bls_verify_hashed,
 )
+from repro.crypto.groups import G1Element, PairingGroup
 from repro.crypto.hashing import keccak256
 from repro.crypto.keys import KeyPair
 from repro.errors import ConsensusError
@@ -181,6 +182,9 @@ class PbftRound:
         #: (phase, view, digest, sender) -> verification verdict, shared by
         #: every receiving node (a broadcast delivers one signed message).
         self._vote_valid: dict[tuple, bool] = {}
+        #: signed message parts -> their G1 point: every voter and verifier
+        #: of one (tag, view, digest) shares a single hash-to-curve.
+        self._message_points: dict[tuple, G1Element] = {}
         #: (sender, phase value, view) triples for every vote whose
         #: signature failed the fallback check — the attribution record
         #: fault-engine corruption events are matched against.
@@ -275,8 +279,9 @@ class PbftRound:
             sender=leader,
             digest=digest,
             proposal=proposal,
-            signature=bls_sign(
-                self._vote_keys[leader].sk, b"pre-prepare", view, digest
+            signature=bls_sign_hashed(
+                self._vote_keys[leader].sk,
+                self._message_point(b"pre-prepare", view, digest),
             ),
         )
         self._broadcast(leader, msg)
@@ -564,6 +569,19 @@ class PbftRound:
             size_bytes=msg.size_bytes,
         )
 
+    def _message_point(self, *message) -> G1Element:
+        """``H(message)``, hashed to the curve once per round."""
+        point = self._message_points.get(message)
+        if point is None:
+            point = self._message_points[message] = PairingGroup.hash_to_g1(*message)
+        return point
+
+    @staticmethod
+    def _vote_message(phase: PbftPhase, view: int, digest: bytes) -> tuple:
+        """The parts a vote signs (view changes are not bound to a digest)."""
+        tag = _PHASE_TAG[phase]
+        return (tag, view) if phase is PbftPhase.VIEW_CHANGE else (tag, view, digest)
+
     def _vote_sign(self, member: str, phase: PbftPhase, view: int, digest: bytes):
         """Sign a vote with the member's BLS vote key.
 
@@ -571,14 +589,14 @@ class PbftRound:
         signature (a signature on a domain-separated wrong message) — it
         still *sends* votes, but no honest quorum check can count them.
         """
-        sk = self._vote_keys[member].sk
-        tag = _PHASE_TAG[phase]
         behavior = self.behaviors.get(member)
         if behavior is not None and behavior.corrupt_votes:
-            return bls_sign(sk, b"corrupted-vote", tag, view, digest)
-        if phase is PbftPhase.VIEW_CHANGE:
-            return bls_sign(sk, tag, view)
-        return bls_sign(sk, tag, view, digest)
+            message = (b"corrupted-vote", _PHASE_TAG[phase], view, digest)
+        else:
+            message = self._vote_message(phase, view, digest)
+        return bls_sign_hashed(
+            self._vote_keys[member].sk, self._message_point(*message)
+        )
 
     def _verify_pre_prepare(self, msg: PbftMessage) -> bool:
         vote_key = self._vote_keys.get(msg.sender)
@@ -589,8 +607,10 @@ class PbftRound:
         key = (msg.sender, msg.view, msg.digest, msg.signature.point)
         cached = self._verified.get(key)
         if cached is None:
-            cached = bls_verify(
-                vote_key.vk, msg.signature, b"pre-prepare", msg.view, msg.digest
+            cached = bls_verify_hashed(
+                vote_key.vk,
+                msg.signature,
+                self._message_point(b"pre-prepare", msg.view, msg.digest),
             )
             self._verified[key] = cached
         return cached
@@ -635,19 +655,16 @@ class PbftRound:
         self, phase: PbftPhase, view: int, digest: bytes, senders: list[str]
     ) -> None:
         """Verify a batch of stashed votes: one aggregate check, then fallback."""
-        tag = _PHASE_TAG[phase]
-        message = (
-            (tag, view) if phase is PbftPhase.VIEW_CHANGE else (tag, view, digest)
-        )
+        h = self._message_point(*self._vote_message(phase, view, digest))
         sigs = [self._vote_sigs[(phase, view, digest, v)] for v in senders]
         vks = [self._vote_keys[v].vk for v in senders]
         valid = self._vote_valid
-        if bls_aggregate_verify(vks, sigs, *message):
+        if bls_aggregate_verify_hashed(vks, sigs, h):
             for v in senders:
                 valid[(phase, view, digest, v)] = True
             return
         for v, vk, sig in zip(senders, vks, sigs):
-            ok = bls_verify(vk, sig, *message)
+            ok = bls_verify_hashed(vk, sig, h)
             valid[(phase, view, digest, v)] = ok
             if not ok:
                 self.vote_faults.append((v, phase.value, view))

@@ -29,6 +29,26 @@ def network(scheduler, rng):
 
 
 @pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(cls, "name")`` wraps the classmethod ``cls.name`` for
+    the test and returns the list its argument tuples are appended to —
+    exact operation counts pin a complexity without a clock."""
+
+    def install(cls, name: str) -> list[tuple]:
+        calls: list[tuple] = []
+        real = getattr(cls, name).__func__
+
+        def counting(klass, *args):
+            calls.append(args)
+            return real(klass, *args)
+
+        monkeypatch.setattr(cls, name, classmethod(counting))
+        return calls
+
+    return install
+
+
+@pytest.fixture
 def pool():
     """A fresh 0.3% pool at price 1."""
     p = Pool(PoolConfig(token0="A", token1="B", fee_pips=3000))

@@ -41,6 +41,7 @@ def test_run_benchmarks_quick_writes_valid_json(tmp_path):
         "executor_round",
         "system_epoch",
         "pbft_round",
+        "committee_epoch",
         "sharded_epoch",
         "migration_epoch",
     }

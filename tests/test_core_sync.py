@@ -9,9 +9,9 @@ from repro.core.sync import (
     TsqcAuthenticator,
     create_tx_sync,
 )
-from repro.crypto.bls import bls_verify
+from repro.crypto.bls import BlsSignature, ThresholdBls, bls_sign, bls_verify
 from repro.crypto.dkg import simulate_dkg
-from repro.crypto.groups import G2Element
+from repro.crypto.groups import G1Element, G2Element, PairingGroup
 from repro.errors import SyncAuthError, ThresholdError
 from repro.simulation.rng import DeterministicRng
 
@@ -136,3 +136,60 @@ def test_mass_sync_payload_carries_multiple_epochs():
     payload = create_tx_sync([summary(0), summary(1), summary(2)], G2Element(5))
     assert payload.epochs == [0, 1, 2]
     assert payload.summary_bytes == 3 * summary().mainchain_size_bytes
+
+
+# -- paper-scale committee: 334 of 500 -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def paper_committee():
+    dkg = simulate_dkg(500, 334, DeterministicRng(23))
+    members = [f"m{i}" for i in range(500)]
+    auth = TsqcAuthenticator(
+        threshold=334, group_vk=dkg.group_vk, shares=dict(zip(members, dkg.shares))
+    )
+    return dkg, members, auth
+
+
+def test_every_quorum_produces_the_group_signature(paper_committee):
+    """Prefix, shuffled and non-prefix oversized signer sets all yield
+    ``sk · H(m)`` byte for byte — the key is never assembled to do it."""
+    dkg, members, auth = paper_committee
+    expected = bls_sign(dkg._group_sk, b"handover", 7).encode()
+    prefix = members[:334]
+    shuffled = list(prefix)
+    DeterministicRng(1).shuffle(shuffled)
+    scattered = members[:120:-1] + members[3:40:2]
+    for signers in (prefix, shuffled, scattered):
+        assert len(signers) >= 334
+        assert auth.threshold_sign(signers, b"handover", 7).encode() == expected
+
+
+def test_forged_partial_is_named(paper_committee, monkeypatch):
+    _, members, auth = paper_committee
+    honest_partial = ThresholdBls.partial_sign_hashed
+    forger = auth.shares["m211"].x
+
+    def forging(share, h):
+        if share.x == forger:
+            return share.x, BlsSignature(point=G1Element(12345))
+        return honest_partial(share, h)
+
+    monkeypatch.setattr(ThresholdBls, "partial_sign_hashed", staticmethod(forging))
+    with pytest.raises(SyncAuthError) as caught:
+        auth.threshold_sign(members[:334], b"sync-digest")
+    assert str(caught.value).endswith("invalid partial signatures from: m211")
+
+
+def test_honest_quorum_costs_one_pairing_check(paper_committee, count_calls):
+    """The per-partial attribution pass runs only after a failed aggregate."""
+    _, members, auth = paper_committee
+    checks = count_calls(PairingGroup, "pairing_check")
+    auth.threshold_sign(members[:334], b"sync-digest")
+    assert len(checks) == 1
+
+
+def test_duplicate_signer_rejected(paper_committee):
+    _, members, auth = paper_committee
+    with pytest.raises(ThresholdError):
+        auth.threshold_sign(members[:333] + members[:1], b"sync-digest")

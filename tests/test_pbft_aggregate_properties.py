@@ -150,7 +150,7 @@ def test_forced_fallback_is_observationally_identical(monkeypatch):
     import repro.sidechain.pbft as pbft_module
 
     monkeypatch.setattr(
-        pbft_module, "bls_aggregate_verify", lambda *args, **kwargs: False
+        pbft_module, "bls_aggregate_verify_hashed", lambda *args, **kwargs: False
     )
     slow = run_committee(corrupted, seed=3)
 

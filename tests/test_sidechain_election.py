@@ -108,3 +108,20 @@ def test_leader_rotation():
     assert committee.leader(0) == "a"
     assert committee.leader(1) == "b"
     assert committee.leader(3) == "a"
+
+
+def test_one_hash_election_matches_per_miner_evaluation(miners, stakes):
+    """Hashing the input once for the whole population changes nothing:
+    members, their order and every proof equal what each miner's own
+    ``evaluate`` (which hashes for itself) would have produced."""
+    from repro.sidechain.election import election_input
+
+    seed, epoch = b"seed", 4
+    committee = elect_committee(miners, stakes, epoch, seed, 9)
+    outputs = {m: kp.evaluate(*election_input(seed, epoch)) for m, kp in miners.items()}
+    ranked = sorted(miners, key=lambda m: (outputs[m].as_unit_float() / (1.0 / len(miners)), m))
+    assert committee.members == ranked[:9]
+    for member in committee.members:
+        assert committee.proofs[member].vrf_output == outputs[member]
+        assert committee.proofs[member].vrf_vk == miners[member].vk
+    require_valid_committee(committee)

@@ -150,3 +150,15 @@ def test_committee_math():
 def test_corrupt_members_bounds():
     with pytest.raises(ValueError):
         corrupt_members(["a"], 2)
+
+
+def test_each_signed_message_is_hashed_to_the_curve_once_per_round(count_calls):
+    """Voters and verifiers of one (tag, view, digest) share its G1 point:
+    an honest round hashes three messages, whatever the committee size."""
+    from repro.crypto.groups import PairingGroup
+
+    hashed = count_calls(PairingGroup, "hash_to_g1")
+    members = [f"m{i}" for i in range(14)]  # 3f + 2 with f = 4
+    outcome = run_round(members=members, quorum=constants.committee_quorum(14))
+    assert outcome.decided and outcome.view == 0
+    assert sorted(parts[0] for parts in hashed) == [b"commit", b"pre-prepare", b"prepare"]
