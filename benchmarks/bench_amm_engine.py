@@ -12,14 +12,17 @@ Factories set ``op.scale`` when one call performs several logical
 operations (conversions, transactions).
 """
 
+from collections import deque
+
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
 from repro.amm.quoter import quote_swap
 from repro.amm import tick_math
 from repro.core.executor import SidechainExecutor
-from repro.core.transactions import SwapTx
+from repro.core.transactions import BurnTx, CollectTx, MintTx, SwapTx
 
 EXECUTOR_ROUND_TXS = 64
+BLOCK_FILL_TXS = 100
 
 
 def build_pool(num_positions=50):
@@ -134,6 +137,83 @@ def make_executor_round_op():
         return accepted
 
     op.scale = EXECUTOR_ROUND_TXS
+    return op
+
+
+def make_block_fill_op():
+    """One meta-block packed by ``SidechainExecutor.fill_block``: the
+    position path's micro number, beside ``executor_round`` for swaps.
+
+    Each call queues one 20/40/20/20 swap/mint/burn/collect arrival
+    (``bench/``'s ``epoch_positions`` mix: swap runs one long, every other
+    transaction a position handler) behind a standing backlog of one and
+    packs a block whose byte capacity is one arrival — so every block ends
+    on the byte check with transactions left over, as a loaded
+    deployment's do.  Half the mints open positions, the burns close as
+    many, the rest top up: the book is the same size at every call.
+    """
+    groups = BLOCK_FILL_TXS // 5
+    pool = build_pool()
+    executor = SidechainExecutor(pool)
+    users = [f"user{i}" for i in range(20)]
+    executor.begin_epoch({user: [10**24, 10**24] for user in users})
+    #: (owner, position id), oldest first.  Burns close the oldest while
+    #: top-ups and collects touch the newest, so no transaction names a
+    #: position that one queued ahead of it has closed.
+    open_positions = deque()
+    state = {"round": 0, "serial": 0}
+
+    def mint(user, position_id=None):
+        # The 50 ranges build_pool opened: the tick table never grows.
+        state["serial"] += 1
+        width = 60 * (1 + state["serial"] % 50)
+        return MintTx(
+            user=user,
+            tick_lower=-width,
+            tick_upper=width,
+            amount0_desired=10**15,
+            amount1_desired=10**15,
+            position_id=position_id,
+        )
+
+    def arrival():
+        txs = []
+        for i in range(groups):
+            user = users[i % len(users)]
+            owner, newest = open_positions[-1 - i]
+            closer, oldest = open_positions.popleft()
+            txs += [
+                SwapTx(user=user, zero_for_one=(i % 2 == 0), amount=10**15 + i),
+                mint(user),
+                CollectTx(user=owner, position_id=newest),
+                mint(owner, position_id=newest),
+                BurnTx(user=closer, position_id=oldest),
+            ]
+        return txs
+
+    for i in range(4 * groups):
+        seed = mint(users[i % len(users)])
+        if not executor.process(seed):
+            raise RuntimeError(f"block_fill seed mint rejected: {seed.reject_reason}")
+        open_positions.append((seed.user, seed.effects["position_id"]))
+    queue = deque(arrival())
+    capacity = sum(tx.size_bytes for tx in queue)
+
+    def op():
+        state["round"] += 1
+        queue.extend(arrival())
+        accepted, rejected = executor.fill_block(queue, capacity, state["round"])
+        if rejected or len(accepted) != BLOCK_FILL_TXS:
+            raise RuntimeError(
+                f"block_fill packed {len(accepted)} of {BLOCK_FILL_TXS} "
+                f"with {rejected} rejected"
+            )
+        for tx in accepted:
+            if type(tx) is MintTx and tx.position_id is None:
+                open_positions.append((tx.user, tx.effects["position_id"]))
+        return accepted
+
+    op.scale = BLOCK_FILL_TXS
     return op
 
 
@@ -454,6 +534,11 @@ def test_bench_mint_burn_cycle(benchmark):
 def test_bench_executor_round(benchmark):
     accepted = benchmark(make_executor_round_op())
     assert len(accepted) == EXECUTOR_ROUND_TXS
+
+
+def test_bench_block_fill(benchmark):
+    accepted = benchmark(make_block_fill_op())
+    assert {type(tx) for tx in accepted} == {SwapTx, MintTx, BurnTx, CollectTx}
 
 
 def test_bench_system_epoch(benchmark):

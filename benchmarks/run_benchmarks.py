@@ -119,6 +119,13 @@ SEED_BASELINE_OPS_PER_SEC = {
     # measured with this op on the parent tree (per-signer Lagrange
     # coefficients, coefficient-form dealing, one hash-to-curve per signer).
     "committee_epoch": 8.4,
+    # block_fill was added with the one block builder: a byte-capped
+    # 20/40/20/20 swap/mint/burn/collect block through
+    # SidechainExecutor.fill_block, in transactions per second.  Baseline:
+    # the same queue on the parent tree, packed by mine_meta_block's old
+    # run pre-selection + process / process_round loop (median of 8 runs
+    # that ranged 51.7k-75.4k on a shared box).
+    "block_fill": 64_300.0,
 }
 
 # Scenario bodies are defined once in bench_amm_engine.py (shared with the
@@ -131,6 +138,7 @@ SCENARIOS = {
     "quote": bench_amm_engine.make_quote_op,
     "mint_burn_cycle": bench_amm_engine.make_mint_burn_cycle_op,
     "executor_round": bench_amm_engine.make_executor_round_op,
+    "block_fill": bench_amm_engine.make_block_fill_op,
     "system_epoch": bench_amm_engine.make_system_epoch_op,
     "pbft_round": bench_amm_engine.make_pbft_round_op,
     "committee_epoch": bench_amm_engine.make_committee_epoch_op,

@@ -6,7 +6,9 @@ logic based on which an AMM operates, it just migrates that to the
 sidechain".  Deposit coverage is enforced before execution (the sidechain
 holds no tokens, so it must only accept transactions backed by mainchain
 deposits), and every accepted transaction's effects are recorded for the
-epoch summariser.
+epoch summariser.  :meth:`SidechainExecutor.fill_block` is the one block
+builder: a round's meta-block, a list of transactions and a single
+transaction all execute through it.
 
 Positions are keyed by an executor-generated identifier ("the hash of the
 mint transaction and the LP's public key"); ownership is the issuer's
@@ -15,7 +17,10 @@ public key, verified on burns and collects.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import Any
 
 from repro.amm import backend, liquidity_math
 from repro.amm.pool import Pool, SwapBatch
@@ -44,22 +49,27 @@ class PositionRecord:
 class SidechainExecutor:
     """Epoch-scoped AMM execution off the mainchain snapshot."""
 
+    #: What a handler raises to reject its transaction.
+    REJECTS: tuple[type[Exception], ...] = (AMMError, DepositError, PositionError)
+
     def __init__(self, pool: Pool) -> None:
         self.pool = pool
         #: Working deposit balances, refreshed from TokenBank each epoch.
         self.deposits: dict[str, list[int]] = {}
         #: position_id -> record; persists across epochs on the sidechain.
         self.positions: dict[str, PositionRecord] = {}
-        self.current_round = 0
         self.processed_count = 0
         self.rejected_count = 0
-        #: Struct-of-arrays scratch for a round's accepted swaps: parallel
-        #: arrays instead of per-tx intermediate objects on the hot path.
-        #: Materialised into ``tx.effects`` dicts when the batch commits.
-        self._round_tx: list[SwapTx] = []
-        self._round_delta0: list[int] = []
-        self._round_delta1: list[int] = []
-        self._round_fee: list[int] = []
+        #: Exact transaction type -> handler, for everything but swaps.  A
+        #: handler executes its transaction or raises one of ``REJECTS``.
+        self._handlers: dict[type, Callable[[Any], None]] = {
+            MintTx: self._process_mint,
+            BurnTx: self._process_burn,
+            CollectTx: self._process_collect,
+        }
+        #: Exact type of every transaction executed as a swap -> what to
+        #: run on it once accepted (None: nothing).
+        self._swap_hooks: dict[type, Callable[[Any], None] | None] = {SwapTx: None}
 
     # -- epoch lifecycle -----------------------------------------------------------
 
@@ -73,147 +83,159 @@ class SidechainExecutor:
     # -- transaction processing -------------------------------------------------------
 
     def process(self, tx: SidechainTx, current_round: int = 0) -> bool:
-        """Validate and execute one transaction.
+        """Validate and execute one transaction: a block of one.
 
         Returns True on acceptance; on rejection sets ``tx.reject_reason``
-        and leaves all state untouched (validation happens before any
-        mutation, via quoting).
+        and leaves all state untouched.
         """
-        if isinstance(tx, SwapTx):
-            accepted: list[SidechainTx] = []
-            self._process_swap_run([tx], accepted, current_round)
-            return bool(accepted)
-        self.current_round = current_round
-        try:
-            if isinstance(tx, MintTx):
-                self._process_mint(tx)
-            elif isinstance(tx, BurnTx):
-                self._process_burn(tx)
-            elif isinstance(tx, CollectTx):
-                self._process_collect(tx)
-            else:
-                raise AMMError(f"unknown transaction type {type(tx).__name__}")
-        except (AMMError, DepositError, PositionError) as exc:
-            tx.reject_reason = str(exc)
-            self.rejected_count += 1
-            return False
-        self.processed_count += 1
-        return True
+        return bool(self.fill_block((tx,), None, current_round)[0])
 
     def process_round(
         self, txs: list[SidechainTx], current_round: int = 0
     ) -> list[SidechainTx]:
-        """Execute one round's batch of transactions; returns those accepted.
+        """Execute a list of transactions in order; returns those accepted."""
+        return self.fill_block(txs, None, current_round)[0]
 
-        Rejected transactions carry ``reject_reason`` and leave state
-        untouched, exactly as :meth:`process` does one at a time.  Runs of
-        consecutive swaps share one batch on the pool's walker — one
-        amortized tick walk for the whole run — with acceptance decisions,
-        reject reasons and effects identical to a batch per swap.
+    def fill_block(
+        self,
+        queue: Iterable[SidechainTx] | deque[SidechainTx],
+        capacity: int | None,
+        current_round: int,
+    ) -> tuple[list[SidechainTx], int]:
+        """Execute ``queue`` in order until ``capacity`` bytes are accepted.
+
+        The one block builder: returns the accepted transactions (the
+        block's contents, in order) and how many were rejected.  With a
+        ``capacity`` the queue is the deployment's deque and every
+        transaction decided — accepted or rejected — is popped off its
+        front; the walk stops at the first one that no longer fits, except
+        that a transaction larger than the whole block is rejected rather
+        than left to stall the queue.  ``capacity=None`` means a list, not
+        a block: everything is executed and nothing is consumed.
+
+        Only accepted transactions use bytes, so a rejected one frees its
+        space for whatever follows.  Rejected transactions carry
+        ``reject_reason`` and leave all state untouched (every check runs
+        before any mutation; swaps are checked against a quote).
+
+        Consecutive swaps share one :class:`SwapBatch` — one amortized
+        tick walk — opened at the first swap that reaches the walk (so an
+        uninitialized pool rejects each such swap with the pool's error)
+        and committed when a non-swap arrives or the block ends, with
+        decisions, reject reasons and effects identical to a batch per
+        swap.  Swap checks run in the order deadline, amount, quote,
+        slippage, deposit coverage.
         """
         accepted: list[SidechainTx] = []
-        i, n = 0, len(txs)
-        while i < n:
-            tx = txs[i]
-            # Exact-type check: SwapTx *subclasses* (cross-shard legs) carry
-            # extra semantics in overridden ``process`` methods and must keep
-            # the virtual per-tx dispatch.
-            if type(tx) is SwapTx:
-                j = i + 1
-                while j < n and type(txs[j]) is SwapTx:
-                    j += 1
-                self._process_swap_run(txs[i:j], accepted, current_round)
-                i = j
-            else:
-                if self.process(tx, current_round=current_round):
-                    accepted.append(tx)
-                i += 1
-        return accepted
-
-    def _process_swap_run(
-        self,
-        swaps: list[SwapTx],
-        accepted: list[SidechainTx],
-        current_round: int,
-    ) -> None:
-        """Execute a run of consecutive swaps (or a lone one), in order.
-
-        Fused quote/execute: the walker quotes each swap against the
-        batch's virtual state without touching the pool; only after the
-        swap passes every check (deadline, amount, slippage, deposit
-        coverage — in that order) is its quote accepted, and the batch
-        commits once at the end.  A rejected swap leaves all state
-        untouched.  Accepted outcomes accumulate in the per-round parallel
-        arrays and materialise into ``tx.effects`` dicts once the batch
-        commits.
-        """
-        self.current_round = current_round
-        # Opened at the first swap that reaches the walk, so an
-        # uninitialized pool rejects each such swap with the pool's error.
+        rejected = oversize = used = 0
         batch: SwapBatch | None = None
-        rec_tx = self._round_tx
-        rec_delta0 = self._round_delta0
-        rec_delta1 = self._round_delta1
-        rec_fee = self._round_fee
-        rec_tx.clear()
-        rec_delta0.clear()
-        rec_delta1.clear()
-        rec_fee.clear()
-        deposit_of = self.deposit_of
-        for tx in swaps:
-            try:
-                if tx.deadline is not None and current_round > tx.deadline:
-                    raise AMMError(f"deadline round {tx.deadline} passed")
-                if tx.amount <= 0:
-                    raise AMMError("swap amount must be positive")
-                amount_specified = tx.amount if tx.exact_input else -tx.amount
-                if batch is None:
-                    batch = self.pool.begin_swap_batch()
-                batch.quote(
-                    tx.zero_for_one, amount_specified, tx.sqrt_price_limit_x96
-                )
-                amount_in, amount_out = batch.trader_amounts()
-                if tx.exact_input:
-                    if tx.amount_limit is not None and amount_out < tx.amount_limit:
-                        raise AMMError(
-                            f"slippage: output {amount_out} < minimum "
-                            f"{tx.amount_limit}"
-                        )
-                else:
-                    if tx.amount_limit is not None and amount_in > tx.amount_limit:
-                        raise AMMError(
-                            f"slippage: input {amount_in} > maximum "
-                            f"{tx.amount_limit}"
-                        )
-                balance = deposit_of(tx.user)
-                in_index = 0 if tx.zero_for_one else 1
-                if balance[in_index] < amount_in:
-                    raise DepositError(
-                        f"deposit {balance[in_index]} cannot cover swap input "
-                        f"{amount_in}"
-                    )
-            except (AMMError, DepositError, PositionError) as exc:
-                tx.reject_reason = str(exc)
-                self.rejected_count += 1
+        handlers = self._handlers
+        swap_hooks = self._swap_hooks
+        accept_swap = self._accept_swap
+        for tx in queue:
+            if capacity is not None and used + tx.size_bytes > capacity:
+                if used:
+                    break
+                tx.reject_reason = "transaction exceeds meta-block size"
+                oversize += 1
                 continue
-            batch.accept()
-            delta0, delta1 = -batch.amount0, -batch.amount1
-            balance[0] += delta0
-            balance[1] += delta1
-            rec_tx.append(tx)
-            rec_delta0.append(delta0)
-            rec_delta1.append(delta1)
-            rec_fee.append(batch.fee_paid)
-            self.processed_count += 1
+            kind = type(tx)
+            is_swap = kind in swap_hooks
+            if not is_swap and kind not in handlers:
+                is_swap = self._register_subclass(kind)
+            reason: str | None = None
+            if not is_swap:
+                if batch is not None:
+                    batch.commit()
+                    batch = None
+                try:
+                    handlers[kind](tx)
+                except self.REJECTS as exc:
+                    reason = str(exc)
+            elif tx.deadline is not None and current_round > tx.deadline:
+                reason = f"deadline round {tx.deadline} passed"
+            elif tx.amount <= 0:
+                reason = "swap amount must be positive"
+            else:
+                try:
+                    if batch is None:
+                        batch = self.pool.begin_swap_batch()
+                    batch.quote(
+                        tx.zero_for_one,
+                        tx.amount if tx.exact_input else -tx.amount,
+                        tx.sqrt_price_limit_x96,
+                    )
+                except AMMError as exc:
+                    reason = str(exc)
+                else:
+                    reason = accept_swap(tx, batch, swap_hooks[kind])
+            if reason is None:
+                used += tx.size_bytes
+                accepted.append(tx)
+            else:
+                tx.reject_reason = reason
+                rejected += 1
         if batch is not None:
             batch.commit()
-        for idx, tx in enumerate(rec_tx):
-            tx.effects = {
-                "delta0": rec_delta0[idx],
-                "delta1": rec_delta1[idx],
-                "fee": rec_fee[idx],
-            }
-            accepted.append(tx)
+        self.processed_count += len(accepted)
+        self.rejected_count += rejected
+        if capacity is not None:
+            for _ in range(len(accepted) + rejected + oversize):
+                queue.popleft()
+        return accepted, rejected + oversize
+
+    def _accept_swap(
+        self,
+        tx: SwapTx,
+        batch: SwapBatch,
+        hook: Callable[[Any], None] | None,
+    ) -> str | None:
+        """Check the batch's outstanding quote for ``tx`` against its
+        slippage limit and deposit; accept it, or return the reject reason."""
+        amount_in, amount_out = batch.trader_amounts()
+        limit = tx.amount_limit
+        if limit is not None:
+            if tx.exact_input:
+                if amount_out < limit:
+                    return f"slippage: output {amount_out} < minimum {limit}"
+            elif amount_in > limit:
+                return f"slippage: input {amount_in} > maximum {limit}"
+        balance = self.deposit_of(tx.user)
+        in_index = 0 if tx.zero_for_one else 1
+        if balance[in_index] < amount_in:
+            return (
+                f"deposit {balance[in_index]} cannot cover swap input "
+                f"{amount_in}"
+            )
+        batch.accept()
+        delta0, delta1 = -batch.amount0, -batch.amount1
+        balance[0] += delta0
+        balance[1] += delta1
+        tx.effects = {"delta0": delta0, "delta1": delta1, "fee": batch.fee_paid}
+        if hook is not None:
+            hook(tx)
+        return None
+
+    def _register_subclass(self, kind: type) -> bool:
+        """File an unseen transaction class under its nearest known base.
+
+        Returns whether it executes as a swap: a ``SwapTx`` subclass nobody
+        registered still does; a class with no known base is filed under
+        the handler that rejects it as an unknown type.
+        """
+        for base in kind.__mro__[1:]:
+            if base in self._swap_hooks:
+                self._swap_hooks[kind] = self._swap_hooks[base]
+                return True
+            if base in self._handlers:
+                self._handlers[kind] = self._handlers[base]
+                return False
+        self._handlers[kind] = self._reject_unknown
+        return False
+
+    @staticmethod
+    def _reject_unknown(tx: SidechainTx) -> None:
+        raise AMMError(f"unknown transaction type {type(tx).__name__}")
 
     # -- mints ------------------------------------------------------------------------
 
@@ -342,13 +364,14 @@ class SidechainExecutor:
 
     def _process_collect(self, tx: CollectTx) -> None:
         record = self._owned_position(tx.position_id, tx.user)
+        # Checked before the poke: crystallising fees is a pool mutation.
+        if any(a is not None and a < 0 for a in (tx.amount0, tx.amount1)):
+            raise AMMError("collect amounts must be non-negative")
         if record.liquidity > 0:
             self.pool.poke(record.position_id, record.tick_lower, record.tick_upper)
         owed0, owed1 = self._owed_fees(record)
         want0 = owed0 if tx.amount0 is None else min(tx.amount0, owed0)
         want1 = owed1 if tx.amount1 is None else min(tx.amount1, owed1)
-        if want0 < 0 or want1 < 0:
-            raise AMMError("collect amounts must be non-negative")
         got0, got1 = self.pool.collect(
             record.position_id, record.tick_lower, record.tick_upper, want0, want1
         )

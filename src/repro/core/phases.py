@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from repro import constants
 from repro.core.summary import summarize_epoch
 from repro.core.sync import create_tx_sync
-from repro.core.transactions import BurnTx, MintTx, SidechainTx, SwapTx
+from repro.core.transactions import BurnTx, MintTx, SidechainTx
 from repro.crypto.dkg import simulate_dkg
 from repro.crypto.hashing import keccak256
 from repro.core.sync import SyncPayload, TsqcAuthenticator
@@ -309,80 +309,22 @@ class RoundExecutionPhase(EpochPhase):
             timestamp=round_end,
             proposer=system._committee.leader() if system._committee else "",
         )
-        executor = system.executor
-        queue = system.queue
+        accepted, rejected = system.executor.fill_block(
+            system.queue, system.config.meta_block_size, system._global_round
+        )
         metrics = system.metrics
-        capacity = system.config.meta_block_size
-        current_round = system._global_round
-        epoch_txs = system._epoch_txs.setdefault(epoch, [])
+        metrics.processed_txs += len(accepted)
+        metrics.rejected_txs += rejected
         record_latency = metrics.sidechain_latency.record
-        block_txs = block.transactions
-        used = 0
-        while queue:
-            tx = queue[0]
-            if used + tx.size_bytes > capacity:
-                if used == 0:
-                    # A single transaction larger than the whole block can
-                    # never be included; reject it instead of stalling.
-                    queue.popleft()
-                    tx.reject_reason = "transaction exceeds meta-block size"
-                    metrics.rejected_txs += 1
-                    continue
-                break
-            if type(tx) is SwapTx:
-                # Pull the longest run of consecutive swaps that fits the
-                # remaining capacity even if every one is accepted, and
-                # execute it through the executor's batch walker.  The
-                # conservative selection packs byte-for-byte like the
-                # one-at-a-time loop: a rejected swap frees its bytes and
-                # the outer loop re-enters to fill the freed space.  Exact
-                # type only: SwapTx subclasses (cross-shard legs) need the
-                # executor's virtual per-tx dispatch.
-                run: list[SidechainTx] = [queue.popleft()]
-                run_bytes = tx.size_bytes
-                while queue:
-                    nxt = queue[0]
-                    if type(nxt) is not SwapTx:
-                        break
-                    if used + run_bytes + nxt.size_bytes > capacity:
-                        break
-                    run_bytes += nxt.size_bytes
-                    run.append(queue.popleft())
-                run_accepted = executor.process_round(
-                    run, current_round=current_round
-                )
-                accept_index = 0
-                for swap in run:
-                    if (
-                        accept_index < len(run_accepted)
-                        and run_accepted[accept_index] is swap
-                    ):
-                        accept_index += 1
-                        used += swap.size_bytes
-                        swap.included_round = round_index
-                        swap.included_epoch = epoch
-                        swap.included_at = round_end
-                        block_txs.append(swap)
-                        epoch_txs.append(swap)
-                        metrics.processed_txs += 1
-                        record_latency(round_end - swap.submitted_at)
-                    else:
-                        metrics.rejected_txs += 1
-                continue
-            queue.popleft()
-            accepted = executor.process(tx, current_round=current_round)
-            if not accepted:
-                metrics.rejected_txs += 1
-                continue
-            used += tx.size_bytes
+        track_ownership = RoundExecutionPhase.track_position_ownership
+        for tx in accepted:
             tx.included_round = round_index
             tx.included_epoch = epoch
             tx.included_at = round_end
-            block_txs.append(tx)
-            epoch_txs.append(tx)
-            metrics.processed_txs += 1
             record_latency(round_end - tx.submitted_at)
-            RoundExecutionPhase.track_position_ownership(system, tx)
+            track_ownership(system, tx)
+        block.transactions = accepted
+        system._epoch_txs.setdefault(epoch, []).extend(accepted)
         block.seal()
         system.ledger.append_meta_block(block)
 

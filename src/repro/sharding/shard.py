@@ -153,31 +153,27 @@ class ShardFinal:
 
 
 class ShardExecutor(SidechainExecutor):
-    """Chassis executor that understands cross-shard transaction types."""
+    """Chassis executor that understands cross-shard transaction types.
+
+    No dispatch is overridden: the cross-shard classes are registered
+    with the chassis block builder — a :class:`CrossShardTransferTx` gets
+    its own handler, a :class:`CrossShardSwapTx` executes as a swap
+    (sharing the open batch with its neighbours) and has its return leg
+    escrowed once accepted.
+    """
+
+    REJECTS = (*SidechainExecutor.REJECTS, EscrowError)
 
     def __init__(self, pool: Any, shard: "Shard") -> None:
         super().__init__(pool)
         self.shard = shard
+        self._handlers[CrossShardTransferTx] = self._process_transfer
+        self._swap_hooks[CrossShardSwapTx] = self._escrow_return_leg
 
     def process(self, tx: Any, current_round: int = 0) -> bool:
-        if isinstance(tx, CrossShardTransferTx):
-            self.current_round = current_round
-            try:
-                self._process_transfer(tx)
-            except (DepositError, EscrowError) as exc:
-                tx.reject_reason = str(exc)
-                self.rejected_count += 1
-                return False
-            self.processed_count += 1
-            return True
-        accepted = super().process(tx, current_round=current_round)
-        if (
-            accepted
-            and isinstance(tx, CrossShardSwapTx)
-            and tx.return_output
-        ):
-            self._escrow_return_leg(tx)
-        return accepted
+        """The chassis ``process``; defined here only so the benchmark's
+        layer bill can wrap the shard executor's entry point by name."""
+        return super().process(tx, current_round)
 
     def _process_transfer(self, tx: CrossShardTransferTx) -> None:
         """Prepare: debit the sender; record the escrow (leg 1)."""
@@ -224,6 +220,8 @@ class ShardExecutor(SidechainExecutor):
 
     def _escrow_return_leg(self, tx: CrossShardSwapTx) -> None:
         """Round trip: escrow an executed swap's output back home."""
+        if not tx.return_output:
+            return
         delta0 = int(tx.effects.get("delta0", 0))
         delta1 = int(tx.effects.get("delta1", 0))
         out0 = max(delta0, 0)

@@ -15,9 +15,15 @@ one.
 
 The executor-level properties do the same one layer up:
 ``SidechainExecutor.process_round`` (one batch per run of swaps) against
-per-transaction ``process`` (a batch per swap) — acceptance decisions,
-reject-reason strings, effects dicts, deposits and pool state all match.
+per-transaction ``process`` (a batch per swap) and ``fill_block`` over a
+list of one — acceptance decisions, reject-reason strings, effects dicts,
+deposits and pool state all match, for every transaction type including a
+``SwapTx`` subclass nobody registered and a type the executor has never
+heard of.
 """
+
+import copy
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +31,13 @@ from hypothesis import given, settings, strategies as st
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
 from repro.core.executor import SidechainExecutor
-from repro.core.transactions import MintTx, SwapTx
+from repro.core.transactions import (
+    BurnTx,
+    CollectTx,
+    MintTx,
+    SidechainTx,
+    SwapTx,
+)
 from repro.errors import AMMError
 from tests.swap_oracle import oracle_execute, oracle_quote
 
@@ -189,8 +201,33 @@ def test_batch_with_nothing_accepted_leaves_pool_untouched(swaps, direction):
 
 RICH = ("u0", "u1", "u2")
 
+
+@dataclass
+class LimitOrderTx(SwapTx):
+    """A swap subclass no executor registers: dispatch falls back along
+    the MRO, so it executes as the swap it is."""
+
+
+@dataclass
+class NoteTx(SidechainTx):
+    """A transaction type with no handler anywhere up its MRO."""
+
+
+#: Every executor under comparison mints a copy of this, so the position
+#: (its id hashes the transaction id) is the same one on each.
+SEED_MINT = MintTx(
+    user="u1",
+    tick_lower=-600,
+    tick_upper=600,
+    amount0_desired=10**16,
+    amount1_desired=10**16,
+)
+SEED_POSITION = SidechainExecutor._new_position_id(SEED_MINT)
+
 TX = st.tuples(
-    st.integers(min_value=0, max_value=4),  # 0-2 rich user, 3 poor, 4 mint
+    # 0-2 rich user, 3 poor (swaps); 4 mint, 5 swap subclass, 6 unknown
+    # type, 7 burn, 8 collect
+    st.integers(min_value=0, max_value=8),
     st.booleans(),  # zero_for_one
     st.booleans(),  # exact_input
     st.one_of(st.just(0), st.integers(min_value=10**13, max_value=3 * 10**17)),
@@ -203,6 +240,8 @@ def build_executor(pool: Pool | None = None) -> SidechainExecutor:
     deposits = {user: [10**20, 10**20] for user in RICH}
     deposits["poor"] = [0, 0]
     executor.begin_epoch(deposits)
+    if executor.pool.initialized:
+        assert executor.process(copy.deepcopy(SEED_MINT))
     return executor
 
 
@@ -226,8 +265,20 @@ def make_txs(entries):
                 amount0_desired=10**15,
                 amount1_desired=10**15,
             )
+        elif user_idx == 6:
+            tx = NoteTx(user="u0")
+        elif user_idx == 7:
+            # u1 owns the seeded position; the others' burns are refused.
+            tx = BurnTx(
+                user="u1" if exact_input else "u2",
+                position_id=SEED_POSITION,
+                liquidity=10**12,
+            )
+        elif user_idx == 8:
+            tx = CollectTx(user="u1", position_id=SEED_POSITION)
         else:
-            user = "poor" if user_idx == 3 else RICH[user_idx]
+            tx_type = LimitOrderTx if user_idx == 5 else SwapTx
+            user = "poor" if user_idx == 3 else RICH[user_idx % 3]
             amount_limit = None
             deadline = None
             if reject_mode == 1:
@@ -236,7 +287,7 @@ def make_txs(entries):
                 amount_limit = 10**30 if exact_input else 1
             elif reject_mode == 2:
                 deadline = 1  # already passed at current_round = 5
-            tx = SwapTx(
+            tx = tx_type(
                 user=user,
                 zero_for_one=zero_for_one,
                 exact_input=exact_input,
@@ -264,25 +315,40 @@ def test_process_round_batch_equals_sequential(entries):
     assert len(batch_accepted) == len(seq_accepted)
     for b, s in zip(batch_txs, seq_txs):
         assert b.reject_reason == s.reject_reason
-        if isinstance(b, SwapTx) and not isinstance(b, MintTx):
+        # A fresh mint's position id hashes its transaction id, which
+        # differs between the two copies.
+        if not isinstance(b, MintTx):
             assert b.effects == s.effects
+        if type(b) is LimitOrderTx and not b.reject_reason:
+            assert b.effects["fee"] > 0
+        if type(b) is NoteTx:
+            assert b.reject_reason == "unknown transaction type NoteTx"
     assert_same_books(batch_ex, seq_ex)
 
 
 @settings(max_examples=60, deadline=None)
 @given(entries=st.lists(TX, min_size=1, max_size=10))
 def test_process_equals_process_round_of_one(entries):
+    """process(tx) ≡ process_round([tx]) ≡ fill_block([tx], None, r)."""
     single_ex = build_executor()
     round_ex = build_executor()
-    for single_tx, round_tx in zip(make_txs(entries), make_txs(entries)):
+    block_ex = build_executor()
+    for single_tx, round_tx, block_tx in zip(
+        make_txs(entries), make_txs(entries), make_txs(entries)
+    ):
         accepted = single_ex.process(single_tx, current_round=5)
         assert round_ex.process_round([round_tx], current_round=5) == (
             [round_tx] if accepted else []
         )
+        assert block_ex.fill_block([block_tx], None, 5) == (
+            ([block_tx], 0) if accepted else ([], 1)
+        )
         assert single_tx.reject_reason == round_tx.reject_reason
-        if type(single_tx) is SwapTx:
-            assert single_tx.effects == round_tx.effects
+        assert single_tx.reject_reason == block_tx.reject_reason
+        if not isinstance(single_tx, MintTx):
+            assert single_tx.effects == round_tx.effects == block_tx.effects
         assert_same_books(single_ex, round_ex)
+        assert_same_books(single_ex, block_ex)
 
 
 def test_uninitialized_pool_rejects_each_swap_with_the_pools_message():

@@ -39,6 +39,7 @@ def test_run_benchmarks_quick_writes_valid_json(tmp_path):
         "quote",
         "mint_burn_cycle",
         "executor_round",
+        "block_fill",
         "system_epoch",
         "pbft_round",
         "committee_epoch",

@@ -286,6 +286,25 @@ def test_collect_partial_amount(executor):
     assert full.effects["amount0"] == 1
 
 
+@pytest.mark.parametrize("amounts", [{"amount0": -1}, {"amount1": -1}])
+def test_rejected_collect_leaves_the_pool_untouched(executor, amounts):
+    """Regression: the amounts were validated after ``pool.poke``, so a
+    rejected collect crystallised the position's fees and bumped the
+    pool's state version."""
+    mint = _mint(executor)
+    executor.process(SwapTx(user="trader", zero_for_one=True, amount=10**18))
+    key = (mint.effects["position_id"], -6000, 6000)
+    before = executor.pool.position(*key)
+    owed_before = (before.tokens_owed0, before.tokens_owed1)
+    version = executor.pool._state_version
+    collect = CollectTx(user="lp", position_id=key[0], **amounts)
+    assert not executor.process(collect)
+    assert collect.reject_reason == "collect amounts must be non-negative"
+    after = executor.pool.position(*key)
+    assert (after.tokens_owed0, after.tokens_owed1) == owed_before
+    assert executor.pool._state_version == version
+
+
 def test_collect_foreign_position_rejected(executor):
     mint = _mint(executor)
     collect = CollectTx(user="trader", position_id=mint.effects["position_id"])
