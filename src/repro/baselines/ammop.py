@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro import constants
+from repro.core.transactions import IdSpace
 from repro.metrics.collector import MetricsCollector
 from repro.simulation.rng import DeterministicRng
 from repro.workload.distribution import TrafficDistribution
@@ -53,6 +54,7 @@ class AmmOpRollup:
             population=self.population,
             distribution=self.distribution,
             rng=self.rng.child("traffic"),
+            ids=IdSpace(),
         )
         self.metrics = MetricsCollector()
         self.queue: deque = deque()

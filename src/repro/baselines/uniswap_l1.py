@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro import constants
 from repro.amm.fixed_point import encode_price_sqrt
-from repro.core.transactions import BurnTx, CollectTx, MintTx, SidechainTx, SwapTx
+from repro.core.transactions import BurnTx, CollectTx, IdSpace, MintTx, SidechainTx, SwapTx
 from repro.mainchain.chain import Mainchain
 from repro.mainchain.contracts.erc20 import ERC20Token
 from repro.mainchain.transactions import TxStatus
@@ -81,10 +81,12 @@ class UniswapL1Baseline:
         self.nfpm = self.mainchain.deploy(PositionManager(self.pool))
 
         self.population = UserPopulation(self.config.num_users, seed=self.config.seed)
+        self.ids = IdSpace()
         self.generator = TrafficGenerator(
             population=self.population,
             distribution=self.distribution,
             rng=self.rng.child("traffic"),
+            ids=self.ids,
             tick_spacing=self.pool.config.tick_spacing,
         )
         self.metrics = MetricsCollector()
@@ -136,6 +138,7 @@ class UniswapL1Baseline:
             tick_upper=width,
             amount0_desired=self.config.bootstrap_amount,
             amount1_desired=self.config.bootstrap_amount,
+            tx_id=self.ids(),
         )
         tx.submitted_at = self.clock.now
         self._submit(tx)

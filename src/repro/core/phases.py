@@ -253,6 +253,7 @@ class WorkloadIngestPhase(EpochPhase):
             tick_upper=width,
             amount0_desired=system.config.bootstrap_amount,
             amount1_desired=system.config.bootstrap_amount,
+            tx_id=system.ids(),
         )
         tx.submitted_at = submitted_at
         system.queue.appendleft(tx)

@@ -55,7 +55,7 @@ from repro.core.snapshot import SnapshotBank
 from repro.core.summary import EpochSummary
 from repro.core.sync import KeyHandover, SyncPayload, TsqcAuthenticator
 from repro.core.token_bank import TokenBank
-from repro.core.transactions import SidechainTx
+from repro.core.transactions import IdSpace, SidechainTx
 from repro.crypto.vrf import vrf_keygen
 from repro.errors import ConfigurationError
 from repro.mainchain.chain import Mainchain
@@ -252,6 +252,9 @@ class AmmBoostSystem:
         self.ledger = SidechainLedger()
 
         # -- users and traffic ---------------------------------------------------
+        #: Where every sidechain transaction this deployment builds takes
+        #: its id (they feed position ids and meta-block leaves).
+        self.ids = IdSpace()
         self.population = UserPopulation(
             self.config.num_users, seed=self.config.resolved_population_seed
         )
@@ -259,6 +262,7 @@ class AmmBoostSystem:
             population=self.population,
             distribution=self.distribution,
             rng=self.rng.child("traffic"),
+            ids=self.ids,
             tick_spacing=self.pool.config.tick_spacing,
         )
         self.queue: deque[SidechainTx] = deque()

@@ -8,35 +8,50 @@ averages (Table VII) so byte-capacity effects match the paper's workload.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 from repro import constants
 
-_tx_counter = itertools.count(1)
 
+class IdSpace:
+    """A stream of transaction ids: calling it returns the next one.
 
-def reset_tx_counter(start: int = 1) -> None:
-    """Restart the process-global id counter (fresh-process semantics).
-
-    Transaction ids feed position-id hashes, so a run's exact trajectory
-    depends on the counter state at system construction.  The scenario
-    runner resets it before every grid point so results are independent
-    of what ran earlier in the process (and of which worker runs the
-    point).
+    Transaction ids feed position-id hashes and meta-block leaves, so they
+    belong to the deployment that mints them
+    (:attr:`~repro.core.system.AmmBoostSystem.ids` starts at 1): a run's
+    bytes then depend on its config alone, not on what else ran in the
+    process.
     """
-    global _tx_counter
-    _tx_counter = itertools.count(start)
+
+    __slots__ = ("_next", "_step")
+
+    def __init__(self, start: int = 1, step: int = 1) -> None:
+        self._next = start
+        self._step = step
+
+    def __call__(self) -> int:
+        tx_id = self._next
+        self._next = tx_id + self._step
+        return tx_id
+
+    def seek(self, start: int) -> None:
+        """Make ``start`` the next id."""
+        self._next = start
 
 
-def snapshot_tx_counter() -> int:
-    """Return a value safe to pass to :func:`reset_tx_counter` later.
+#: Ids of transactions built outside a deployment (tests, examples,
+#: ``create_tx``).  They count down from -1, so a hand-built transaction
+#: pushed into a live deployment never shares an id with one it minted.
+_hand_built = IdSpace(-1, -1)
 
-    Consumes one id (the only way to observe an ``itertools.count``), so
-    the returned value itself is never assigned to a transaction and can
-    be reused as the restart point.
+
+def reset_tx_counter() -> None:
+    """Restart the hand-built id space at -1.
+
+    No deployment's ids depend on it; kept only because the benchmark
+    harness (``bench/workloads.py``) still calls it before every run.
     """
-    return next(_tx_counter)
+    _hand_built.seek(-1)
 
 
 class TxType(enum.Enum):
@@ -64,7 +79,7 @@ class SidechainTx:
     #: Execution effects recorded by the executor (token deltas per type),
     #: consumed by the independent summariser.
     effects: dict = field(default_factory=dict)
-    tx_id: int = field(default_factory=lambda: next(_tx_counter))
+    tx_id: int = field(default_factory=_hand_built)
 
     @property
     def accepted(self) -> bool:

@@ -10,6 +10,7 @@ Table II.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro import constants
@@ -74,6 +75,7 @@ class Mainchain:
         self.growth = ChainGrowth()
         self._last_block_time = self.clock.now
         self.total_gas_used = 0
+        self._tx_ids = itertools.count(1)
 
     # -- deployment ------------------------------------------------------------
 
@@ -115,8 +117,9 @@ class Mainchain:
         label: str = "",
         **kwargs,
     ) -> MainchainTransaction:
-        """Convenience wrapper building and submitting a call transaction."""
+        """Build, number and submit a call transaction."""
         tx = MainchainTransaction(
+            tx_id=next(self._tx_ids),
             sender=sender,
             contract=contract,
             function=function,

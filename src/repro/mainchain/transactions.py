@@ -7,20 +7,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-_tx_counter = itertools.count(1)
+#: Ids of transactions built outside :meth:`Mainchain.submit_call
+#: <repro.mainchain.chain.Mainchain.submit_call>`, which numbers its own
+#: from 1 per chain; these count down from -1 so the two never meet.
+_hand_built = itertools.count(-1, -1)
 
 
-def reset_tx_counter(start: int = 1) -> None:
-    """Restart the process-global id counter (fresh-process semantics);
-    see :func:`repro.core.transactions.reset_tx_counter`."""
-    global _tx_counter
-    _tx_counter = itertools.count(start)
-
-
-def snapshot_tx_counter() -> int:
-    """Return a restart point for :func:`reset_tx_counter` (consumes one
-    id); see :func:`repro.core.transactions.snapshot_tx_counter`."""
-    return next(_tx_counter)
+def reset_tx_counter() -> None:
+    """Restart the hand-built id count at -1; see
+    :func:`repro.core.transactions.reset_tx_counter`."""
+    global _hand_built
+    _hand_built = itertools.count(-1, -1)
 
 
 class TxStatus(enum.Enum):
@@ -59,7 +56,7 @@ class MainchainTransaction:
     result: Any = None
     revert_reason: str = ""
     depends_on: list["MainchainTransaction"] = field(default_factory=list)
-    tx_id: int = field(default_factory=lambda: next(_tx_counter))
+    tx_id: int = field(default_factory=lambda: next(_hand_built))
     label: str = ""
 
     @property

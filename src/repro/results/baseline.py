@@ -10,7 +10,7 @@ against the committed fixtures through the same engine as
 ``--jobs 4``.
 
 Scenario output is deterministic (hash-derived substream seeds, pure
-integer/float arithmetic, per-point counter resets), so the default
+integer/float arithmetic, per-deployment transaction ids), so the default
 tolerance is *exact*; ``rtol`` exists for callers who deliberately relax
 the gate.
 """

@@ -10,9 +10,10 @@ that feeds the point function:
   CLI ``--scale`` override, the base seed the substream seeds derive
   from, and the ``REPRO_FAST`` volume boost (it changes scaled configs
   *inside* the point at run time);
-* the code version: the package version plus a hash of the point
-  function's own source, so editing a point function invalidates its
-  artifacts even between releases.
+* the code: the package version, a hash of the point function's own
+  source, and :func:`src_digest` — every Python and C source file of the
+  ``repro`` package plus the active backend — so a change anywhere in
+  the code the point runs invalidates its artifacts.
 
 Hashes are SHA-256 over a canonical JSON encoding (sorted keys, no
 whitespace), so keys are stable across processes, machines and dict
@@ -21,15 +22,17 @@ insertion orders.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
+from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.version import __version__
 
 #: Bump when the key material layout changes (invalidates all artifacts).
-KEY_SCHEMA = 1
+KEY_SCHEMA = 2
 
 
 def canonical_json(obj: Any) -> str:
@@ -62,6 +65,36 @@ def code_version() -> str:
     return __version__
 
 
+def tree_digest(root: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of every ``*.py``
+    / ``*.c`` file under ``root``.
+
+    Build products (``__pycache__``, ``.so``) and docs are left out, so
+    running or building the code never changes its digest.
+    """
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*")
+        if path.suffix in (".py", ".c") and "__pycache__" not in path.parts
+    )
+    digest = hashlib.sha256()
+    for relative, path in files:
+        for part in (relative.encode("utf-8"), path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "big"))
+            digest.update(part)
+    return digest.hexdigest()
+
+
+@functools.cache
+def src_digest() -> str:
+    """:func:`tree_digest` of the ``repro`` package plus the active
+    backend; computed once per process."""
+    from repro.amm import backend
+
+    package = Path(__file__).resolve().parent.parent
+    return fingerprint([tree_digest(package), backend.active_backend()])
+
+
 def point_key_material(
     scenario: str,
     params: Mapping[str, Any],
@@ -87,6 +120,7 @@ def point_key_material(
             "point_src": source_hash(point_fn),
         },
         "code_version": code_version(),
+        "src_digest": src_digest(),
     }
 
 

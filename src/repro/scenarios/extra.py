@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro import constants
 from repro.core import phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
-from repro.core.transactions import MintTx
+from repro.core.transactions import IdSpace, MintTx
 from repro.crypto.keys import generate_keypair
 from repro.multipool.executor import MultiPoolExecutor, PoolKey
 from repro.scenarios.spec import ScenarioSpec
@@ -76,6 +76,7 @@ def multipool_point(params) -> dict:
     # sharing one address space — and therefore one deposit map, the
     # multi-pool "newly accrued tokens are usable immediately" property.
     rng = DeterministicRng(seed)
+    ids = IdSpace()
     users = 20
     populations = [
         UserPopulation(users, seed=seed) for _ in range(num_pools)
@@ -85,6 +86,7 @@ def multipool_point(params) -> dict:
             population=populations[i],
             distribution=TrafficDistribution.uniswap_2023(),
             rng=rng.child(f"pool{i}"),
+            ids=ids,
             tick_spacing=executor.pools[keys[i].pool_id].config.tick_spacing,
         )
         for i in range(num_pools)
@@ -99,7 +101,7 @@ def multipool_point(params) -> dict:
         lp = populations[i].addresses[0]
         mint = MintTx(
             user=lp, tick_lower=-60_000, tick_upper=60_000,
-            amount0_desired=10**20, amount1_desired=10**20,
+            amount0_desired=10**20, amount1_desired=10**20, tx_id=ids(),
         )
         assert executor.process(key.pool_id, mint), mint.reject_reason
         populations[i].on_position_created(lp, mint.effects["position_id"])

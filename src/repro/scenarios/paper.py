@@ -6,15 +6,11 @@ rows must be combined — Figure 5's two legs, Table VI's finality note) a
 custom finaliser.  The legacy ``repro.experiments.run_table*`` functions
 are thin wrappers over the spec builders here.
 
-Fidelity vs the pre-scenario-engine code: single-run tables (II, III,
-IV, VII, XII) and the *first* point of every sweep are byte-identical to
-the monolith run in a fresh process.  Later sweep points can shift in
-the 4th significant digit: the monolith let point N inherit the
-process-global transaction-id counter from point N-1 (so its output
-depended on process history — ``table9`` alone vs after ``table8``
-differed), whereas the runner gives every point fresh-process semantics,
-which is also what makes ``--jobs N`` output equal to serial.  Paper
-columns and every shape assertion are unaffected.
+Every point builds its own deployment, and a deployment numbers its own
+transactions, so a point's rows are a function of its params alone —
+the same run alone, inside ``all`` or under ``--jobs N``.  (The
+pre-scenario-engine monolith shared one process-wide id counter, so its
+later sweep points differed from these in the 4th significant digit.)
 """
 
 from __future__ import annotations
@@ -24,6 +20,7 @@ from repro.baselines.ammop import AmmOpConfig, AmmOpRollup
 from repro.baselines.uniswap_l1 import UniswapL1Baseline, UniswapL1Config
 from repro.core.summary import PayoutEntry, PositionDelta
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
+from repro.core.transactions import IdSpace
 from repro.mainchain.gas import keccak_gas
 from repro.scenarios.result import ExperimentResult
 from repro.scenarios.scaling import scaled_ammboost_config
@@ -468,6 +465,7 @@ def table7_point(params) -> dict:
         population=population,
         distribution=TrafficDistribution.uniswap_2023(),
         rng=DeterministicRng(seed).child("traffic-analysis"),
+        ids=IdSpace(),
     )
     # Give every user a position so burns/collects need no substitution.
     for i, user in enumerate(population.users):

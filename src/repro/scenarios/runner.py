@@ -7,8 +7,10 @@ worker processes with ``jobs > 1``.  Three properties make parallel runs
 
 * points are mapped in grid order (``Pool.map`` preserves input order),
   and rows are merged per spec before finalisation;
-* point functions receive everything through their ``params`` dict — no
-  worker-local state survives between points;
+* point functions receive everything through their ``params`` dict and
+  build their own deployments, which number their own transactions — no
+  worker-local state survives between points, and a point's rows do not
+  depend on what ran before it in the process;
 * derived per-point seeds come from
   :class:`~repro.simulation.rng.DeterministicRng` substreams (hash-based,
   no global RNG), so they do not depend on which worker runs the point.
@@ -58,42 +60,6 @@ def point_substream_seed(base_seed: int | str, scenario: str, index: int) -> int
     return DeterministicRng(f"{base_seed}/{scenario}/point{index}").randbits(63)
 
 
-def _reset_point_state() -> None:
-    """Give the point fresh-process semantics.
-
-    Transaction ids come from process-global counters and feed position-id
-    hashes, so without a reset a point's exact trajectory would depend on
-    what ran earlier in the process — and, under ``jobs > 1``, on which
-    worker picked it up.  Resetting before every point makes serial and
-    parallel runs bit-identical, and makes ``table6`` render the same
-    table whether run alone or inside ``all`` (the monolithic CLI did
-    not guarantee that).
-    """
-    import repro.core.transactions
-    import repro.mainchain.transactions
-
-    repro.core.transactions.reset_tx_counter()
-    repro.mainchain.transactions.reset_tx_counter()
-
-
-def _snapshot_tx_counters() -> tuple[int, int]:
-    import repro.core.transactions
-    import repro.mainchain.transactions
-
-    return (
-        repro.core.transactions.snapshot_tx_counter(),
-        repro.mainchain.transactions.snapshot_tx_counter(),
-    )
-
-
-def _restore_tx_counters(snapshot: tuple[int, int]) -> None:
-    import repro.core.transactions
-    import repro.mainchain.transactions
-
-    repro.core.transactions.reset_tx_counter(snapshot[0])
-    repro.mainchain.transactions.reset_tx_counter(snapshot[1])
-
-
 def _invoke(task: tuple) -> tuple:
     """Run one point; never raise (errors must survive the pickle trip).
 
@@ -104,13 +70,12 @@ def _invoke(task: tuple) -> tuple:
     events back over the pickle trip like everything else.
     """
     fn, params = task
-    # Points get fresh-trace semantics the same way they get fresh tx
-    # counters: the caller's buffered events (or a forked worker's
-    # inherited copy of them) are set aside so the drain below returns
-    # exactly this point's spans, then restored for serial callers.
+    # Points get fresh-trace semantics: the caller's buffered events (or
+    # a forked worker's inherited copy of them) are set aside so the
+    # drain below returns exactly this point's spans, then restored for
+    # serial callers.
     inherited = trace.drain() if trace.enabled() else None
     try:
-        _reset_point_state()
         start = time.perf_counter()
         result = fn(params)
         wall = time.perf_counter() - start
@@ -201,14 +166,7 @@ class ScenarioRunner:
     def _map(self, tasks: Sequence[tuple]) -> list[tuple]:
         """Map ``_invoke`` over tasks, in order, optionally in parallel."""
         if self.jobs <= 1 or len(tasks) <= 1:
-            # _invoke resets the process-global tx-id counters for each
-            # point; restore them afterwards so a caller's live systems
-            # (built before this run) never see recycled ids.
-            snapshot = _snapshot_tx_counters()
-            try:
-                return [_invoke(task) for task in tasks]
-            finally:
-                _restore_tx_counters(snapshot)
+            return [_invoke(task) for task in tasks]
         workers = min(self.jobs, len(tasks))
         with _pool_context().Pool(processes=workers) as pool:
             # chunksize=1: points vary hugely in cost; let workers steal.

@@ -124,7 +124,7 @@ class ServingRun:
                 seed=cfg.seed if isinstance(cfg.seed, int) else 0,
             )
         )
-        self.gateway = QuoteGateway(self.system.pool, cfg.gateway)
+        self.gateway = QuoteGateway(self.system.pool, self.system.ids, cfg.gateway)
         self.system.epoch_phases = serving_epoch_phases(self.gateway)
         self.fleet = ClientFleet(
             self.gateway,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generic, TypeVar, cast
 
 from repro.amm.pool import Pool, PoolSnapshot
-from repro.core.transactions import SwapTx
+from repro.core.transactions import IdSpace, SwapTx
 from repro.errors import AMMError
 from repro.telemetry import trace
 
@@ -206,10 +206,14 @@ class GatewayStats:
 
 
 class QuoteGateway:
-    """Serving gateway over one pool (see module docstring)."""
+    """Serving gateway over one pool (see module docstring); admitted
+    swaps are numbered from ``ids``, the deployment's id space."""
 
-    def __init__(self, pool: Pool, config: GatewayConfig | None = None) -> None:
+    def __init__(
+        self, pool: Pool, ids: IdSpace, config: GatewayConfig | None = None
+    ) -> None:
         self.pool = pool
+        self.ids = ids
         self.config = config or GatewayConfig()
         self.snapshot: PoolSnapshot | None = None
         #: Current epoch as seen at the last boundary notification.
@@ -340,6 +344,7 @@ class QuoteGateway:
             zero_for_one=submission.zero_for_one,
             exact_input=True,
             amount=submission.amount,
+            tx_id=self.ids(),
         )
         self._admitted.append(tx)
         depth = len(self._admitted)

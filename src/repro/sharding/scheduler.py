@@ -11,10 +11,9 @@ the run's lifetime, and drives them epoch by epoch over pipes:
 * ``("finish",)`` — final sync confirmation + metrics, returning
   :class:`~repro.sharding.shard.ShardFinal` per shard, then exit.
 
-Bit-identity with serial execution follows the
-:class:`~repro.scenarios.runner.ScenarioRunner` discipline one level
-down: every shard stage runs inside a deterministic id-counter scope and
-draws randomness only from shard-local substreams, so shard trajectories
+Bit-identity with serial execution holds because a shard owns all of
+its state — its transaction ids come from its own deployment's id space
+and its randomness from shard-local substreams — so shard trajectories
 do not depend on which process hosts them.  Workers are forked (the
 parent already paid the import cost); on platforms without ``fork`` the
 scheduler silently degrades to serial execution — same results, one

@@ -31,10 +31,11 @@ later.  Routing state (assignment, owned pools, arrival volume) is
 therefore *live* per shard; absent migrations it never changes and the
 shard's trajectory is byte-identical to a fixed-placement run.
 
-Every shard stage runs inside a deterministic id-counter scope
-(:mod:`repro.sharding.determinism`) and draws randomness only from
-shard-local substreams, so a shard's trajectory is bit-identical whether
-it runs in the coordinator's process or in any scheduler worker.
+A shard numbers its transactions from its own deployment's id space,
+moved to :func:`stage_base` at the start of every stage (setup, each
+epoch, the finish), and draws randomness only from shard-local
+substreams, so a shard's trajectory is bit-identical whether it runs in
+the coordinator's process or in any scheduler worker.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from repro.recovery.migration import (
     CompletePoolMigration,
     PoolManifest,
 )
-from repro.sharding.determinism import counter_scope
 from repro.sharding.escrow import (
     CrossShardSwapTx,
     CrossShardTransferTx,
@@ -86,6 +86,21 @@ from repro.telemetry import trace
 #: Extra wire bytes a transfer carries over a plain swap (routing
 #: metadata: destination shard, pool, transfer id).
 TRANSFER_EXTRA_BYTES = 64
+
+#: Ids reserved per shard / per stage within a shard: 10^9 per epoch is
+#: far beyond the thousands of transactions an epoch processes.
+SHARD_ID_SPACE = 10**12
+STAGE_ID_SPACE = 10**9
+
+
+def stage_base(shard_index: int, stage: int) -> int:
+    """First id of ``stage`` in ``shard_index``'s id space.
+
+    Stage 0 is setup; stage ``e + 1`` is epoch ``e``.  A shard's id space
+    is its own whichever worker hosts it; seeking to these bases keeps
+    the ids (and so the position ids and shard digests) of earlier runs.
+    """
+    return 1 + (shard_index + 1) * SHARD_ID_SPACE + stage * STAGE_ID_SPACE
 
 
 @dataclass(frozen=True)
@@ -318,15 +333,15 @@ class Shard:
         self._sealed_manifests: list[PoolManifest] = []
         self._rewind_cursor = 0
         self.xrng = DeterministicRng(f"{spec.chassis.seed}/xshard")
-        with counter_scope(self.index, 0):
-            self.system = AmmBoostSystem(
-                spec.chassis,
-                epoch_phases=self._build_phases(spec),
-                fault_plan=spec.fault_plan,
-                executor_factory=lambda pool: ShardExecutor(pool, self),
-            )
-            self.system.setup()
-            self.system._traffic_start = self.system.clock.now
+        self.system = AmmBoostSystem(
+            spec.chassis,
+            epoch_phases=self._build_phases(spec),
+            fault_plan=spec.fault_plan,
+            executor_factory=lambda pool: ShardExecutor(pool, self),
+        )
+        self.system.ids.seek(stage_base(self.index, 0))
+        self.system.setup()
+        self.system._traffic_start = self.system.clock.now
 
     def _build_phases(self, spec: ShardSpec) -> tuple[EpochPhase, ...]:
         """The chassis pipeline with the shard-aware ingest swapped in.
@@ -384,6 +399,7 @@ class Shard:
             exact_input=True,
             amount=tx.amount,
             size_bytes=tx.size_bytes + TRANSFER_EXTRA_BYTES,
+            tx_id=self.system.ids(),
             transfer_id=self.ledger.next_transfer_id(self.current_epoch),
             dest_shard=self.assignment[dest_pool],
             dest_pool=dest_pool,
@@ -420,29 +436,29 @@ class Shard:
         traced = trace.enabled()
         prev_track = trace.set_track(f"shard{self.index}") if traced else ""
         try:
-            with counter_scope(self.index, epoch + 1):
-                self._apply_instructions(instructions)
-                self.system._run_epoch(epoch, inject=inject)
-                self.epochs_run += 1
-                rollbacks = self._drain_rewinds(epoch)
-                prepares = self.ledger.prepared_in(epoch)
-                for record in prepares:
-                    self.system.token_bank.escrow_lock(
-                        record.transfer_id,
-                        record.user,
-                        record.amount0,
-                        record.amount1,
-                    )
-                    trace.async_instant(
-                        "xfer.lock",
-                        record.transfer_id,
-                        self.system.clock.now,
-                        shard=self.index,
-                        epoch=epoch,
-                    )
-                return self._record(
-                    epoch, online=True, prepares=prepares, rollbacks=rollbacks
+            self.system.ids.seek(stage_base(self.index, epoch + 1))
+            self._apply_instructions(instructions)
+            self.system._run_epoch(epoch, inject=inject)
+            self.epochs_run += 1
+            rollbacks = self._drain_rewinds(epoch)
+            prepares = self.ledger.prepared_in(epoch)
+            for record in prepares:
+                self.system.token_bank.escrow_lock(
+                    record.transfer_id,
+                    record.user,
+                    record.amount0,
+                    record.amount1,
                 )
+                trace.async_instant(
+                    "xfer.lock",
+                    record.transfer_id,
+                    self.system.clock.now,
+                    shard=self.index,
+                    epoch=epoch,
+                )
+            return self._record(
+                epoch, online=True, prepares=prepares, rollbacks=rollbacks
+            )
         finally:
             if traced:
                 trace.set_track(prev_track)
@@ -515,6 +531,7 @@ class Shard:
                 transfer_id=transfer.transfer_id,
                 home_shard=transfer.source_shard,
                 return_output=transfer.return_output,
+                tx_id=self.system.ids(),
             )
             leg.submitted_at = now
             self.system.queue.append(leg)
@@ -651,25 +668,25 @@ class Shard:
         traced = trace.enabled()
         prev_track = trace.set_track(f"shard{self.index}") if traced else ""
         try:
-            with counter_scope(self.index, self.current_epoch + 2):
-                system = self.system
+            system = self.system
+            system.ids.seek(stage_base(self.index, self.current_epoch + 2))
+            system.mainchain.produce_blocks_until(
+                system.clock.now
+                + 3 * system.mainchain.config.block_interval
+            )
+            phases.check_pending_syncs(system)
+            recoveries = 0
+            while system._unsynced and recoveries < 3:
+                recoveries += 1
+                self.current_epoch += 1
+                system._run_epoch(self.current_epoch, inject=False)
+                self.epochs_run += 1
                 system.mainchain.produce_blocks_until(
                     system.clock.now
                     + 3 * system.mainchain.config.block_interval
                 )
                 phases.check_pending_syncs(system)
-                recoveries = 0
-                while system._unsynced and recoveries < 3:
-                    recoveries += 1
-                    self.current_epoch += 1
-                    system._run_epoch(self.current_epoch, inject=False)
-                    self.epochs_run += 1
-                    system.mainchain.produce_blocks_until(
-                        system.clock.now
-                        + 3 * system.mainchain.config.block_interval
-                    )
-                    phases.check_pending_syncs(system)
-                phases.MetricsFinalizePhase().run(system)
+            phases.MetricsFinalizePhase().run(system)
         finally:
             if traced:
                 trace.set_track(prev_track)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.transactions import BurnTx, CollectTx, MintTx, SidechainTx, SwapTx
+from repro.core.transactions import BurnTx, CollectTx, IdSpace, MintTx, SidechainTx, SwapTx
 from repro.workload.distribution import TrafficDistribution
 from repro.workload.users import UserPopulation
 
@@ -45,19 +45,22 @@ class AmountModel:
 
 
 class TrafficGenerator:
-    """Produces each round's batch of sidechain transactions."""
+    """Produces each round's batch of sidechain transactions, numbered
+    from ``ids`` (the owning deployment's id space)."""
 
     def __init__(
         self,
         population: UserPopulation,
         distribution: TrafficDistribution,
         rng,
+        ids: IdSpace,
         tick_spacing: int = 60,
         amounts: AmountModel | None = None,
     ) -> None:
         self.population = population
         self.distribution = distribution
         self.rng = rng
+        self.ids = ids
         self.tick_spacing = tick_spacing
         self.amounts = amounts or AmountModel()
         self.generated_counts = {"swap": 0, "mint": 0, "burn": 0, "collect": 0}
@@ -95,6 +98,7 @@ class TrafficGenerator:
             zero_for_one=self.rng.random() < 0.5,
             exact_input=self.rng.random() < 0.85,
             amount=amount,
+            tx_id=self.ids(),
         )
 
     def _generate_mint(self, current_tick: int) -> MintTx:
@@ -120,6 +124,7 @@ class TrafficGenerator:
             amount0_desired=amount,
             amount1_desired=amount,
             position_id=position_id,
+            tx_id=self.ids(),
         )
 
     def _generate_burn(self) -> SidechainTx:
@@ -131,14 +136,14 @@ class TrafficGenerator:
         position_id = self.rng.choice(sorted(user.positions))
         # Generated burns withdraw the whole position (None = everything);
         # partial burns are exercised by the unit tests.
-        return BurnTx(user=user.address, position_id=position_id, liquidity=None)
+        return BurnTx(user=user.address, position_id=position_id, liquidity=None, tx_id=self.ids())
 
     def _generate_collect(self) -> SidechainTx:
         user = self.population.pick_lp_with_position(self.rng)
         if user is None:
             return self._generate_swap()
         position_id = self.rng.choice(sorted(user.positions))
-        return CollectTx(user=user.address, position_id=position_id)
+        return CollectTx(user=user.address, position_id=position_id, tx_id=self.ids())
 
     def _align(self, tick: int) -> int:
         return (tick // self.tick_spacing) * self.tick_spacing

@@ -8,12 +8,10 @@ as captured on that tree: dealing in value form changes every share, and
 must change no signature (σ = f(0)·H(m) whatever the polynomial).
 """
 
-from repro.core import transactions as core_tx
 from repro.core.sync import TsqcAuthenticator
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.crypto import shamir
 from repro.crypto.groups import PairingGroup
-from repro.mainchain import transactions as main_tx
 
 #: Low 32 bytes (the high 32 of a G1 encoding are zero) of every threshold
 #: signature of the run below, in signing order: hand-over certificate and
@@ -30,8 +28,6 @@ PINNED_SIGNATURES = [
 
 def paper_committee_system() -> AmmBoostSystem:
     """``bench``'s ``epoch_committee`` deployment at seed 11."""
-    core_tx.reset_tx_counter()
-    main_tx.reset_tx_counter()
     system = AmmBoostSystem(
         AmmBoostConfig(
             seed=11,

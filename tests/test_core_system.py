@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.phases import EpochPhase, default_epoch_phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
+from repro.core.transactions import MintTx
 from repro.errors import ConfigurationError
+from repro.workload.distribution import TrafficDistribution
 from tests.conftest import small_system
 
 
@@ -145,6 +148,94 @@ def test_throughput_capacity_bound():
     bound = capacity_per_round * (5 / 6) / system.config.round_duration
     assert metrics.throughput <= bound * 1.1
     assert metrics.throughput >= bound * 0.5
+
+
+# -- deployments own their transaction ids ---------------------------------------
+
+
+class RecordBlocks(EpochPhase):
+    """Keeps every meta-block's ``tx_root`` and transaction ids before
+    pruning drops the blocks."""
+
+    def __init__(self) -> None:
+        self.blocks: dict[int, list[tuple[bytes, list[int]]]] = {}
+
+    def run(self, system, ctx) -> None:
+        self.blocks[ctx.epoch] = [
+            (block.tx_root, [tx.tx_id for tx in block.transactions])
+            for block in system.ledger.meta_blocks.get(ctx.epoch, [])
+        ]
+
+
+def churn_system() -> tuple[AmmBoostSystem, RecordBlocks]:
+    """A 20/40/20/20 deployment: position churn is what makes ids matter
+    (position ids hash the minting transaction's id)."""
+    recorder = RecordBlocks()
+    phases = list(default_epoch_phases())
+    phases.insert(4, recorder)  # right after RoundExecutionPhase
+    system = AmmBoostSystem(
+        AmmBoostConfig(
+            committee_size=8, miner_population=16, num_users=10,
+            daily_volume=200_000, rounds_per_epoch=6, seed=5,
+        ),
+        TrafficDistribution.from_percentages(20, 40, 20, 20),
+        epoch_phases=phases,
+    )
+    return system, recorder
+
+
+def end_state(system: AmmBoostSystem, recorder: RecordBlocks) -> tuple:
+    return (
+        system.pool.snapshot(),
+        system.executor.positions,
+        {epoch: [root for root, _ in blocks] for epoch, blocks in recorder.blocks.items()},
+        system.metrics.summary(),
+    )
+
+
+def test_back_to_back_deployments_end_identical():
+    """Two same-config deployments built one after the other in one
+    process end in the same state: the second does not inherit ids."""
+    states = []
+    for _ in range(2):
+        system, recorder = churn_system()
+        for _ in range(3):
+            system.run(num_epochs=1)
+        states.append(end_state(system, recorder))
+    assert states[0] == states[1]
+
+
+def test_interleaved_deployments_end_identical():
+    """Two same-config deployments stepped epoch by epoch, alternately,
+    end in the same state as each other and as one run alone."""
+    (a, rec_a), (b, rec_b) = churn_system(), churn_system()
+    for _ in range(3):
+        a.run(num_epochs=1)
+        b.run(num_epochs=1)
+    alone, rec_alone = churn_system()
+    for _ in range(3):
+        alone.run(num_epochs=1)
+    assert end_state(a, rec_a) == end_state(b, rec_b) == end_state(alone, rec_alone)
+
+
+def test_hand_built_mint_never_shares_a_deployment_id():
+    """A hand-built transaction pushed into a live deployment takes an id
+    from outside every deployment's space."""
+    system, recorder = churn_system()
+    system.run(num_epochs=1)
+    lp = system.population.addresses[0]
+    mint = MintTx(
+        user=lp, tick_lower=-600, tick_upper=600,
+        amount0_desired=10**18, amount1_desired=10**18,
+    )
+    system.queue.append(mint)
+    system.run(num_epochs=1)
+    assert mint.accepted, mint.reject_reason
+    included = [
+        tx_id for blocks in recorder.blocks.values() for _, ids in blocks for tx_id in ids
+    ]
+    assert mint.tx_id < 0 and mint.tx_id in included
+    assert len(set(included)) == len(included)
 
 
 def test_config_validation():

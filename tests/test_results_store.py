@@ -1,14 +1,19 @@
 """Unit tests for the content-addressed artifact store and its keys."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.results.fingerprint import (
     canonical_json,
     fingerprint,
     point_key,
     point_key_material,
+    src_digest,
+    tree_digest,
 )
 from repro.results.store import ArtifactStore, NotSerializable, PointArtifact
 
@@ -63,6 +68,35 @@ def test_point_key_covers_run_configuration():
 def test_key_material_encodes_unusual_params_without_crashing():
     material = point_key_material("s", {"obj": object()}, **_key_kwargs())
     assert fingerprint(material)  # falls back to a typed repr
+
+
+def test_key_material_carries_the_source_digest():
+    material = point_key_material("s", {"x": 1}, **_key_kwargs())
+    assert material["schema"] == 2
+    assert material["src_digest"] == src_digest()
+
+
+def test_tree_digest_follows_source_bytes_only(tmp_path):
+    """Editing one byte of the code re-keys every artifact; build
+    products and docs do not."""
+    package = Path(repro.__file__).parent
+    copy = tmp_path / "repro"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    base = tree_digest(copy)
+    assert base == tree_digest(package)
+
+    (copy / "amm" / "__pycache__").mkdir()
+    (copy / "amm" / "__pycache__" / "pool.cpython-311.pyc").write_bytes(b"\0junk")
+    (copy / "amm" / "stale.pyc").write_bytes(b"\0junk")
+    with open(copy / "amm" / "README.md", "a") as readme:
+        readme.write("edited\n")
+    assert tree_digest(copy) == base
+
+    pool = copy / "amm" / "pool.py"
+    data = bytearray(pool.read_bytes())
+    data[100] ^= 1
+    pool.write_bytes(bytes(data))
+    assert tree_digest(copy) != base
 
 
 # -- point artifacts -----------------------------------------------------------

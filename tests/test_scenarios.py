@@ -117,23 +117,28 @@ def test_runner_isolates_points_from_prior_process_state():
     assert ScenarioRunner().run(spec).rows == baseline
 
 
-def test_serial_run_restores_caller_tx_counters():
-    """An in-process (jobs=1) run must not recycle the caller's tx ids.
+def test_serial_run_leaves_caller_ids_untouched():
+    """An in-process (jobs=1) run moves neither a caller's live
+    deployment's id space nor the hand-built ids.
 
-    Position ids hash the process-global tx id, so if a scenario run left
-    the counter rewound, a caller's pre-existing system could mint a
-    position whose id collides with one it already holds.
+    Position ids hash the transaction id, so a run that rewound either
+    could make the caller's system mint a position id it already holds.
     """
     import repro.core.transactions as ct
     import repro.mainchain.transactions as mt
+    from tests.conftest import small_system
 
-    before_core = ct.SidechainTx(user="probe").tx_id
-    before_main = mt.MainchainTransaction(sender="p", contract="c", function="f").tx_id
-    ScenarioRunner().run(table12_spec())
-    assert ct.SidechainTx(user="probe").tx_id > before_core
+    system = small_system()
+    system.run(num_epochs=1)
+    live_next = system.ids()
+    hand_core = ct.SidechainTx(user="probe").tx_id
+    hand_main = mt.MainchainTransaction(sender="p", contract="c", function="f").tx_id
+    ScenarioRunner().run(table9_spec(durations=(7,), daily_volume=200_000, num_epochs=2))
+    assert system.ids() == live_next + 1
+    assert ct.SidechainTx(user="probe").tx_id == hand_core - 1
     assert (
         mt.MainchainTransaction(sender="p", contract="c", function="f").tx_id
-        > before_main
+        == hand_main - 1
     )
 
 

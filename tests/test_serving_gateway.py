@@ -18,6 +18,7 @@ import asyncio
 
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
+from repro.core.transactions import IdSpace
 from repro.serving.clients import ClientFleet, FleetConfig
 from repro.serving.driver import ServingConfig, ServingRun
 from repro.serving.gateway import (
@@ -154,6 +155,7 @@ def test_token_bucket_burst_then_refill():
 def test_stale_snapshot_rejects_submission():
     gateway = QuoteGateway(
         small_pool(),
+        IdSpace(),
         GatewayConfig(max_snapshot_age=0, publish_every=2),
     )
     gateway.publish_snapshot(0)
@@ -167,7 +169,7 @@ def test_stale_snapshot_rejects_submission():
 
 
 def test_admission_queue_full_rejects_submission():
-    gateway = QuoteGateway(small_pool(), GatewayConfig(queue_capacity=1))
+    gateway = QuoteGateway(small_pool(), IdSpace(), GatewayConfig(queue_capacity=1))
     gateway.publish_snapshot(0)
     replies = [
         gateway.submit(i, 0, f"user-{i}", True, 10**15, snapshot_epoch=0)
@@ -182,7 +184,7 @@ def test_admission_queue_full_rejects_submission():
 
 
 def test_shutdown_serves_queued_quotes_and_refuses_new_work():
-    gateway = QuoteGateway(small_pool())
+    gateway = QuoteGateway(small_pool(), IdSpace())
     gateway.publish_snapshot(0)
     queued = gateway.quote(0, 0, True, 10**15)
     assert not queued.done  # request reached the inbox, not yet decided
@@ -197,7 +199,7 @@ def test_shutdown_serves_queued_quotes_and_refuses_new_work():
 
 def test_rate_limited_rejection_is_typed():
     gateway = QuoteGateway(
-        small_pool(), GatewayConfig(bucket_rate=0.0, bucket_burst=1.0)
+        small_pool(), IdSpace(), GatewayConfig(bucket_rate=0.0, bucket_burst=1.0)
     )
     gateway.publish_snapshot(0)
     replies = [gateway.quote(0, seq, True, 10**15) for seq in range(2)]
@@ -213,7 +215,7 @@ def test_shutdown_refusals_carry_the_tick_they_were_issued_in():
     # Four quotes served a tick against a fleet of 24: the drain takes
     # several ticks, and the clients each one answers ask again at once.
     gateway = QuoteGateway(
-        small_pool(), GatewayConfig(quote_capacity_per_tick=4, bucket_burst=50.0)
+        small_pool(), IdSpace(), GatewayConfig(quote_capacity_per_tick=4, bucket_burst=50.0)
     )
     gateway.publish_snapshot(0)
     fleet = ClientFleet(

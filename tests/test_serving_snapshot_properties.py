@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
 from repro.amm.quoter import Quote, quote_swap
+from repro.core.transactions import IdSpace
 from repro.errors import AMMError, NoLiquidityError, SlippageError
 from repro.serving.gateway import QuoteGateway
 from tests.swap_oracle import oracle_quote
@@ -203,7 +204,7 @@ def test_snapshots_independent_across_epoch_advances(positions, epochs, quote):
 
 def _gateway_quote(pool: Pool, zero_for_one: bool, amount: int):
     """One quote through the full gateway path."""
-    gateway = QuoteGateway(pool)
+    gateway = QuoteGateway(pool, IdSpace())
     gateway.publish_snapshot(0)
     reply = gateway.quote(0, 0, zero_for_one, amount)
     gateway.process_tick()

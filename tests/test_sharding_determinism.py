@@ -53,15 +53,19 @@ class TestSchedulerBitIdentity:
         assert parallel.digest() == serial.digest()
 
 
-class TestCounterIsolation:
-    def test_outer_counters_survive_a_sharded_run(self):
-        """A sharded run must not leak shard id-space into the caller."""
+class TestIdIsolation:
+    def test_outer_ids_survive_a_sharded_run(self):
+        """A sharded run leaves a caller's live deployment's next id and
+        the caller's hand-built ids untouched."""
+        from repro.core.system import AmmBoostSystem
         from repro.core.transactions import SwapTx
 
+        caller = AmmBoostSystem(small_base())
+        caller_next = caller.ids()
         before = SwapTx(user="probe", amount=1).tx_id
         run_with_jobs(1)
-        after = SwapTx(user="probe", amount=1).tx_id
-        assert after == before + 1
+        assert caller.ids() == caller_next + 1
+        assert SwapTx(user="probe", amount=1).tx_id == before - 1
 
 
 class TestScenarioDeterminism:

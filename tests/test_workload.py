@@ -3,7 +3,7 @@
 import pytest
 
 from repro import constants
-from repro.core.transactions import BurnTx, CollectTx, MintTx, SwapTx
+from repro.core.transactions import BurnTx, CollectTx, IdSpace, MintTx, SwapTx
 from repro.errors import ConfigurationError
 from repro.simulation.rng import DeterministicRng
 from repro.workload.distribution import TABLE_XI_MIXES, TrafficDistribution
@@ -76,6 +76,7 @@ def generator():
         population=population,
         distribution=TrafficDistribution.uniswap_2023(),
         rng=DeterministicRng(3),
+        ids=IdSpace(),
     )
 
 
@@ -133,6 +134,7 @@ def test_deterministic_generation():
             population=population,
             distribution=TrafficDistribution.uniswap_2023(),
             rng=DeterministicRng(9),
+            ids=IdSpace(),
         )
         return [(type(t).__name__, t.user) for t in gen.generate_round(200, 0.0)]
 
