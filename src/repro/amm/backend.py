@@ -119,7 +119,6 @@ MIN_SQRT_RATIO = tick_math.MIN_SQRT_RATIO
 MAX_SQRT_RATIO = tick_math.MAX_SQRT_RATIO
 check_tick = tick_math.check_tick
 check_tick_range = tick_math.check_tick_range
-get_tick_at_sqrt_ratio_reference = tick_math.get_tick_at_sqrt_ratio_reference
 
 FEE_PIPS_DENOMINATOR = swap_math.FEE_PIPS_DENOMINATOR
 SwapStep = swap_math.SwapStep

@@ -143,7 +143,7 @@ class SwapBatch:
     reference both are tested against) —
 
     * the cursor invariant (down-next ``= index[lo]``, up-next
-      ``= index[lo + 1]``) reproduces ``next_initialized_tick`` exactly,
+      ``= index[lo + 1]``) reproduces a fresh bisect per step exactly,
       including the boundary cases after a swap stops on a crossed tick,
       because crossings move the cursor by exactly one slot and mid-range
       stops leave it untouched;

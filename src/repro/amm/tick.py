@@ -3,13 +3,12 @@
 Uniswap V3 tracks per-tick liquidity deltas and "fee growth outside" so
 positions can compute the fees accrued strictly inside their range.  The
 Solidity implementation indexes initialized ticks with a bitmap; a sorted
-list with bisection gives the same ``next initialized tick`` queries with
-clearer Python.
+list (``_sorted``) gives the same "next initialized tick" queries with
+clearer Python — ``SwapBatch`` walks it with a cursor.
 
-Read paths (``peek``, ``fee_growth_inside``, ``next_initialized_tick``)
-never allocate tick records: swaps and quotes under heavy query load must
-not grow ``self.ticks``.  Only ``update`` — the mint/burn path — creates
-records.
+Read paths (``peek``, ``fee_growth_inside``) never allocate tick records:
+swaps and quotes under heavy query load must not grow ``self.ticks``.
+Only ``update`` — the mint/burn path — creates records.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ class TickTable:
         self.tick_spacing = tick_spacing
         self.ticks: dict[int, TickInfo] = {}
         self._sorted: list[int] = []
-        #: (tick, lte) -> next_initialized_tick result; flushed whenever the
-        #: index mutates.  Swaps that stay within one tick range hit this
-        #: repeatedly with the same key.
-        self._neighbor_cache: dict[tuple[int, bool], tuple[int | None, bool]] = {}
         #: Cleared records parked by :meth:`clear` for :meth:`get` to reuse.
         self._spare: list[TickInfo] = []
 
@@ -170,42 +165,6 @@ class TickTable:
         ) % Q128
         return info.liquidity_net
 
-    def next_initialized_tick(
-        self, tick: int, lte: bool
-    ) -> tuple[int | None, bool]:
-        """Find the next initialized tick at or beyond ``tick``.
-
-        ``lte=True`` searches downwards (tick itself included), matching
-        the bitmap's ``nextInitializedTickWithinOneWord`` direction for
-        zero-for-one swaps.  Returns ``(tick, initialized)`` with ``None``
-        when no initialized tick remains in that direction.
-        """
-        key = (tick, lte)
-        cached = self._neighbor_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._next_initialized_tick_uncached(tick, lte)
-        if len(self._neighbor_cache) >= 4096:
-            self._neighbor_cache.clear()
-        self._neighbor_cache[key] = result
-        return result
-
-    def _next_initialized_tick_uncached(
-        self, tick: int, lte: bool
-    ) -> tuple[int | None, bool]:
-        ticks = self._sorted
-        if not ticks:
-            return None, False
-        if lte:
-            idx = bisect.bisect_right(ticks, tick) - 1
-            if idx < 0:
-                return None, False
-            return ticks[idx], True
-        idx = bisect.bisect_right(ticks, tick)
-        if idx >= len(ticks):
-            return None, False
-        return ticks[idx], True
-
     def fee_growth_inside(
         self,
         tick_lower: int,
@@ -244,10 +203,8 @@ class TickTable:
         idx = bisect.bisect_left(self._sorted, tick)
         if idx >= len(self._sorted) or self._sorted[idx] != tick:
             self._sorted.insert(idx, tick)
-            self._neighbor_cache.clear()
 
     def _remove(self, tick: int) -> None:
         idx = bisect.bisect_left(self._sorted, tick)
         if idx < len(self._sorted) and self._sorted[idx] == tick:
             self._sorted.pop(idx)
-            self._neighbor_cache.clear()

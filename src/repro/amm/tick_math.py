@@ -4,10 +4,9 @@
 (the magic-constant ladder computes ``sqrt(1.0001^tick) * 2^96`` exactly),
 fronted by a bounded memo cache since swaps revisit the same tick
 boundaries constantly.  ``get_tick_at_sqrt_ratio`` is the log₂
-bit-twiddling port from the same library; the original binary search over
-the forward function is retained as
-``get_tick_at_sqrt_ratio_reference`` — exact by construction — and the
-test suite proves the two agree across the whole tick range.
+bit-twiddling port from the same library; ``tests/swap_oracle.py`` keeps
+the binary search over the forward function — exact by construction — and
+the test suite proves the two agree across the whole tick range.
 """
 
 from __future__ import annotations
@@ -129,22 +128,3 @@ def get_tick_at_sqrt_ratio(sqrt_price_x96: int) -> int:
         return tick_low
     return tick_hi if _sqrt_ratio_at_tick(tick_hi) <= sqrt_price_x96 else tick_low
 
-
-def get_tick_at_sqrt_ratio_reference(sqrt_price_x96: int) -> int:
-    """Binary-search reference for :func:`get_tick_at_sqrt_ratio`.
-
-    Exact by construction (inverts the forward function directly); kept as
-    the oracle for the equivalence property tests and the benchmark
-    harness's before/after comparison.
-    """
-    if not (MIN_SQRT_RATIO <= sqrt_price_x96 < MAX_SQRT_RATIO):
-        raise TickError(f"sqrt price {sqrt_price_x96} out of range")
-    lo, hi = MIN_TICK, MAX_TICK
-    # Invariant: ratio(lo) <= sqrt_price < ratio(hi + 1).
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _sqrt_ratio_at_tick(mid) <= sqrt_price_x96:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo

@@ -4,7 +4,7 @@ Tracks pools, user deposits and liquidity positions; accepts epoch-based
 deposits; processes TSQC-authenticated ``Sync`` calls; serves flash loans
 in real time.  All gas charges follow the Table II itemisation.
 
-Two calibration notes, both documented in DESIGN.md:
+Two calibration notes:
 
 * **Deposit gas.**  Table II reports 105,392 gas for a two-token deposit
   *pipeline* (two ERC20 approvals plus the Deposit call).  The approvals

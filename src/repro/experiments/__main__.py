@@ -47,7 +47,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro import experiments  # noqa: F401  (ensures legacy wrappers import)
 from repro import scenarios
 from repro.results import compare as results_compare
 from repro.results.store import ArtifactStore
@@ -55,23 +54,6 @@ from repro.scenarios.runner import ScenarioError, ScenarioRunner
 
 #: Default artifact-store location, relative to the working directory.
 DEFAULT_STORE_DIR = ".repro-results"
-
-#: Legacy name -> callable map (kept for downstream imports); the CLI
-#: itself resolves names through the scenario registry.
-RUNNERS = {
-    "table2": experiments.run_table2_itemized_gas,
-    "table3": experiments.run_table3_uniswap_gas,
-    "table4": experiments.run_table4_storage,
-    "figure5": experiments.run_figure5,
-    "table5": experiments.run_table5_scalability,
-    "table6": experiments.run_table6_rollup,
-    "table7": experiments.run_table7_traffic_analysis,
-    "table8": experiments.run_table8_block_size,
-    "table9": experiments.run_table9_round_duration,
-    "table10": experiments.run_table10_epoch_length,
-    "table11": experiments.run_table11_traffic_mix,
-    "table12": experiments.run_table12_committee_size,
-}
 
 
 def _describe(spec, headline: str) -> None:
@@ -207,6 +189,9 @@ def _baseline_main(argv: list[str]) -> int:
         "(the nightly job uploads it when a check fails)",
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     store = ArtifactStore(args.out) if args.out is not None else None
 
     unknown = [n for n in args.names if not scenarios.is_registered(n)]

@@ -1,6 +1,5 @@
-"""Metric collection and report formatting for the evaluation harness."""
+"""Metric collection for the evaluation harness."""
 
 from repro.metrics.collector import LatencyStats, MetricsCollector
-from repro.metrics.report import format_table
 
-__all__ = ["LatencyStats", "MetricsCollector", "format_table"]
+__all__ = ["LatencyStats", "MetricsCollector"]

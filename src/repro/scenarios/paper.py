@@ -3,8 +3,8 @@
 Each table/figure is a :class:`~repro.scenarios.spec.ScenarioSpec`: a grid
 of independent parameter points, a module-level point function, and (where
 rows must be combined — Figure 5's two legs, Table VI's finality note) a
-custom finaliser.  The legacy ``repro.experiments.run_table*`` functions
-are thin wrappers over the spec builders here.
+custom finaliser.  Run one with ``ScenarioRunner().run(table5_spec(...))``
+or through the CLI, ``python -m repro.experiments table5``.
 
 Every point builds its own deployment, and a deployment numbers its own
 transactions, so a point's rows are a function of its params alone —

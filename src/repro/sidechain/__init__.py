@@ -1,11 +1,15 @@
 """The ammBoost sidechain: PBFT consensus, sortition election, pruning.
 
-Two fidelity levels share this package (see DESIGN.md):
+Two fidelity levels share this package:
 
 * the message-level PBFT engine (:mod:`repro.sidechain.pbft`) exercised by
   the test suite and small-committee timing runs, and
-* the calibrated agreement-time model (:mod:`repro.sidechain.timing`) used
-  by the epoch-level experiment harness for 500+-member committees.
+* the agreement-time model fitted to the paper's Table XII
+  (:mod:`repro.sidechain.timing`) used by the epoch-level experiment
+  harness for 500+-member committees.
+
+``tests/pbft_calibration.py`` fits the same model to message-level runs,
+so the two levels can be compared where committee sizes overlap.
 """
 
 from repro.sidechain.blocks import MetaBlock, SummaryBlock

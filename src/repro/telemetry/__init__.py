@@ -4,8 +4,8 @@ Submodules:
 
 * :mod:`repro.telemetry.trace` — zero-overhead-when-off span API with
   virtual + wall timestamps and deterministic cross-worker merging.
-* :mod:`repro.telemetry.metrics` — hierarchical registry of counters,
-  gauges, and log-scale histograms with merge-stable percentiles.
+* :mod:`repro.telemetry.metrics` — log-scale histograms with
+  merge-stable percentiles.
 * :mod:`repro.telemetry.profile` — per-phase wall-time profiling of
   the epoch loop for the benchmark harness.
 * :mod:`repro.telemetry.export` — Chrome trace-event (Perfetto) JSON

@@ -1,30 +1,18 @@
-"""Hierarchical metrics registry with deterministic streaming percentiles.
+"""Deterministic streaming percentiles.
 
-The centrepiece is :class:`LogHistogram`, a fixed-bucket log-scale
-histogram.  Bucket edges are derived from the floating-point exponent
-and mantissa via ``math.frexp`` — exact bit operations, never
-``math.log`` — so the same value lands in the same bucket on every
-platform and libm.  Merging histograms adds bucket counts, which is
-order-invariant: merging shard 0 then shard 1 equals the reverse, and
-``--jobs 1`` equals ``--jobs 4``.
-
-Counters, gauges, and histograms hang off a :class:`MetricsRegistry`
-under dotted names (``serving.quote_latency``, ``faults.respawns``),
-snapshot to plain JSON-safe dicts, and merge across processes.
+:class:`LogHistogram` is a fixed-bucket log-scale histogram.  Bucket
+edges are derived from the floating-point exponent and mantissa via
+``math.frexp`` — exact bit operations, never ``math.log`` — so the same
+value lands in the same bucket on every platform and libm.  Merging
+histograms adds bucket counts, which is order-invariant: merging shard 0
+then shard 1 equals the reverse, and ``--jobs 1`` equals ``--jobs 4``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator
 
-__all__ = [
-    "LogHistogram",
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "SUBBUCKETS",
-]
+__all__ = ["LogHistogram", "SUBBUCKETS"]
 
 #: Sub-buckets per power of two.  8 gives ~9% relative bucket width,
 #: tight enough that p50/p99 land within a few percent of exact.
@@ -121,141 +109,3 @@ class LogHistogram:
             "p90": self.quantile(0.90),
             "p99": self.quantile(0.99),
         }
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
-            "zero_count": self.zero_count,
-            "count": self.count,
-            "total": self.total,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LogHistogram":
-        hist = cls()
-        hist.buckets = {int(k): int(v) for k, v in data["buckets"].items()}
-        hist.zero_count = int(data["zero_count"])
-        hist.count = int(data["count"])
-        hist.total = float(data["total"])
-        hist.minimum = data["minimum"]
-        hist.maximum = data["maximum"]
-        return hist
-
-
-class Counter:
-    """Monotonic counter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
-
-class Gauge:
-    """Last-written value with a running peak."""
-
-    __slots__ = ("value", "peak")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.peak = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-        if self.value > self.peak:
-            self.peak = self.value
-
-    def merge(self, other: "Gauge") -> None:
-        # Merged gauges keep the max of both lasts and peaks: "last"
-        # is not well-defined across parallel shards, peak is.
-        self.value = max(self.value, other.value)
-        self.peak = max(self.peak, other.peak)
-
-
-class MetricsRegistry:
-    """Create-or-get registry of named counters/gauges/histograms.
-
-    A name is bound to one instrument kind for the registry's lifetime;
-    re-requesting it as a different kind raises ``ValueError`` (silent
-    shadowing would corrupt merged snapshots).
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, LogHistogram] = {}
-
-    def _check_kind(self, name: str, kind: str) -> None:
-        owners = {
-            "counter": self._counters,
-            "gauge": self._gauges,
-            "histogram": self._histograms,
-        }
-        for other_kind, table in owners.items():
-            if other_kind != kind and name in table:
-                raise ValueError(
-                    f"metric {name!r} is already a {other_kind}, "
-                    f"cannot re-register as {kind}"
-                )
-
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            self._check_kind(name, "counter")
-            counter = self._counters[name] = Counter()
-        return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            self._check_kind(name, "gauge")
-            gauge = self._gauges[name] = Gauge()
-        return gauge
-
-    def histogram(self, name: str) -> LogHistogram:
-        hist = self._histograms.get(name)
-        if hist is None:
-            self._check_kind(name, "histogram")
-            hist = self._histograms[name] = LogHistogram()
-        return hist
-
-    def names(self) -> Iterator[str]:
-        yield from sorted(
-            {*self._counters, *self._gauges, *self._histograms}
-        )
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).merge(gauge)
-        for name, hist in other._histograms.items():
-            self.histogram(name).merge(hist)
-
-    def snapshot(self) -> dict[str, Any]:
-        """Name-sorted, JSON-safe view of every instrument."""
-        out: dict[str, Any] = {}
-        for name in self.names():
-            if name in self._counters:
-                out[name] = {
-                    "type": "counter", "value": self._counters[name].value,
-                }
-            elif name in self._gauges:
-                gauge = self._gauges[name]
-                out[name] = {
-                    "type": "gauge", "value": gauge.value, "peak": gauge.peak,
-                }
-            else:
-                out[name] = {
-                    "type": "histogram",
-                    **self._histograms[name].summary(),
-                }
-        return out

@@ -2,7 +2,7 @@
 
 The default :class:`~repro.sidechain.timing.AgreementTimeModel` is fitted
 to the paper's Table XII (measured on an 8-hypervisor cluster where CoSi
-bandwidth contention dominates).  This module provides the measurement
+bandwidth contention dominates).  This module is the measurement
 pipeline for the *message-level* engine instead: run real PBFT instances
 across committee sizes, collect the simulated agreement times, and fit a
 model to them.
@@ -10,8 +10,10 @@ model to them.
 The two models answer different questions — the paper-calibrated one
 predicts the authors' testbed, the measured one characterises the
 simulated network (whose delays do not include bandwidth contention, so
-its absolute times are smaller and flatter).  Tests assert both are
-monotone and that the measurement pipeline is deterministic.
+its absolute times are smaller and flatter).
+``test_sidechain_calibration.py`` asserts both are monotone and that the
+pipeline is deterministic; ``test_faults_pbft.py`` checks the epoch
+layer's view-change charge against it where the sizes overlap.
 """
 
 from __future__ import annotations

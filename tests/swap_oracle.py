@@ -3,10 +3,10 @@
 ``src/`` has one tick walker (``SwapBatch.quote``): cursor into the sorted
 tick index, symbolic current tick, fee-growth overlay, everything bound to
 locals.  This module is the same swap written the textbook way and shares
-none of that machinery — every step asks the tick table for its neighbour
-(``TickTable.next_initialized_tick``), runs the pure-Python
+none of that machinery — every step bisects the tick index for its
+neighbour (:func:`next_initialized_tick`), runs the pure-Python
 ``swap_math.compute_swap_step`` (never the compiled backend), resolves the
-tick with the binary-search ``get_tick_at_sqrt_ratio_reference`` and
+tick with the binary search :func:`get_tick_at_sqrt_ratio_reference` and
 crosses ticks through ``TickTable.cross`` — so a property suite comparing
 the two compares the production walker with something that is not itself.
 
@@ -15,12 +15,56 @@ Only the error types and messages are, necessarily, the production ones.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from repro.amm import liquidity_math, swap_math, tick_math
 from repro.amm.fixed_point import Q128
 from repro.amm.pool import Pool
-from repro.errors import AMMError, NoLiquidityError, SlippageError
+from repro.amm.tick import TickTable
+from repro.errors import AMMError, NoLiquidityError, SlippageError, TickError
+
+
+def next_initialized_tick(
+    table: TickTable, tick: int, lte: bool
+) -> tuple[int | None, bool]:
+    """Find the next initialized tick at or beyond ``tick``.
+
+    ``lte=True`` searches downwards (tick itself included), matching
+    the bitmap's ``nextInitializedTickWithinOneWord`` direction for
+    zero-for-one swaps.  Returns ``(tick, initialized)`` with ``None``
+    when no initialized tick remains in that direction.
+    """
+    ticks = table._sorted
+    if not ticks:
+        return None, False
+    if lte:
+        idx = bisect.bisect_right(ticks, tick) - 1
+        if idx < 0:
+            return None, False
+        return ticks[idx], True
+    idx = bisect.bisect_right(ticks, tick)
+    if idx >= len(ticks):
+        return None, False
+    return ticks[idx], True
+
+
+def get_tick_at_sqrt_ratio_reference(sqrt_price_x96: int) -> int:
+    """Binary-search reference for ``tick_math.get_tick_at_sqrt_ratio``.
+
+    Exact by construction: it inverts the forward function directly.
+    """
+    if not (tick_math.MIN_SQRT_RATIO <= sqrt_price_x96 < tick_math.MAX_SQRT_RATIO):
+        raise TickError(f"sqrt price {sqrt_price_x96} out of range")
+    lo, hi = tick_math.MIN_TICK, tick_math.MAX_TICK
+    # Invariant: ratio(lo) <= sqrt_price < ratio(hi + 1).
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if tick_math.get_sqrt_ratio_at_tick(mid) <= sqrt_price_x96:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 @dataclass
@@ -82,8 +126,8 @@ def oracle_quote(
 
     while amount_remaining != 0 and state.sqrt_price_after_x96 != sqrt_price_limit_x96:
         price_at_step_start = state.sqrt_price_after_x96
-        tick_next, initialized = pool.ticks.next_initialized_tick(
-            state.tick_after, lte=zero_for_one
+        tick_next, initialized = next_initialized_tick(
+            pool.ticks, state.tick_after, lte=zero_for_one
         )
         if tick_next is None:
             tick_next = tick_math.MIN_TICK if zero_for_one else tick_math.MAX_TICK
@@ -137,7 +181,7 @@ def oracle_quote(
                 )
             state.tick_after = tick_next - 1 if zero_for_one else tick_next
         elif state.sqrt_price_after_x96 != price_at_step_start:
-            state.tick_after = tick_math.get_tick_at_sqrt_ratio_reference(
+            state.tick_after = get_tick_at_sqrt_ratio_reference(
                 state.sqrt_price_after_x96
             )
 

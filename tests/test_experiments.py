@@ -1,4 +1,4 @@
-"""Smoke + shape tests for every experiment runner (one per table/figure).
+"""Smoke + shape tests for every paper scenario (one per table/figure).
 
 Shape assertions encode the paper's qualitative claims: who wins, by
 roughly what factor, and where the crossovers fall.  Runs are scaled down
@@ -8,24 +8,25 @@ so the whole module stays fast.
 import pytest
 
 from repro import constants
-from repro.experiments import (
-    run_figure5,
-    run_table2_itemized_gas,
-    run_table3_uniswap_gas,
-    run_table4_storage,
-    run_table5_scalability,
-    run_table6_rollup,
-    run_table7_traffic_analysis,
-    run_table8_block_size,
-    run_table9_round_duration,
-    run_table10_epoch_length,
-    run_table11_traffic_mix,
-    run_table12_committee_size,
+from repro.scenarios import ScenarioRunner
+from repro.scenarios.paper import (
+    figure5_spec,
+    table2_spec,
+    table3_spec,
+    table4_spec,
+    table5_spec,
+    table6_spec,
+    table7_spec,
+    table8_spec,
+    table9_spec,
+    table10_spec,
+    table11_spec,
+    table12_spec,
 )
 
 
 def test_table2_constants_match_paper():
-    result = run_table2_itemized_gas()
+    result = ScenarioRunner().run(table2_spec())
     rows = result.row_dict()
     assert rows["Sync payout (per entry)"][1] == 15_771
     assert rows["Deposit (2 tokens, pipeline)"][1] == 105_392
@@ -35,7 +36,7 @@ def test_table2_constants_match_paper():
 
 
 def test_table3_gas_and_latency_shape():
-    result = run_table3_uniswap_gas()
+    result = ScenarioRunner().run(table3_spec())
     rows = result.row_dict()
     assert rows["Mint"][1] == round(constants.GAS_UNISWAP_MINT)
     # Mint needs two approvals, swap one, burn/collect none.
@@ -43,7 +44,7 @@ def test_table3_gas_and_latency_shape():
 
 
 def test_table4_sizes():
-    result = run_table4_storage()
+    result = ScenarioRunner().run(table4_spec())
     rows = result.row_dict()
     assert rows["Payout entry"][1:] == [352, 97]
     assert rows["Position entry"][1:] == [416, 215]
@@ -52,7 +53,9 @@ def test_table4_sizes():
 
 
 def test_figure5_reductions():
-    result = run_figure5(num_epochs=4, num_users=50, committee_size=20)
+    result = ScenarioRunner().run(
+        figure5_spec(num_epochs=4, num_users=50, committee_size=20)
+    )
     rows = result.row_dict()
     assert rows["Gas reduction %"][1] > 90
     assert rows["MC growth reduction % (vs Sepolia)"][1] > 85
@@ -60,8 +63,8 @@ def test_figure5_reductions():
 
 
 def test_table5_scalability_shape():
-    result = run_table5_scalability(
-        volumes=(50_000, 25_000_000), num_epochs=3
+    result = ScenarioRunner().run(
+        table5_spec(volumes=(50_000, 25_000_000), num_epochs=3)
     )
     rows = result.rows
     low, high = rows[0], rows[1]
@@ -74,7 +77,7 @@ def test_table5_scalability_shape():
 
 
 def test_table6_rollup_comparison_shape():
-    result = run_table6_rollup(num_epochs=3)
+    result = ScenarioRunner().run(table6_spec(num_epochs=3))
     rows = result.row_dict()
     op, amm = rows["ammOP"], rows["ammBoost"]
     assert amm[1] > 2 * op[1]  # ~2.7x throughput
@@ -84,7 +87,7 @@ def test_table6_rollup_comparison_shape():
 
 
 def test_table7_traffic_analysis():
-    result = run_table7_traffic_analysis(sample_size=30_000)
+    result = ScenarioRunner().run(table7_spec(sample_size=30_000))
     rows = result.row_dict()
     assert abs(rows["swap"][1] - 93.19) < 1.0
     assert abs(rows["mint"][1] - 2.14) < 0.6
@@ -92,8 +95,8 @@ def test_table7_traffic_analysis():
 
 
 def test_table8_block_size_shape():
-    result = run_table8_block_size(
-        block_sizes=(500_000, 2_000_000), num_epochs=2
+    result = ScenarioRunner().run(
+        table8_spec(block_sizes=(500_000, 2_000_000), num_epochs=2)
     )
     rows = result.rows
     small, large = rows[0], rows[1]
@@ -104,7 +107,7 @@ def test_table8_block_size_shape():
 
 
 def test_table9_round_duration_shape():
-    result = run_table9_round_duration(durations=(7, 21), num_epochs=2)
+    result = ScenarioRunner().run(table9_spec(durations=(7, 21), num_epochs=2))
     rows = result.rows
     fast, slow = rows[0], rows[1]
     # Longer rounds: lower throughput, higher latency.
@@ -113,7 +116,7 @@ def test_table9_round_duration_shape():
 
 
 def test_table10_epoch_length_shape():
-    result = run_table10_epoch_length(epoch_lengths=(5, 30), num_epochs=2)
+    result = ScenarioRunner().run(table10_spec(epoch_lengths=(5, 30)))
     rows = result.rows
     short, default = rows[0], rows[1]
     # Short epochs lose a summary round in five: ~80% of throughput.
@@ -125,8 +128,8 @@ def test_table10_epoch_length_shape():
 
 
 def test_table11_traffic_mix_stability():
-    result = run_table11_traffic_mix(
-        mixes=((60, 20, 10, 10), (80, 5, 5, 10)), num_epochs=2
+    result = ScenarioRunner().run(
+        table11_spec(mixes=((60, 20, 10, 10), (80, 5, 5, 10)), num_epochs=2)
     )
     rows = result.rows
     # Metrics stay within ~15% across mixes (paper: "remain similar").
@@ -134,7 +137,7 @@ def test_table11_traffic_mix_stability():
 
 
 def test_table12_committee_size():
-    result = run_table12_committee_size()
+    result = ScenarioRunner().run(table12_spec())
     rows = result.row_dict()
     for size, paper in constants.AGREEMENT_TIME_BY_COMMITTEE.items():
         assert rows[size][1] == pytest.approx(paper, rel=0.25)
@@ -144,7 +147,7 @@ def test_table12_committee_size():
 
 
 def test_result_rendering():
-    result = run_table4_storage()
+    result = ScenarioRunner().run(table4_spec())
     text = result.render()
     assert "Table IV" in text
     assert "Payout entry" in text

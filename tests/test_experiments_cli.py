@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro.scenarios as scenarios
-from repro.experiments.__main__ import RUNNERS, _expand_names, main
+from repro.experiments.__main__ import _expand_names, main
 from repro.scenarios.spec import ScenarioSpec
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -22,7 +22,7 @@ def _isolated_store(tmp_path, monkeypatch):
 
 def test_all_paper_artifacts_have_runners():
     expected = {f"table{i}" for i in range(2, 13)} | {"figure5"}
-    assert set(RUNNERS) == expected
+    assert set(scenarios.names("paper")) == expected
 
 
 def test_list_returns_zero(capsys):
@@ -55,7 +55,7 @@ def test_repeated_names_deduped(capsys):
 def test_all_group_dedupes_against_explicit_names():
     names = _expand_names(["table5", "all"])
     assert names.count("table5") == 1
-    assert set(names) >= set(RUNNERS)
+    assert set(names) >= set(scenarios.names("paper"))
 
 
 def test_failing_scenario_exits_nonzero_without_bare_traceback(capsys):
@@ -81,6 +81,20 @@ def test_failing_scenario_exits_nonzero_without_bare_traceback(capsys):
 
 def test_bad_jobs_rejected(capsys):
     assert main(["table4", "--jobs", "0"]) == 2
+
+
+def test_baseline_bad_jobs_rejected_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "baseline", "check", "table4",
+         "--jobs", "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_SRC)},
+    )
+    assert proc.returncode == 2
+    assert "--jobs must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_jobs_flag_accepted(capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.common import (
+from repro.scenarios import (
     ExperimentResult,
     default_scale,
     scaled_ammboost_config,

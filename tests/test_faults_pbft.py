@@ -23,12 +23,12 @@ from repro.faults import (
     SyncWithhold,
     ViewChangeBurst,
 )
-from repro.sidechain.calibration import measure_agreement_time
 from repro.sidechain.pbft import PbftConfig, PbftRound
 from repro.sidechain.timing import AgreementTimeModel
 from repro.simulation.events import EventScheduler
 from repro.simulation.network import Network
 from repro.simulation.rng import DeterministicRng
+from tests.pbft_calibration import measure_agreement_time
 
 #: The real 1536-bit group costs ~7 ms per verification; the small test
 #: group keeps multi-round fault tests fast without changing semantics.

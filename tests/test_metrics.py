@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics.collector import LatencyStats, MetricsCollector
-from repro.metrics.report import format_table
+from repro.scenarios.result import format_table
 
 
 def test_latency_stats_streaming():

@@ -30,9 +30,9 @@ def test_registry_covers_all_paper_artifacts():
 
 
 def test_every_cli_name_resolves_to_a_registered_spec():
-    from repro.experiments.__main__ import RUNNERS, _expand_names
+    from repro.experiments.__main__ import _expand_names
 
-    for name in RUNNERS:
+    for name in scenarios.names("paper"):
         assert scenarios.is_registered(name), name
     for name in _expand_names(["all", "extras"]):
         spec = scenarios.get(name)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sidechain.calibration import (
+from tests.pbft_calibration import (
     calibrate_from_measurements,
     measure_agreement_time,
 )

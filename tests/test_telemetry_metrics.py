@@ -1,4 +1,4 @@
-"""Unit tests for the hierarchical metrics registry and log histogram."""
+"""Unit tests for the log histogram and the stats built on it."""
 
 from __future__ import annotations
 
@@ -8,10 +8,7 @@ import math
 import pytest
 
 from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
     LogHistogram,
-    MetricsRegistry,
     SUBBUCKETS,
     _bucket_index,
     _bucket_midpoint,
@@ -97,70 +94,6 @@ def test_merge_is_order_invariant():
     backward.merge(b)
     backward.merge(a)
     assert forward.summary() == backward.summary() == one.summary()
-
-
-def test_dict_roundtrip():
-    hist = LogHistogram()
-    for v in (1.0, 7.0, 0.0, 3e4):
-        hist.record(v)
-    clone = LogHistogram.from_dict(hist.to_dict())
-    assert clone.summary() == hist.summary()
-    assert clone.to_dict() == hist.to_dict()
-
-
-# -- registry ------------------------------------------------------------------
-
-
-def test_registry_create_or_get_semantics():
-    registry = MetricsRegistry()
-    registry.counter("run.processed").inc(3)
-    registry.counter("run.processed").inc(2)
-    assert registry.counter("run.processed").value == 5
-    registry.gauge("run.depth").set(7)
-    registry.gauge("run.depth").set(4)
-    gauge = registry.gauge("run.depth")
-    assert gauge.value == 4
-    assert gauge.peak == 7
-    registry.histogram("run.latency").record(1.5)
-    assert list(registry.names()) == sorted(
-        ["run.processed", "run.depth", "run.latency"]
-    )
-
-
-def test_registry_kind_collision_raises():
-    registry = MetricsRegistry()
-    registry.counter("run.x")
-    with pytest.raises(ValueError):
-        registry.gauge("run.x")
-
-
-def test_registry_merge_and_snapshot():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("n").inc(1)
-    b.counter("n").inc(2)
-    b.gauge("g").set(9)
-    b.histogram("h").record(4.0)
-    a.merge(b)
-    snap = a.snapshot()
-    assert snap["n"]["value"] == 3
-    assert snap["g"]["peak"] == 9
-    assert snap["h"]["count"] == 1
-    json.dumps(snap, allow_nan=False)
-    assert list(snap) == sorted(snap)
-
-
-def test_counter_gauge_merge():
-    c1, c2 = Counter(), Counter()
-    c1.inc(2)
-    c2.inc(5)
-    c1.merge(c2)
-    assert c1.value == 7
-    g1, g2 = Gauge(), Gauge()
-    g1.set(3)
-    g2.set(10)
-    g2.set(1)
-    g1.merge(g2)
-    assert g1.peak == 10
 
 
 # -- collector integration -----------------------------------------------------
