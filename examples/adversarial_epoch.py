@@ -17,6 +17,7 @@ from repro import constants
 from repro.core import phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.crypto.keys import generate_keypair
+from repro.faults import FaultPlan, SyncWithhold
 from repro.sidechain.adversary import corrupt_members
 from repro.sidechain.pbft import PbftConfig, PbftRound
 from repro.simulation.events import EventScheduler
@@ -58,8 +59,9 @@ def demo_mass_sync() -> None:
         AmmBoostConfig(
             committee_size=10, miner_population=20, num_users=10,
             daily_volume=150_000, rounds_per_epoch=6, seed=11,
-            fail_sync_epochs={1},  # epoch 1's leader withholds the sync
-        )
+        ),
+        # epoch 1's leader withholds the sync
+        fault_plan=FaultPlan((SyncWithhold(epoch=1),)),
     )
     system.run(num_epochs=3)
     for epoch in range(3):

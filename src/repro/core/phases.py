@@ -24,6 +24,12 @@ Phases are stateless: all mutable state lives on the system and the
 context, so one phase tuple can be shared by every epoch and system.  The
 default pipeline reproduces the monolithic loop *byte-identically* — same
 call order, same RNG streams, same clock arithmetic.
+
+Section IV-C interruptions apply inside phases 4-6 through the system's
+:class:`~repro.faults.plan.FaultSession` (view-change bursts, withheld
+syncs, mainchain forks), so any pipeline built from these phases applies
+a fault plan whole.  Under the empty plan each check is a dict miss and
+the run is unchanged.
 """
 
 from __future__ import annotations
@@ -58,9 +64,10 @@ class EpochContext:
     rounds_used: int = 0
     #: Wall-clock end of the summary round, set by :class:`SummarySyncPhase`.
     summary_end: float = 0.0
-    #: Seconds of consensus time faults cost this epoch so far; the
-    #: fault-aware phases (:mod:`repro.faults.phases`) accumulate it and
-    #: shift later rounds by it.  Always 0.0 on the default pipeline.
+    #: Seconds of consensus time planned view changes cost this epoch so
+    #: far; :meth:`RoundExecutionPhase.round_bounds` accumulates it and
+    #: every later round (and the summary round) shifts by it.  Stays 0.0
+    #: under the empty fault plan.
     fault_delay: float = 0.0
 
 
@@ -77,8 +84,7 @@ _TRACE_NAMES: dict[type, str] = {}
 def phase_trace_name(phase: EpochPhase) -> str:
     """Span name for a phase: ``RoundExecutionPhase`` → ``phase.round_execution``.
 
-    Cached per class; fault-aware subclasses get their own name so a
-    trace shows which pipeline variant actually ran.
+    Cached per class, so a custom phase gets its own name in the trace.
     """
     cls = type(phase)
     name = _TRACE_NAMES.get(cls)
@@ -268,7 +274,8 @@ class RoundExecutionPhase(EpochPhase):
     Every round but the last of an epoch mines a meta-block packed by
     byte capacity; drain epochs close as soon as the backlog is gone
     (the committee proceeds straight to the summary round rather than
-    mining empty meta-blocks).
+    mining empty meta-blocks).  Planned view-change bursts stretch the
+    round they hit (:meth:`round_bounds`).
     """
 
     def __init__(self, ingest: WorkloadIngestPhase) -> None:
@@ -293,12 +300,27 @@ class RoundExecutionPhase(EpochPhase):
     ) -> tuple[float, float]:
         """Wall-clock (start, end) of one meta-block round.
 
-        The hook subclasses override to stretch or shift rounds — the
-        fault-aware phase (:mod:`repro.faults.phases`) charges view-change
-        penalties here — while the loop body stays shared.
+        A round hit by a :class:`~repro.faults.plan.ViewChangeBurst` runs
+        ``views`` leader replacements, each charged one agreement time of
+        the committee through the system's timing model.  The penalty
+        extends the round (its meta-block lands late) and accumulates in
+        ``ctx.fault_delay``, which shifts every later round.
         """
-        round_start = ctx.epoch_start + round_index * system.config.round_duration
-        return round_start, round_start + system.config.round_duration
+        duration = system.config.round_duration
+        round_start = ctx.epoch_start + round_index * duration + ctx.fault_delay
+        views = system.faults.view_changes(ctx.epoch, round_index)
+        if not views:
+            return round_start, round_start + duration
+        penalty = views * system.timing.agreement_time(system.config.committee_size)
+        ctx.fault_delay += penalty
+        system.faults.record(
+            ctx.epoch,
+            "view_change",
+            round_index=round_index,
+            detail=f"{views} view change(s)",
+            delay=penalty,
+        )
+        return round_start, round_start + duration + penalty
 
     @staticmethod
     def mine_meta_block(
@@ -371,11 +393,17 @@ def build_sync_payload(system, epoch: int) -> SyncPayload:
 
 
 class SummarySyncPhase(EpochPhase):
-    """Mine the summary-block; submit the epoch's Sync call (unless failed)."""
+    """Mine the summary-block; submit the epoch's Sync call (unless withheld).
+
+    The summary round starts after the epoch's meta-block rounds, so it
+    shifts by the view-change delay they accumulated.
+    """
 
     def run(self, system, ctx: EpochContext) -> None:
         ctx.summary_end = (
-            ctx.epoch_start + (ctx.rounds_used + 1) * system.config.round_duration
+            ctx.epoch_start
+            + (ctx.rounds_used + 1) * system.config.round_duration
+            + ctx.fault_delay
         )
         self.mine_summary_and_sync(system, ctx.epoch, ctx.initial_deposits, ctx.summary_end)
         system._global_round += 1
@@ -413,8 +441,13 @@ class SummarySyncPhase(EpochPhase):
         system.ledger.append_summary_block(summary_block)
         system._unsynced.append(summary)
 
-        if epoch in system.config.fail_sync_epochs:
-            return  # malicious leader withholds the sync; mass-sync recovers
+        if system.faults.sync_withheld(epoch):
+            # A malicious leader withholds the sync; the next epoch's
+            # mass-sync recovers it (Section IV-C).
+            system.faults.record(
+                epoch, "sync_withheld", detail="leader withheld the Sync call"
+            )
+            return
 
         payload = build_sync_payload(system, epoch)
         leader = system._committee.leader() if system._committee else "leader"
@@ -486,7 +519,8 @@ class PruneRecoveryPhase(EpochPhase):
 
     The committee hands over at the epoch boundary whether or not its
     leader issued the sync (a failed leader is exactly the case the
-    next committee's mass-sync recovers from).
+    next committee's mass-sync recovers from).  A planned
+    :class:`~repro.faults.plan.Rollback` then forks the mainchain.
     """
 
     def run(self, system, ctx: EpochContext) -> None:
@@ -494,6 +528,60 @@ class PruneRecoveryPhase(EpochPhase):
         check_pending_syncs(system)
         system._committee = system._next_committee
         system._auth = system._next_auth
+        rollback = system.faults.rollback_for(ctx.epoch)
+        if rollback is None:
+            return
+        depth = self._resolve_depth(system, rollback)
+        if depth < 1:
+            system.faults.record(
+                ctx.epoch, "rollback", detail="no blocks to abandon; skipped"
+            )
+            return
+        synced_before = set(system.token_bank.synced_epochs)
+        affected = system.inject_mainchain_rollback(depth)
+        system.faults.record(
+            ctx.epoch,
+            "rollback",
+            detail=f"depth {depth}, {affected} sync(s) abandoned",
+        )
+        # A deep fork can abandon earlier epochs' syncs too; log each
+        # casualty so no unfinalized epoch goes unaccounted for.
+        for epoch in sorted(synced_before - system.token_bank.synced_epochs):
+            if epoch != ctx.epoch:
+                system.faults.record(
+                    epoch,
+                    "sync_abandoned",
+                    detail=f"fork at epoch {ctx.epoch} abandoned this sync",
+                )
+
+    @staticmethod
+    def _resolve_depth(system, rollback) -> int:
+        """A safe, meaningful depth for the planned fork.
+
+        ``depth=None`` targets the epoch's own sync: let it confirm, then
+        fork to just before its block.  Explicit depths are clamped to
+        what :meth:`Mainchain.rollback` accepts.
+        """
+        chain = system.mainchain
+        if rollback.depth is None:
+            # Give the pending sync a few blocks to land, as the recovery
+            # experiments do, then abandon everything from its block on.
+            chain.produce_blocks_until(
+                system.clock.now + 3 * chain.config.block_interval
+            )
+            check_pending_syncs(system)
+            sync_blocks = [
+                tx.block_number
+                for block in chain.blocks
+                for tx in block.transactions
+                if tx.label == "sync" and tx.block_number is not None
+            ]
+            if not sync_blocks:
+                return 0
+            depth = chain.height - max(sync_blocks)
+        else:
+            depth = rollback.depth
+        return min(depth, len(chain.blocks), chain.config.max_rollback_depth)
 
 
 # -- run-level metrics finalisation --------------------------------------------
@@ -515,9 +603,18 @@ class MetricsFinalizePhase(EpochPhase):
         system.metrics.sidechain_pruned_bytes = system.ledger.growth.pruned_bytes
 
 
-def default_epoch_phases() -> tuple[EpochPhase, ...]:
-    """The paper's epoch pipeline, in execution order."""
-    ingest = WorkloadIngestPhase()
+def default_epoch_phases(
+    ingest: WorkloadIngestPhase | None = None,
+) -> tuple[EpochPhase, ...]:
+    """The paper's epoch pipeline, in execution order.
+
+    ``ingest`` replaces the stock :class:`WorkloadIngestPhase` (a shard
+    converts some swaps into cross-shard transfers; the serving gateway
+    drains its admission queue); the round phase pulls each round's
+    traffic from the same object.
+    """
+    if ingest is None:
+        ingest = WorkloadIngestPhase()
     return (
         CommitteeHandoverPhase(),
         DepositMergePhase(),

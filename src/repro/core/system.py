@@ -24,12 +24,12 @@ per-epoch state between them.  Custom pipelines (extra phases, swapped
 stages) can be passed via ``epoch_phases``; the default pipeline is
 byte-identical to the historical monolithic loop.
 
-Interruptions (failed sync leaders via ``fail_sync_epochs``; mainchain
-rollbacks via :meth:`AmmBoostSystem.inject_mainchain_rollback`) are
-recovered by mass-syncing with key hand-over certificates.  Whole
-interruption timelines can be declared as a
-:class:`~repro.faults.plan.FaultPlan` and passed as ``fault_plan`` —
-see :mod:`repro.faults`.
+Interruptions (Section IV-C) are declared as a
+:class:`~repro.faults.plan.FaultPlan` passed as ``fault_plan`` — withheld
+syncs, view-change bursts, mainchain forks; see :mod:`repro.faults` —
+and applied by the default phases through ``system.faults``.  Ad-hoc
+forks go through :meth:`AmmBoostSystem.inject_mainchain_rollback`.
+Both are recovered by mass-syncing with key hand-over certificates.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from repro.core.token_bank import TokenBank
 from repro.core.transactions import IdSpace, SidechainTx
 from repro.crypto.vrf import vrf_keygen
 from repro.errors import ConfigurationError
+from repro.faults.plan import EMPTY_PLAN, FaultPlan, FaultSession, ViewChangeBurst
 from repro.mainchain.chain import Mainchain
 from repro.mainchain.contracts.erc20 import ERC20Token
 from repro.mainchain.transactions import MainchainTransaction
@@ -93,9 +94,6 @@ class AmmBoostConfig:
     initial_deposit: int = 10**24
     #: Bootstrap LP position so swaps have liquidity from round one.
     bootstrap_amount: int = 10**22
-    #: Epochs whose leader maliciously withholds the Sync call (recovered
-    #: by mass-syncing in the following epoch).
-    fail_sync_epochs: set[int] = field(default_factory=set)
     #: Remark-3 extension: wrap synced positions in transferable NFTs.
     enable_nft_positions: bool = False
     #: Reuse the elected committee and its DKG keys for this many epochs
@@ -169,7 +167,7 @@ class AmmBoostSystem:
         distribution: TrafficDistribution | None = None,
         arrivals: ArrivalProcess | None = None,
         epoch_phases: Sequence[EpochPhase] | None = None,
-        fault_plan=None,
+        fault_plan: FaultPlan | None = None,
         executor_factory=None,
     ) -> None:
         from repro.workload.generator import TrafficGenerator
@@ -179,43 +177,32 @@ class AmmBoostSystem:
         self.distribution = distribution or TrafficDistribution.uniswap_2023()
         self.arrivals = arrivals or ConstantArrivals()
 
-        # A non-empty fault plan swaps in the fault-aware phase pipeline
-        # (repro.faults.phases) and routes its withheld-sync epochs through
-        # the existing fail_sync_epochs recovery machinery; the plan's
-        # message-layer events do not apply here (the epoch-level system
-        # has no message network — consensus cost flows through the
-        # timing model).  With fault_plan=None nothing changes.
-        self.faults = None
-        if fault_plan is not None and not fault_plan.is_empty():
-            from dataclasses import replace
-
-            from repro.faults import FaultSession, faulty_epoch_phases
-
-            if not fault_plan.epoch_events():
-                raise ConfigurationError(
-                    "fault_plan contains only message-layer events, which "
-                    "the epoch-level system cannot apply (it has no message "
-                    "network) — install them on a Network / PbftRound "
-                    "instead (see repro.faults)"
-                )
-            self.faults = FaultSession(fault_plan)
-            withheld = self.faults.withheld_epochs
-            if withheld:
-                # Copy-on-write: never mutate the caller's config object.
-                self.config = replace(
-                    self.config,
-                    fail_sync_epochs=set(self.config.fail_sync_epochs) | withheld,
-                )
-            if epoch_phases is None:
-                epoch_phases = faulty_epoch_phases()
-            else:
-                self._require_fault_aware_phases(epoch_phases, fault_plan)
         self.epoch_phases: tuple[EpochPhase, ...] = tuple(
             epoch_phases if epoch_phases is not None else default_epoch_phases()
         )
         self.rng = DeterministicRng(self.config.seed)
         self.clock = SimClock()
         self.timing = AgreementTimeModel()
+        # The plan's epoch events apply inside the default phases; its
+        # message-layer events cannot (the epoch-level system has no
+        # message network — consensus cost flows through the timing model).
+        plan = fault_plan or EMPTY_PLAN
+        if not plan.is_empty() and not plan.epoch_events():
+            raise ConfigurationError(
+                "fault_plan contains only message-layer events, which "
+                "the epoch-level system cannot apply (it has no message "
+                "network) — install them on a Network / PbftRound "
+                "instead (see repro.faults)"
+            )
+        last_meta_round = self.config.rounds_per_epoch - 2
+        for burst in plan.of_type(ViewChangeBurst):
+            if burst.round_index > last_meta_round:
+                raise ConfigurationError(
+                    f"{burst} would never fire: the last meta-block round "
+                    f"of a {self.config.rounds_per_epoch}-round epoch is "
+                    f"{last_meta_round} (the summary round has no view changes)"
+                )
+        self.faults = FaultSession(plan, self.clock)
 
         # -- mainchain side ---------------------------------------------------
         self.mainchain = Mainchain(clock=self.clock)
@@ -294,35 +281,6 @@ class AmmBoostSystem:
         #: state: ``{"restored_epoch": ..., "syncs_lost": ...}``.  The
         #: sharded coordinator drains this to drive bridge compensation.
         self.bridge_rewinds: list[dict[str, int]] = []
-
-    @staticmethod
-    def _require_fault_aware_phases(epoch_phases, fault_plan) -> None:
-        """Refuse a fault plan a custom pipeline would silently half-apply.
-
-        Withheld syncs apply through the config on any pipeline, but view
-        changes happen only inside :class:`FaultyRoundExecutionPhase` and
-        rollbacks only inside :class:`FaultyPruneRecoveryPhase` — each
-        event type present in the plan needs its phase in the pipeline.
-        """
-        from repro.faults.phases import (
-            FaultyPruneRecoveryPhase,
-            FaultyRoundExecutionPhase,
-        )
-        from repro.faults.plan import Rollback, ViewChangeBurst
-
-        requirements = (
-            (ViewChangeBurst, FaultyRoundExecutionPhase),
-            (Rollback, FaultyPruneRecoveryPhase),
-        )
-        for event_type, phase_type in requirements:
-            if fault_plan.of_type(event_type) and not any(
-                isinstance(phase, phase_type) for phase in epoch_phases
-            ):
-                raise ConfigurationError(
-                    f"fault_plan contains {event_type.__name__} events but "
-                    f"the custom epoch_phases include no {phase_type.__name__}"
-                    " — those events would be silently dropped"
-                )
 
     # ------------------------------------------------------------------------
     # Setup (Figure 2)

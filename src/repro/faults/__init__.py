@@ -8,8 +8,8 @@ compiles it onto each layer it targets:
 * the message-level :class:`~repro.sidechain.pbft.PbftRound` (crashes,
   recoveries, member corruption);
 * the epoch-level :class:`~repro.core.system.AmmBoostSystem` (interrupted
-  rounds, withheld syncs, mainchain forks) through the fault-aware phases
-  of :mod:`repro.faults.phases`.
+  rounds, withheld syncs, mainchain forks), whose default epoch phases
+  (:mod:`repro.core.phases`) consult its :class:`FaultSession`.
 
 See ``src/repro/faults/README.md`` for the fault model, its mapping to
 the paper's Section III adversary, and how to register a fault scenario.
@@ -17,12 +17,6 @@ the paper's Section III adversary, and how to register a fault scenario.
 
 from repro.faults.driver import FaultDriver, node_of
 from repro.faults.generate import random_epoch_plan, random_message_plan
-from repro.faults.phases import (
-    FaultyPruneRecoveryPhase,
-    FaultyRoundExecutionPhase,
-    FaultySummarySyncPhase,
-    faulty_epoch_phases,
-)
 from repro.faults.plan import (
     EMPTY_PLAN,
     Corrupt,
@@ -51,16 +45,12 @@ __all__ = [
     "FaultPlan",
     "FaultRecord",
     "FaultSession",
-    "FaultyPruneRecoveryPhase",
-    "FaultyRoundExecutionPhase",
-    "FaultySummarySyncPhase",
     "Partition",
     "Rollback",
     "ShardFault",
     "ShardFaultBook",
     "SyncWithhold",
     "ViewChangeBurst",
-    "faulty_epoch_phases",
     "node_of",
     "random_epoch_plan",
     "random_message_plan",

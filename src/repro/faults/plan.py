@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import ConfigurationError
+from repro.simulation.clock import SimClock
+from repro.telemetry import trace
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +324,15 @@ class FaultSession:
     """Per-run fault state for the epoch-level system.
 
     Indexes the plan's epoch events for O(1) phase queries and accumulates
-    the :class:`FaultRecord` log as faults are applied.  Message-layer
-    events are ignored here — the epoch-level system has no message
-    network; its consensus cost flows through the timing model.
+    the :class:`FaultRecord` log as faults are applied; each record is
+    also a ``fault.<kind>`` trace instant at the ``clock``'s virtual time.
+    Message-layer events are ignored here — the epoch-level system has no
+    message network; its consensus cost flows through the timing model.
     """
 
-    def __init__(self, plan: FaultPlan) -> None:
+    def __init__(self, plan: FaultPlan, clock: SimClock) -> None:
         self.plan = plan
+        self.clock = clock
         self.log: list[FaultRecord] = []
         self._withheld = plan.withheld_sync_epochs()
         self._bursts: dict[tuple[int, int], int] = {}
@@ -338,10 +342,6 @@ class FaultSession:
         self._rollbacks: dict[int, Rollback] = {
             e.epoch: e for e in plan.of_type(Rollback)
         }
-
-    @property
-    def withheld_epochs(self) -> set[int]:
-        return set(self._withheld)
 
     def sync_withheld(self, epoch: int) -> bool:
         return epoch in self._withheld
@@ -365,6 +365,13 @@ class FaultSession:
             detail=detail, delay=delay,
         )
         self.log.append(record)
+        trace.instant(
+            f"fault.{kind}",
+            self.clock.now,
+            epoch=epoch,
+            round_index=round_index,
+            detail=detail,
+        )
         return record
 
     def interrupted_epochs(self) -> set[int]:
@@ -373,4 +380,4 @@ class FaultSession:
 
     def total_fault_delay(self) -> float:
         """Seconds of consensus time the applied faults cost."""
-        return sum(record.delay for record in self.log)
+        return sum((record.delay for record in self.log), 0.0)

@@ -27,6 +27,7 @@ from repro.core import phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.core.transactions import IdSpace, MintTx
 from repro.crypto.keys import generate_keypair
+from repro.faults.plan import FaultPlan, SyncWithhold
 from repro.multipool.executor import MultiPoolExecutor, PoolKey
 from repro.scenarios.spec import ScenarioSpec
 from repro.sidechain.adversary import corrupt_members, max_delay_adversary
@@ -174,11 +175,16 @@ def adversarial_point(params) -> dict:
         epochs = 3
         metrics = system.run(num_epochs=epochs)
     elif mode == "fail_sync":
-        system = AmmBoostSystem(_small_config(seed, fail_sync_epochs={1}))
+        system = AmmBoostSystem(
+            _small_config(seed), fault_plan=FaultPlan((SyncWithhold(1),))
+        )
         epochs = 3
         metrics = system.run(num_epochs=epochs)
     elif mode == "double_fail_sync":
-        system = AmmBoostSystem(_small_config(seed, fail_sync_epochs={0, 1}))
+        system = AmmBoostSystem(
+            _small_config(seed),
+            fault_plan=FaultPlan((SyncWithhold(0), SyncWithhold(1))),
+        )
         epochs = 4
         metrics = system.run(num_epochs=epochs)
     elif mode == "rollback":

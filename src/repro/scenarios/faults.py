@@ -279,14 +279,13 @@ def interrupted_recovery_point(params) -> dict:
     system = AmmBoostSystem(_recovery_config(seed), fault_plan=plan)
     metrics = system.run(num_epochs=epochs)
     synced = sum(1 for e in range(epochs) if e in system.token_bank.synced_epochs)
-    fault_log = system.faults.log if system.faults is not None else []
-    delay = system.faults.total_fault_delay() if system.faults is not None else 0.0
+    fault_log = system.faults.log
     row = [
         mode,
         metrics.processed_txs,
         metrics.num_syncs,
         len(fault_log),
-        round(delay, 3),
+        round(system.faults.total_fault_delay(), 3),
         f"{synced}/{epochs}",
         "yes" if synced == epochs else "NO",
     ]

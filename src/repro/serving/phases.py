@@ -17,14 +17,10 @@ Two additions to the default pipeline wire the gateway into an
 from __future__ import annotations
 
 from repro.core.phases import (
-    CommitteeHandoverPhase,
-    DepositMergePhase,
     EpochContext,
     EpochPhase,
-    PruneRecoveryPhase,
-    RoundExecutionPhase,
-    SummarySyncPhase,
     WorkloadIngestPhase,
+    default_epoch_phases,
 )
 from repro.serving.gateway import QuoteGateway
 
@@ -67,14 +63,8 @@ class GatewayBoundaryPhase(EpochPhase):
 
 
 def serving_epoch_phases(gateway: QuoteGateway) -> tuple[EpochPhase, ...]:
-    """The default pipeline with the gateway bridge phases installed."""
-    ingest = GatewayIngestPhase(gateway)
+    """The default pipeline fed by the gateway, then its boundary phase."""
     return (
-        CommitteeHandoverPhase(),
-        DepositMergePhase(),
-        ingest,
-        RoundExecutionPhase(ingest),
-        SummarySyncPhase(),
-        PruneRecoveryPhase(),
+        *default_epoch_phases(GatewayIngestPhase(gateway)),
         GatewayBoundaryPhase(gateway),
     )

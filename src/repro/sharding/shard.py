@@ -47,15 +47,7 @@ from typing import Any
 
 from repro.core import phases
 from repro.core.executor import SidechainExecutor
-from repro.core.phases import (
-    CommitteeHandoverPhase,
-    DepositMergePhase,
-    EpochPhase,
-    PruneRecoveryPhase,
-    RoundExecutionPhase,
-    SummarySyncPhase,
-    WorkloadIngestPhase,
-)
+from repro.core.phases import WorkloadIngestPhase
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.core.transactions import SwapTx
 from repro.errors import DepositError, EscrowError, PlacementError
@@ -333,47 +325,18 @@ class Shard:
         self._sealed_manifests: list[PoolManifest] = []
         self._rewind_cursor = 0
         self.xrng = DeterministicRng(f"{spec.chassis.seed}/xshard")
+        # The chassis pipeline with the shard-aware ingest swapped in; a
+        # per-shard fault plan applies through it exactly as on a
+        # single-system deployment.
         self.system = AmmBoostSystem(
             spec.chassis,
-            epoch_phases=self._build_phases(spec),
+            epoch_phases=phases.default_epoch_phases(ShardIngestPhase(self)),
             fault_plan=spec.fault_plan,
             executor_factory=lambda pool: ShardExecutor(pool, self),
         )
         self.system.ids.seek(stage_base(self.index, 0))
         self.system.setup()
         self.system._traffic_start = self.system.clock.now
-
-    def _build_phases(self, spec: ShardSpec) -> tuple[EpochPhase, ...]:
-        """The chassis pipeline with the shard-aware ingest swapped in.
-
-        With a per-shard fault plan the fault-aware round/summary/prune
-        stages are used, so view-change bursts and rollbacks aimed at
-        this shard apply exactly as on a single-system deployment.
-        """
-        ingest = ShardIngestPhase(self)
-        if spec.fault_plan is not None and not spec.fault_plan.is_empty():
-            from repro.faults.phases import (
-                FaultyPruneRecoveryPhase,
-                FaultyRoundExecutionPhase,
-                FaultySummarySyncPhase,
-            )
-
-            return (
-                CommitteeHandoverPhase(),
-                DepositMergePhase(),
-                ingest,
-                FaultyRoundExecutionPhase(ingest),
-                FaultySummarySyncPhase(),
-                FaultyPruneRecoveryPhase(),
-            )
-        return (
-            CommitteeHandoverPhase(),
-            DepositMergePhase(),
-            ingest,
-            RoundExecutionPhase(ingest),
-            SummarySyncPhase(),
-            PruneRecoveryPhase(),
-        )
 
     # -- traffic ---------------------------------------------------------------
 
@@ -699,11 +662,7 @@ class Shard:
             supply1=supply1,
             epochs_synced=self._epochs_synced(),
             epochs_run=self.epochs_run,
-            fault_log_len=(
-                len(self.system.faults.log)
-                if self.system.faults is not None
-                else 0
-            ),
+            fault_log_len=len(self.system.faults.log),
             state_digest=self.state_digest(),
         )
 

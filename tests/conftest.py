@@ -7,6 +7,7 @@ import pytest
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
+from repro.faults import FaultPlan, SyncWithhold
 from repro.simulation.clock import SimClock
 from repro.simulation.events import EventScheduler
 from repro.simulation.network import Network
@@ -63,7 +64,7 @@ def funded_pool(pool):
     return pool
 
 
-def small_system(**overrides) -> AmmBoostSystem:
+def small_system(fault_plan: FaultPlan | None = None, **overrides) -> AmmBoostSystem:
     """An ammBoost deployment small enough for per-test runs."""
     defaults = dict(
         committee_size=8,
@@ -74,7 +75,12 @@ def small_system(**overrides) -> AmmBoostSystem:
         seed=7,
     )
     defaults.update(overrides)
-    return AmmBoostSystem(AmmBoostConfig(**defaults))
+    return AmmBoostSystem(AmmBoostConfig(**defaults), fault_plan=fault_plan)
+
+
+def withheld_syncs(*epochs: int) -> FaultPlan:
+    """A plan whose leaders withhold the Sync call in ``epochs``."""
+    return FaultPlan(tuple(SyncWithhold(epoch) for epoch in epochs))
 
 
 @pytest.fixture

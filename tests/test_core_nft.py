@@ -7,7 +7,7 @@ from repro.core.transactions import BurnTx, MintTx, SwapTx
 from repro.errors import RevertError
 from repro.mainchain.contracts.base import CallContext
 from repro.mainchain.gas import GasMeter
-from tests.conftest import small_system
+from tests.conftest import small_system, withheld_syncs
 
 
 def nft_system(**overrides):
@@ -106,7 +106,7 @@ def test_nft_burned_with_position():
 
 
 def test_nft_mint_idempotent_across_mass_sync():
-    system = nft_system(fail_sync_epochs={0})
+    system = nft_system(fault_plan=withheld_syncs(0))
     system.run(num_epochs=2)
     token_ids = [
         system.nft_registry.token_of(pid) for pid in system.token_bank.positions

@@ -10,11 +10,11 @@ import pytest
 
 from repro.core import phases
 from repro.mainchain.transactions import TxStatus
-from tests.conftest import small_system
+from tests.conftest import small_system, withheld_syncs
 
 
 def test_failed_sync_recovered_by_mass_sync():
-    system = small_system(fail_sync_epochs={1})
+    system = small_system(fault_plan=withheld_syncs(1))
     metrics = system.run(num_epochs=3)
     # Epoch 1 produced no sync of its own, but epoch 2's mass-sync covers it.
     assert system.ledger.is_synced(0)
@@ -32,7 +32,7 @@ def test_failed_sync_recovered_by_mass_sync():
 
 
 def test_mass_sync_payload_uses_handover_certificates():
-    system = small_system(fail_sync_epochs={1})
+    system = small_system(fault_plan=withheld_syncs(1))
     system.run(num_epochs=3)
     sync_txs = [
         tx
@@ -47,7 +47,7 @@ def test_mass_sync_payload_uses_handover_certificates():
 
 def test_failed_sync_delays_payouts_not_loses_them():
     baseline = small_system().run(num_epochs=3)
-    delayed = small_system(fail_sync_epochs={1}).run(num_epochs=3)
+    delayed = small_system(fault_plan=withheld_syncs(1)).run(num_epochs=3)
     # Same traffic processed, payouts all recorded, but later on average.
     assert delayed.payout_latency.count == pytest.approx(
         baseline.payout_latency.count, rel=0.05
@@ -56,7 +56,7 @@ def test_failed_sync_delays_payouts_not_loses_them():
 
 
 def test_consecutive_failed_syncs():
-    system = small_system(fail_sync_epochs={0, 1})
+    system = small_system(fault_plan=withheld_syncs(0, 1))
     system.run(num_epochs=4)
     for epoch in range(3):
         assert system.ledger.is_synced(epoch)
@@ -73,7 +73,7 @@ def test_consecutive_failed_syncs():
 
 
 def test_state_consistent_after_recovery():
-    system = small_system(fail_sync_epochs={1})
+    system = small_system(fault_plan=withheld_syncs(1))
     system.run(num_epochs=3)
     for user, balance in system.executor.deposits.items():
         assert system.token_bank.deposit_of(user) == (balance[0], balance[1])
@@ -81,7 +81,7 @@ def test_state_consistent_after_recovery():
 
 def test_pruning_deferred_until_mass_sync():
     """Meta-blocks of the failed epoch must survive until recovery."""
-    system = small_system(fail_sync_epochs={1})
+    system = small_system(fault_plan=withheld_syncs(1))
     system.setup()
     system._traffic_start = system.clock.now
     system._run_epoch(0, inject=True)
@@ -130,7 +130,7 @@ def test_rollback_without_syncs_is_noop():
 
 
 def test_recovered_run_still_conserves_tokens():
-    system = small_system(fail_sync_epochs={1})
+    system = small_system(fault_plan=withheld_syncs(1))
     system.run(num_epochs=3)
     held0 = system.token0.balance_of("tokenbank")
     deposits0 = sum(b[0] for b in system.token_bank.deposits.values())

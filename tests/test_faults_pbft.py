@@ -7,6 +7,8 @@ charge cross-checks against the message-level engine through
 :class:`~repro.sidechain.timing.AgreementTimeModel` where sizes overlap.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro import constants
@@ -235,38 +237,92 @@ def test_retry_rearm_survives_entering_a_new_view():
     assert_safe(pbft)
 
 
+def _epoch_config(**overrides) -> AmmBoostConfig:
+    defaults = dict(
+        committee_size=8, miner_population=16, num_users=8,
+        daily_volume=100_000, rounds_per_epoch=4, seed=5,
+    )
+    defaults.update(overrides)
+    return AmmBoostConfig(**defaults)
+
+
 def test_fault_plan_does_not_mutate_callers_config():
     """Regression: withheld-sync epochs must not leak into a shared config."""
-    config = AmmBoostConfig(
-        committee_size=8, miner_population=16, num_users=8,
-        daily_volume=100_000, rounds_per_epoch=4, seed=5,
-    )
-    plan = FaultPlan((SyncWithhold(epoch=1),))
-    system = AmmBoostSystem(config, fault_plan=plan)
-    assert config.fail_sync_epochs == set()
-    assert system.config.fail_sync_epochs == {1}
-    assert system.config is not config
+    config = _epoch_config()
+    before = asdict(config)
+    system = AmmBoostSystem(config, fault_plan=FaultPlan((SyncWithhold(epoch=1),)))
+    system.run(num_epochs=2)
+    assert asdict(config) == before
+    assert system.faults.sync_withheld(1)
+    assert not system.faults.sync_withheld(0)
+    # A second deployment on the same config withholds nothing.
+    assert not AmmBoostSystem(config).faults.sync_withheld(1)
 
 
-def test_fault_plan_with_unaware_custom_phases_is_rejected():
-    """A plan a custom pipeline would half-apply must fail loudly."""
+def test_fault_plan_applies_on_any_default_pipeline():
+    """An explicitly passed default pipeline applies a plan whole.
+
+    The summary round ends after the stretched meta-block rounds, so a
+    run is the same whether the pipeline is implicit or explicit.
+    """
     from repro.core.phases import default_epoch_phases
-    from repro.errors import ConfigurationError
-    from repro.faults import faulty_epoch_phases
 
-    config = AmmBoostConfig(
-        committee_size=8, miner_population=16, num_users=8,
-        daily_volume=100_000, rounds_per_epoch=4, seed=5,
+    plan = FaultPlan(
+        (
+            ViewChangeBurst(epoch=0, round_index=1, views=3),
+            ViewChangeBurst(epoch=1, round_index=2, views=1),
+        )
     )
-    plan = FaultPlan((ViewChangeBurst(epoch=0, round_index=0),))
-    with pytest.raises(ConfigurationError):
-        AmmBoostSystem(config, epoch_phases=default_epoch_phases(),
-                       fault_plan=plan)
-    # A custom pipeline that includes the fault-aware phases is fine.
-    AmmBoostSystem(config, epoch_phases=faulty_epoch_phases(), fault_plan=plan)
-    # Withheld syncs work through the config on any pipeline.
-    AmmBoostSystem(config, epoch_phases=default_epoch_phases(),
-                   fault_plan=FaultPlan((SyncWithhold(epoch=1),)))
+
+    def run(system):
+        contexts, roots = [], {}
+        run_epoch, append = system._run_epoch, system.ledger.append_meta_block
+
+        def recording_epoch(epoch, inject):
+            contexts.append(run_epoch(epoch, inject))
+            return contexts[-1]
+
+        def recording_append(block):
+            roots.setdefault(block.epoch, []).append(block.tx_root)
+            append(block)
+
+        system._run_epoch = recording_epoch
+        system.ledger.append_meta_block = recording_append
+        metrics = system.run(num_epochs=2)
+        log = [asdict(record) for record in system.faults.log]
+        return contexts[:2], roots, log, metrics.summary()
+
+    implicit = run(AmmBoostSystem(_epoch_config(), fault_plan=plan))
+    explicit_system = AmmBoostSystem(
+        _epoch_config(), epoch_phases=default_epoch_phases(), fault_plan=plan
+    )
+    explicit = run(explicit_system)
+    assert explicit[1:] == implicit[1:]
+    assert [r["kind"] for r in explicit[2]] == ["view_change", "view_change"]
+
+    duration = explicit_system.config.round_duration
+    agreement = explicit_system.timing.agreement_time(8)
+    for ctx, views in zip(explicit[0], (3, 1)):
+        assert ctx.fault_delay == pytest.approx(views * agreement)
+        assert ctx.summary_end == (
+            ctx.epoch_start + (ctx.rounds_used + 1) * duration + ctx.fault_delay
+        )
+
+
+def test_view_change_burst_on_the_summary_round_is_rejected():
+    """A burst aimed at the summary round (or beyond) could never fire."""
+    from repro.errors import ConfigurationError
+
+    for round_index in (3, 7):
+        plan = FaultPlan((ViewChangeBurst(epoch=0, round_index=round_index),))
+        with pytest.raises(ConfigurationError, match="ViewChangeBurst") as info:
+            AmmBoostSystem(_epoch_config(), fault_plan=plan)
+        assert "last meta-block round of a 4-round epoch is 2" in str(info.value)
+    # The last meta-block round itself is a valid target.
+    plan = FaultPlan((ViewChangeBurst(epoch=0, round_index=2),))
+    system = AmmBoostSystem(_epoch_config(), fault_plan=plan)
+    system.run(num_epochs=1)
+    assert [r.round_index for r in system.faults.log] == [2]
 
 
 def test_message_only_plan_is_rejected_at_the_epoch_layer():

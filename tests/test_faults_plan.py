@@ -16,6 +16,7 @@ from repro.faults import (
     SyncWithhold,
     ViewChangeBurst,
 )
+from repro.simulation.clock import SimClock
 
 
 # -- event validation ----------------------------------------------------------
@@ -119,7 +120,7 @@ def test_extend_returns_new_plan():
 
 
 def test_session_indexes_epoch_events():
-    session = FaultSession(_mixed_plan())
+    session = FaultSession(_mixed_plan(), SimClock())
     assert session.sync_withheld(1)
     assert not session.sync_withheld(0)
     assert session.view_changes(0, 2) == 2
@@ -135,11 +136,11 @@ def test_session_merges_bursts_on_the_same_round():
             ViewChangeBurst(epoch=0, round_index=1, views=2),
         )
     )
-    assert FaultSession(plan).view_changes(0, 1) == 3
+    assert FaultSession(plan, SimClock()).view_changes(0, 1) == 3
 
 
 def test_session_log_and_interrupted_epochs():
-    session = FaultSession(EMPTY_PLAN)
+    session = FaultSession(EMPTY_PLAN, SimClock())
     assert session.interrupted_epochs() == set()
     session.record(1, "view_change", round_index=0, delay=0.5)
     session.record(2, "rollback")

@@ -148,9 +148,7 @@ def test_generated_epoch_plan_invariants(case):
     assert held1 == deposits1 + system.token_bank.pool_balance1, plan
 
     # No silent hangs: every traffic epoch finalized or logged interrupted.
-    interrupted = (
-        system.faults.interrupted_epochs() if system.faults is not None else set()
-    )
+    interrupted = system.faults.interrupted_epochs()
     for epoch in range(epochs):
         finalized = epoch in system.token_bank.synced_epochs
         assert finalized or epoch in interrupted, (

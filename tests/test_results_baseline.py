@@ -15,6 +15,11 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 #: full grid is the nightly CI job.
 FAST = ["table4", "table12"]
 
+#: Committed fixtures re-run live in tier-1: the cheap paper tables plus
+#: the two scenarios that drive withheld syncs, view-change bursts and
+#: forks through one epoch pipeline.
+LIVE = FAST + ["interrupted_recovery", "adversarial"]
+
 
 def test_export_then_check_roundtrip(tmp_path):
     outcome = export_baselines(FAST, golden_dir=tmp_path)
@@ -88,8 +93,12 @@ def test_baseline_cli(tmp_path, monkeypatch, capsys):
 #: Extra scenarios whose fixtures ride the nightly golden grid alongside
 #: the paper set (PR 5: the shard engine's regression net; PR 6: the
 #: recovery engine's — forks, migrations; PR 8: the serving gateway's
-#: typed-overload behaviour; PR 16: its closed-loop latency log).
+#: typed-overload behaviour; PR 16: its closed-loop latency log; the
+#: epoch-level interruption scenarios, pinned before the fault phases
+#: folded into the default pipeline).
 EXTRA_GOLDEN = {
+    "interrupted_recovery",
+    "adversarial",
     "shard_scaling",
     "hot_shard",
     "cross_shard_ratio",
@@ -125,4 +134,4 @@ def test_committed_fixtures_are_wellformed():
 def test_committed_fast_fixtures_still_reproduce():
     """The live half of the golden gate in tier-1: cheap scenarios only
     (the nightly workflow checks every fixture)."""
-    assert check_baselines(FAST, golden_dir=GOLDEN_DIR).ok
+    assert check_baselines(LIVE, golden_dir=GOLDEN_DIR).ok

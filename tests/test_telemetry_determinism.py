@@ -153,6 +153,40 @@ def test_profiler_does_not_change_results():
     assert sum(shares) == pytest.approx(1.0)
 
 
+def test_applied_faults_are_trace_instants():
+    """A faulted run says what degraded: one ``fault.<kind>`` instant per
+    fault-log record, at the system's virtual time, under the default
+    phase span names — and tracing it changes nothing."""
+    from repro.scenarios.faults import interrupted_recovery_point
+
+    params = {"mode": "stacked", "seed": 0}
+    untraced = interrupted_recovery_point(params)
+    trace.enable()
+    traced = interrupted_recovery_point(params)
+    events = trace.drain()
+    assert traced == untraced
+
+    faults = [e for e in events if e["name"].startswith("fault.")]
+    names = [e["name"] for e in faults]
+    assert names.count("fault.view_change") == 2
+    assert names.count("fault.sync_withheld") == 1
+    assert names.count("fault.rollback") == 1
+    assert [
+        (e["name"], e["args"]["epoch"], e["args"]["round_index"], e["args"]["detail"])
+        for e in faults
+    ] == [
+        (f"fault.{r['kind']}", r["epoch"], r["round_index"], r["detail"])
+        for r in traced["fault_log"]
+    ]
+    assert all(e["ph"] == "i" and e["ts"] > 0.0 for e in faults)
+    phase_spans = {
+        e["name"] for e in events if e["name"].startswith("phase.")
+    }
+    assert {"phase.round_execution", "phase.summary_sync",
+            "phase.prune_recovery"} <= phase_spans
+    assert not any("faulty" in name for name in phase_spans)
+
+
 def test_scenario_runner_traces_are_jobs_invariant(monkeypatch):
     """--jobs 1 and --jobs 2 produce identical merged scenario traces."""
     from repro import scenarios
