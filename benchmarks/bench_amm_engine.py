@@ -358,11 +358,10 @@ def make_system_epoch_op():
     )
     system = AmmBoostSystem(config)
     system.setup()
-    system._traffic_start = system.clock.now
     state = {"epoch": 0}
 
     def op():
-        system._run_epoch(state["epoch"], inject=True)
+        system.run_epoch(state["epoch"], inject=True)
         state["epoch"] += 1
 
     rho = arrival_rate_per_round(SYSTEM_EPOCH_VOLUME, config.round_duration)

@@ -375,49 +375,71 @@ def measure_serving_latency(mode: str) -> dict:
     return block
 
 
+def traced_system_epochs(epochs: int) -> list[dict]:
+    """Run ``epochs`` of the ``system_epoch`` op with tracing on; return the events."""
+    from repro.telemetry import trace
+
+    trace.enable()
+    try:
+        op = bench_amm_engine.make_system_epoch_op()
+        try:
+            for _ in range(epochs):
+                op()
+        finally:
+            cleanup = getattr(op, "cleanup", None)
+            if cleanup is not None:
+                cleanup()
+        return trace.drain()
+    finally:
+        trace.disable()
+
+
 def measure_phase_profile(mode: str) -> dict:
     """Per-phase wall-time breakdown of the epoch loop.
 
-    Installs the telemetry :class:`~repro.telemetry.profile.PhaseProfiler`
-    and drives the ``system_epoch`` op through it, so the report shows
-    where each epoch's wall time goes (inject, rounds, boundary, ...).
-    Wall-clock numbers — machine-dependent trajectory data like
-    ``serving_latency``; ``compare`` never folds this block into the
-    gated scenarios table.
+    Drives the ``system_epoch`` op with tracing on and sums the
+    ``wall_dur`` of its ``phase.*`` spans per span name (epochs are
+    counted from ``epoch.run``), so the report shows where each epoch's
+    wall time goes (inject, rounds, boundary, ...).  Wall-clock numbers —
+    machine-dependent trajectory data like ``serving_latency``;
+    ``compare`` never folds this block into the gated scenarios table.
     """
-    from repro.telemetry import profile as phase_profile
-
     epochs = {"full": 60, "gate": 20, "quick": 5}[mode]
-    op = bench_amm_engine.make_system_epoch_op()
-    profiler = phase_profile.PhaseProfiler()
-    phase_profile.install(profiler)
-    try:
-        for _ in range(epochs):
-            op()
-    finally:
-        phase_profile.uninstall()
-        cleanup = getattr(op, "cleanup", None)
-        if cleanup is not None:
-            cleanup()
-    summary = profiler.summary()
-    block = {
-        "unit": "wall seconds by epoch phase (system_epoch op)",
-        **summary,
+    totals: dict[str, float] = {}
+    calls: dict[str, int] = {}
+    epochs_seen = 0
+    for event in traced_system_epochs(epochs):
+        if event["ph"] != "X":
+            continue
+        name = event["name"]
+        if name == "epoch.run":
+            epochs_seen += 1
+        elif name.startswith("phase."):
+            totals[name] = totals.get(name, 0.0) + event["wall_dur"]
+            calls[name] = calls.get(name, 0) + 1
+    grand_total = sum(totals.values())
+    phases = {
+        name: {
+            "total_s": totals[name],
+            "calls": calls[name],
+            "mean_us": totals[name] / calls[name] * 1e6,
+            "share": totals[name] / grand_total if grand_total else 0.0,
+        }
+        for name in sorted(totals)
     }
-    top = max(
-        summary["phases"].items(),
-        key=lambda item: item[1]["total_s"],
-        default=(None, None),
-    )
-    if top[0] is not None:
+    if phases:
+        top = max(phases, key=lambda name: phases[name]["total_s"])
         print(
             "phase_profile: {} epoch(s), heaviest phase {} "
-            "({:.0%} of epoch time)".format(
-                summary["epochs"], top[0], top[1]["share"]
-            ),
+            "({:.0%} of epoch time)".format(epochs_seen, top, phases[top]["share"]),
             file=sys.stderr,
         )
-    return block
+    return {
+        "unit": "wall seconds by epoch phase span (system_epoch op)",
+        "epochs": epochs_seen,
+        "total_s": grand_total,
+        "phases": phases,
+    }
 
 
 #: Scenarios the cross-backend comparison runs: the two tightest math
@@ -566,21 +588,9 @@ def export_trace(out: Path, epochs: int = 3) -> None:
     Runs *after* every timed measurement so tracing overhead never leaks
     into the report's numbers.
     """
-    from repro.telemetry import export, trace
+    from repro.telemetry import export
 
-    trace.enable()
-    try:
-        op = bench_amm_engine.make_system_epoch_op()
-        try:
-            for _ in range(epochs):
-                op()
-        finally:
-            cleanup = getattr(op, "cleanup", None)
-            if cleanup is not None:
-                cleanup()
-        events = trace.drain()
-    finally:
-        trace.disable()
+    events = traced_system_epochs(epochs)
     document = export.to_chrome_trace(events)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(document) + "\n")

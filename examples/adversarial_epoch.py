@@ -14,7 +14,6 @@ Run with::
 """
 
 from repro import constants
-from repro.core import phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.crypto.keys import generate_keypair
 from repro.faults import FaultPlan, SyncWithhold
@@ -84,10 +83,8 @@ def demo_rollback() -> None:
         )
     )
     system.setup()
-    system._traffic_start = system.clock.now
-    system._run_epoch(0, inject=True)
-    system.mainchain.produce_blocks_until(system.clock.now + 36)
-    phases.check_pending_syncs(system)
+    system.run_epoch(0, inject=True)
+    system.settle_syncs()
     print(f"  epoch 0 synced, TokenBank at epoch {system.token_bank.last_synced_epoch}")
 
     sync_tx = next(
@@ -99,9 +96,8 @@ def demo_rollback() -> None:
     print(f"  rollback of {depth} blocks abandoned {affected} sync tx; "
           f"TokenBank rewound to epoch {system.token_bank.last_synced_epoch}")
 
-    system._run_epoch(1, inject=True)
-    system.mainchain.produce_blocks_until(system.clock.now + 36)
-    phases.check_pending_syncs(system)
+    system.run_epoch(1, inject=True)
+    system.settle_syncs()
     print(f"  next epoch mass-synced; TokenBank now at epoch "
           f"{system.token_bank.last_synced_epoch}")
     consistent = all(

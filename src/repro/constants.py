@@ -138,6 +138,9 @@ DEFAULT_NUM_USERS = 100
 DEFAULT_NUM_EPOCHS = 11
 #: Default daily transaction volume used in several experiments.
 DEFAULT_DAILY_VOLUME = 25_000_000
+#: Runaway guard: epochs a run may spend draining its backlog after
+#: traffic stops before it fails with ``ConfigurationError``.
+MAX_DRAIN_EPOCHS = 2000
 
 #: Mainchain (Sepolia-like) block interval, seconds.
 MAINCHAIN_BLOCK_INTERVAL_S = 12.0

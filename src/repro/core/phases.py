@@ -23,7 +23,11 @@ object operating on the system plus a per-epoch :class:`EpochContext`:
 Phases are stateless: all mutable state lives on the system and the
 context, so one phase tuple can be shared by every epoch and system.  The
 default pipeline reproduces the monolithic loop *byte-identically* — same
-call order, same RNG streams, same clock arithmetic.
+call order, same RNG streams, same clock arithmetic.  Phases cover one
+epoch only: :meth:`~repro.core.system.AmmBoostSystem.run_epoch` runs them
+(each inside a ``phase.*`` trace span), and the run-level steps around
+the epochs — setup, the final sync settle, metrics folding — are the
+system's own methods.
 
 Section IV-C interruptions apply inside phases 4-6 through the system's
 :class:`~repro.faults.plan.FaultSession` (view-change bursts, withheld
@@ -566,10 +570,7 @@ class PruneRecoveryPhase(EpochPhase):
         if rollback.depth is None:
             # Give the pending sync a few blocks to land, as the recovery
             # experiments do, then abandon everything from its block on.
-            chain.produce_blocks_until(
-                system.clock.now + 3 * chain.config.block_interval
-            )
-            check_pending_syncs(system)
+            system.settle_syncs()
             sync_blocks = [
                 tx.block_number
                 for block in chain.blocks
@@ -582,25 +583,6 @@ class PruneRecoveryPhase(EpochPhase):
         else:
             depth = rollback.depth
         return min(depth, len(chain.blocks), chain.config.max_rollback_depth)
-
-
-# -- run-level metrics finalisation --------------------------------------------
-
-
-class MetricsFinalizePhase(EpochPhase):
-    """Fold run-wide measurements into the collector (after the last epoch)."""
-
-    def run(self, system, ctx: EpochContext | None = None) -> None:
-        system.metrics.elapsed_seconds = system.clock.now - system._traffic_start
-        for block in system.mainchain.blocks:
-            for tx in block.transactions:
-                system.metrics.record_gas(tx.gas_breakdown)
-        system.metrics.mainchain_growth_bytes = system.mainchain.growth.tx_bytes
-        system.metrics.sidechain_growth_bytes = (
-            system.ledger.growth.total_bytes_appended
-        )
-        system.metrics.sidechain_live_bytes = system.ledger.current_bytes
-        system.metrics.sidechain_pruned_bytes = system.ledger.growth.pruned_bytes
 
 
 def default_epoch_phases(

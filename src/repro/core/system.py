@@ -16,13 +16,19 @@ metric collection — and runs the paper's experiment loop:
 * after the configured epochs the queue is drained (the paper's "empty
   the transaction queues after the end of each run").
 
-The epoch loop itself is decomposed into composable phase objects
-(:mod:`repro.core.phases`): this class owns the substrates and run-level
-control flow, each :class:`~repro.core.phases.EpochPhase` owns one stage
-of the loop, and an :class:`~repro.core.phases.EpochContext` carries the
-per-epoch state between them.  Custom pipelines (extra phases, swapped
-stages) can be passed via ``epoch_phases``; the default pipeline is
-byte-identical to the historical monolithic loop.
+This class owns the substrates and a run's lifecycle.  Four public
+methods are the only way any driver (``run``, a shard, a serving run, a
+scenario) moves a deployment: :meth:`~AmmBoostSystem.setup` deploys and
+starts the traffic clock, :meth:`~AmmBoostSystem.run_epoch` runs one
+epoch, :meth:`~AmmBoostSystem.settle_syncs` lets submitted syncs land and
+:meth:`~AmmBoostSystem.finalize_metrics` folds the run-wide measurements.
+The epoch itself is decomposed into composable phase objects
+(:mod:`repro.core.phases`): each :class:`~repro.core.phases.EpochPhase`
+owns one stage of the loop, and an
+:class:`~repro.core.phases.EpochContext` carries the per-epoch state
+between them.  Custom pipelines (extra phases, swapped stages) can be
+passed via ``epoch_phases``; the default pipeline is byte-identical to
+the historical monolithic loop.
 
 Interruptions (Section IV-C) are declared as a
 :class:`~repro.faults.plan.FaultPlan` passed as ``fault_plan`` — withheld
@@ -34,7 +40,6 @@ Both are recovered by mass-syncing with key hand-over certificates.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -47,7 +52,6 @@ from repro.core.executor import SidechainExecutor
 from repro.core.phases import (
     EpochContext,
     EpochPhase,
-    MetricsFinalizePhase,
     default_epoch_phases,
     phase_trace_name,
 )
@@ -67,7 +71,7 @@ from repro.sidechain.chain import SidechainLedger
 from repro.sidechain.election import Committee
 from repro.sidechain.timing import AgreementTimeModel
 from repro.simulation.clock import SimClock
-from repro.telemetry import profile, trace
+from repro.telemetry import trace
 from repro.simulation.rng import DeterministicRng
 from repro.workload.arrivals import ArrivalProcess, ConstantArrivals
 # Imported lazily inside __init__ to avoid a package-import cycle
@@ -103,8 +107,6 @@ class AmmBoostConfig:
     #: window; the TokenBank still verifies every sync because a sync
     #: signed under an unchanged group key needs no hand-over chain.
     committee_reuse_epochs: int = 1
-    #: Cap on drain epochs after traffic stops (guards runaway runs).
-    max_drain_epochs: int = 2000
     #: Seed for the user population only (default: ``seed``).  A sharded
     #: deployment gives every shard its own ``seed`` (independent
     #: committees, DKG and traffic streams) while sharing one
@@ -287,7 +289,11 @@ class AmmBoostSystem:
     # ------------------------------------------------------------------------
 
     def setup(self) -> None:
-        """Deploy-time system setup: pool, deposits, genesis committee."""
+        """Deploy-time system setup: pool, deposits, genesis committee.
+
+        Ends by starting the traffic clock that ``elapsed_seconds`` (and
+        so throughput) is measured from.
+        """
         if self._setup_done:
             raise ConfigurationError("setup already ran")
         self._setup_done = True
@@ -327,6 +333,7 @@ class AmmBoostSystem:
         self.mainchain.produce_blocks_until(
             self.clock.now + blocks_needed * self.mainchain.config.block_interval
         )
+        self._traffic_start = self.clock.now
 
     def _submit_deposit(self, user: str, amount0: int, amount1: int) -> None:
         """The deposit pipeline: two sequential approvals, then Deposit.
@@ -361,51 +368,61 @@ class AmmBoostSystem:
         """
         if not self._setup_done:
             self.setup()
-        if self._traffic_start is None:
-            self._traffic_start = self.clock.now
         target = self._next_epoch + num_epochs
         while True:
             inject = self._next_epoch < target
             if not inject and not self.queue:
                 break
-            self._run_epoch(self._next_epoch, inject=inject)
+            self.run_epoch(self._next_epoch, inject=inject)
             self._next_epoch += 1
-            if self._next_epoch >= target + self.config.max_drain_epochs:
+            if self._next_epoch >= target + constants.MAX_DRAIN_EPOCHS:
                 raise ConfigurationError(
-                    "drain did not complete; raise max_drain_epochs"
+                    f"drain did not complete within {constants.MAX_DRAIN_EPOCHS} epochs"
                 )
-        # Let the final sync confirm, then settle the books.
-        self.mainchain.produce_blocks_until(
-            self.clock.now + 3 * self.mainchain.config.block_interval
-        )
-        epoch_phases_mod.check_pending_syncs(self)
-        MetricsFinalizePhase().run(self)
-        return self.metrics
+        self.settle_syncs()
+        return self.finalize_metrics()
 
-    def _run_epoch(self, epoch: int, inject: bool) -> EpochContext:
+    def run_epoch(self, epoch: int, inject: bool) -> EpochContext:
         """Run one epoch through the phase pipeline; returns its context.
 
-        Every phase runs inside a trace span (the shared no-op span while
-        tracing is off) and is timed for the profiler when one is
-        installed.  Both only *observe* — clock reads and wall-time
-        stamps — and must never alter simulation state.
+        Every phase runs inside a ``phase.*`` trace span (the shared no-op
+        span while tracing is off).  Spans only *observe* — clock reads
+        and wall-time stamps — and never alter simulation state.
         """
         ctx = EpochContext(epoch=epoch, inject=inject, epoch_start=self.clock.now)
-        profiler = profile.active()
         clock = lambda: self.clock.now  # noqa: E731 - span endpoint reader
         with trace.span("epoch.run", clock, epoch=epoch, inject=inject):
             for phase in self.epoch_phases:
                 with trace.span(phase_trace_name(phase), clock, epoch=epoch):
-                    wall_start = time.perf_counter()
                     phase.run(self, ctx)
-                    if profiler is not None:
-                        profiler.record(
-                            type(phase).__name__,
-                            time.perf_counter() - wall_start,
-                        )
-        if profiler is not None:
-            profiler.record_epoch()
         return ctx
+
+    def settle_syncs(self) -> None:
+        """Let submitted syncs land: three block intervals, then confirm."""
+        self.mainchain.produce_blocks_until(
+            self.clock.now + 3 * self.mainchain.config.block_interval
+        )
+        # Through the module attribute, so a rebinding wrapper sees the call.
+        epoch_phases_mod.check_pending_syncs(self)
+
+    def finalize_metrics(self) -> MetricsCollector:
+        """Fold run-wide measurements into the collector and return it.
+
+        Gas is re-folded from zero over the whole chain, so a resumed
+        ``run`` reports the chain's gas instead of counting blocks twice.
+        """
+        metrics = self.metrics
+        metrics.elapsed_seconds = self.clock.now - self._traffic_start
+        metrics.gas_by_label = {}
+        metrics.total_gas = 0
+        for block in self.mainchain.blocks:
+            for tx in block.transactions:
+                metrics.record_gas(tx.gas_breakdown)
+        metrics.mainchain_growth_bytes = self.mainchain.growth.tx_bytes
+        metrics.sidechain_growth_bytes = self.ledger.growth.total_bytes_appended
+        metrics.sidechain_live_bytes = self.ledger.current_bytes
+        metrics.sidechain_pruned_bytes = self.ledger.growth.pruned_bytes
+        return metrics
 
     # -- fault injection ------------------------------------------------------------------
 

@@ -12,62 +12,19 @@ from dataclasses import dataclass, field
 from repro.telemetry.metrics import LogHistogram
 
 
-@dataclass
-class LatencyStats:
-    """Streaming latency accumulator (mean/min/max without storing all).
+class LatencyStats(LogHistogram):
+    """Streaming latency histogram: a :class:`LogHistogram` of durations.
 
-    Also feeds a log-scale histogram so percentiles are available
-    without retaining samples; percentiles are deterministic across
-    merge orders (bucket counts just add).
+    Its one addition is refusing negative latencies, which only a clock
+    bug produces.
     """
 
-    count: int = 0
-    total: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = 0.0
-    histogram: LogHistogram = field(default_factory=LogHistogram, repr=False)
+    __slots__ = ()
 
     def record(self, value: float) -> None:
         if value < 0:
             raise ValueError(f"negative latency: {value}")
-        self.count += 1
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        self.histogram.record(value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Streaming quantile (``q`` in [0, 1]); 0.0 when empty."""
-        return self.histogram.quantile(q)
-
-    def merge(self, other: "LatencyStats") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        self.histogram.merge(other.histogram)
-
-    def as_dict(self) -> dict:
-        """Strict-JSON-safe summary.
-
-        An empty stat keeps ``minimum = inf`` internally (the identity
-        for ``min`` under merge), but ``inf`` is not valid strict JSON
-        and the artifact store serializes with ``allow_nan=False`` —
-        so an empty stat reports ``min: 0.0`` here.
-        """
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum,
-            "p50": self.percentile(0.50),
-            "p90": self.percentile(0.90),
-            "p99": self.percentile(0.99),
-        }
+        super().record(value)
 
 
 @dataclass

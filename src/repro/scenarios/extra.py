@@ -23,7 +23,6 @@ substreams, so tables are stable across runs and job counts.
 from __future__ import annotations
 
 from repro import constants
-from repro.core import phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.core.transactions import IdSpace, MintTx
 from repro.crypto.keys import generate_keypair
@@ -190,10 +189,8 @@ def adversarial_point(params) -> dict:
     elif mode == "rollback":
         system = AmmBoostSystem(_small_config(seed))
         system.setup()
-        system._traffic_start = system.clock.now
-        system._run_epoch(0, inject=True)
-        system.mainchain.produce_blocks_until(system.clock.now + 36)
-        phases.check_pending_syncs(system)
+        system.run_epoch(0, inject=True)
+        system.settle_syncs()
         sync_tx = next(
             tx
             for block in system.mainchain.blocks
@@ -202,12 +199,10 @@ def adversarial_point(params) -> dict:
         )
         depth = system.mainchain.height - sync_tx.block_number
         system.inject_mainchain_rollback(depth)
-        system._run_epoch(1, inject=True)
-        system.mainchain.produce_blocks_until(system.clock.now + 36)
-        phases.check_pending_syncs(system)
-        phases.MetricsFinalizePhase().run(system)
+        system.run_epoch(1, inject=True)
+        system.settle_syncs()
+        metrics = system.finalize_metrics()
         epochs = 2
-        metrics = system.metrics
     else:
         raise ValueError(f"unknown adversarial mode {mode!r}")
 

@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.core import phases
+from repro import constants
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.errors import ConfigurationError
 from repro.serving.clients import ClientFleet, FleetConfig
@@ -56,7 +56,6 @@ class ServingConfig:
     rounds_per_epoch: int = 6
     committee_size: int = 8
     miner_population: int = 16
-    max_drain_epochs: int = 50
 
 
 @dataclass
@@ -145,17 +144,16 @@ class ServingRun:
         system = self.system
         gateway = self.gateway
         system.setup()
-        system._traffic_start = system.clock.now
 
         # Warm-up: bootstrap LP + one epoch of generated load so the book
         # has depth before the first snapshot is published.
-        system._run_epoch(0, inject=True)
+        system.run_epoch(0, inject=True)
         epoch = 0
 
         for _ in range(cfg.epochs):
             self.fleet.run_window(cfg.ticks_per_epoch)
             epoch += 1
-            system._run_epoch(epoch, inject=cfg.background_traffic)
+            system.run_epoch(epoch, inject=cfg.background_traffic)
 
         gateway.shutdown(between_ticks=self.fleet.deliver_replies)
         self.fleet.close()
@@ -165,23 +163,20 @@ class ServingRun:
         # finality as the remaining syncs confirm).
         drained = 0
         while system.queue or gateway.admitted_depth or gateway.inflight_count:
-            if drained >= cfg.max_drain_epochs:
+            if drained >= constants.MAX_DRAIN_EPOCHS:
                 raise ConfigurationError(
-                    "serving drain did not complete; raise max_drain_epochs"
+                    "serving drain did not complete within "
+                    f"{constants.MAX_DRAIN_EPOCHS} epochs"
                 )
             epoch += 1
             drained += 1
-            system._run_epoch(epoch, inject=False)
+            system.run_epoch(epoch, inject=False)
             if gateway.inflight_count and not system.queue:
                 # Only the final sync is outstanding: let it land.
-                system.mainchain.produce_blocks_until(
-                    system.clock.now
-                    + 3 * system.mainchain.config.block_interval
-                )
-                phases.check_pending_syncs(system)
+                system.settle_syncs()
                 gateway.settle_finality(system, boundary_epoch=epoch + 1)
 
-        phases.MetricsFinalizePhase().run(system)
+        system.finalize_metrics()
         return ServingReport(
             config=cfg,
             log=self.fleet.merged_log(),

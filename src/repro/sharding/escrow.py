@@ -124,6 +124,8 @@ class EscrowLedger:
     def __init__(self, shard_index: int) -> None:
         self.shard_index = shard_index
         self.records: dict[str, TransferRecord] = {}
+        #: This shard's own prepares, by the epoch they were mined in.
+        self._prepared_by_epoch: dict[int, list[TransferRecord]] = {}
         self._epoch_counters: dict[int, int] = {}
 
     def next_transfer_id(self, epoch: int) -> str:
@@ -142,6 +144,8 @@ class EscrowLedger:
                 f"cannot prepare a record in state {record.status!r}"
             )
         self.records[record.transfer_id] = record
+        if record.source_shard == self.shard_index:
+            self._prepared_by_epoch.setdefault(record.epoch, []).append(record)
         return record
 
     def mark_settled(self, transfer_id: str) -> TransferRecord:
@@ -166,18 +170,15 @@ class EscrowLedger:
         return record
 
     def prepared_in(self, epoch: int) -> list[TransferRecord]:
-        """Transfers prepared during ``epoch``, in preparation order.
+        """Transfers this shard prepared during ``epoch``, in id order.
 
-        Filter first, then sort: the per-epoch cost scales with that
+        Reads the epoch's own index entry, so the cost scales with that
         epoch's transfers, not the shard's whole transfer history.
         """
-        epoch_records = [
-            r
-            for r in self.records.values()
-            if r.epoch == epoch and r.source_shard == self.shard_index
-        ]
-        epoch_records.sort(key=lambda r: transfer_sort_key(r.transfer_id))
-        return epoch_records
+        return sorted(
+            self._prepared_by_epoch.get(epoch, ()),
+            key=lambda r: transfer_sort_key(r.transfer_id),
+        )
 
     def counts(self) -> dict[str, int]:
         out = {

@@ -45,9 +45,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core import phases
 from repro.core.executor import SidechainExecutor
-from repro.core.phases import WorkloadIngestPhase
+from repro.core.phases import WorkloadIngestPhase, default_epoch_phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.core.transactions import SwapTx
 from repro.errors import DepositError, EscrowError, PlacementError
@@ -330,13 +329,12 @@ class Shard:
         # single-system deployment.
         self.system = AmmBoostSystem(
             spec.chassis,
-            epoch_phases=phases.default_epoch_phases(ShardIngestPhase(self)),
+            epoch_phases=default_epoch_phases(ShardIngestPhase(self)),
             fault_plan=spec.fault_plan,
             executor_factory=lambda pool: ShardExecutor(pool, self),
         )
         self.system.ids.seek(stage_base(self.index, 0))
         self.system.setup()
-        self.system._traffic_start = self.system.clock.now
 
     # -- traffic ---------------------------------------------------------------
 
@@ -401,7 +399,7 @@ class Shard:
         try:
             self.system.ids.seek(stage_base(self.index, epoch + 1))
             self._apply_instructions(instructions)
-            self.system._run_epoch(epoch, inject=inject)
+            self.system.run_epoch(epoch, inject=inject)
             self.epochs_run += 1
             rollbacks = self._drain_rewinds(epoch)
             prepares = self.ledger.prepared_in(epoch)
@@ -619,37 +617,30 @@ class Shard:
         return hashlib.sha256(blob).hexdigest()
 
     def finish(self) -> ShardFinal:
-        """Close the shard's books, mirroring ``run()``'s tail.
+        """Close the shard's books: ``run()``'s tail plus recovery epochs.
 
         Drain epochs compress wall time, so the shard's last sync can
         race its predecessor into the same mainchain block and revert on
         a stale hand-over chain — the interruption the paper recovers by
         mass-syncing in the following epoch.  ``finish`` applies exactly
-        that recovery: while summaries remain unsynced, run one more
-        (empty) epoch whose sync mass-covers them.
+        that recovery between ``settle_syncs`` and ``finalize_metrics``:
+        while summaries remain unsynced (at most three times), run one
+        more (empty) epoch whose sync mass-covers them.
         """
         traced = trace.enabled()
         prev_track = trace.set_track(f"shard{self.index}") if traced else ""
         try:
             system = self.system
             system.ids.seek(stage_base(self.index, self.current_epoch + 2))
-            system.mainchain.produce_blocks_until(
-                system.clock.now
-                + 3 * system.mainchain.config.block_interval
-            )
-            phases.check_pending_syncs(system)
+            system.settle_syncs()
             recoveries = 0
             while system._unsynced and recoveries < 3:
                 recoveries += 1
                 self.current_epoch += 1
-                system._run_epoch(self.current_epoch, inject=False)
+                system.run_epoch(self.current_epoch, inject=False)
                 self.epochs_run += 1
-                system.mainchain.produce_blocks_until(
-                    system.clock.now
-                    + 3 * system.mainchain.config.block_interval
-                )
-                phases.check_pending_syncs(system)
-            phases.MetricsFinalizePhase().run(system)
+                system.settle_syncs()
+            system.finalize_metrics()
         finally:
             if traced:
                 trace.set_track(prev_track)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
+from repro import constants
 from repro.core.system import AmmBoostConfig
 from repro.errors import ConfigurationError, EscrowError
 from repro.faults.shard import ShardFault, ShardFaultBook
@@ -94,8 +95,6 @@ class ShardedConfig:
     #: Worker processes for the shard scheduler (1 = serial).
     jobs: int = 1
     shard_faults: tuple[ShardFault, ...] = ()
-    #: Cap on drain epochs after traffic stops.
-    max_drain_epochs: int = 50
     #: Scheduler self-healing knobs (``None`` = defaults: 2 respawn
     #: attempts, then degrade around the lost slot).
     recovery: SchedulerRecoveryConfig | None = None
@@ -299,10 +298,10 @@ class ShardedSystem:
                     and not self._compensations_pending(failed)
                 ):
                     break
-                if epoch > num_epochs + self.config.max_drain_epochs:
+                if epoch > num_epochs + constants.MAX_DRAIN_EPOCHS:
                     raise ConfigurationError(
-                        "sharded drain did not complete; raise "
-                        "max_drain_epochs"
+                        "sharded drain did not complete within "
+                        f"{constants.MAX_DRAIN_EPOCHS} epochs"
                     )
             finals = scheduler.finish()
         except BaseException:

@@ -1,13 +1,12 @@
-"""Observability layer: structured tracing, metrics, and profiling.
+"""Observability layer: structured tracing and metrics.
 
 Submodules:
 
 * :mod:`repro.telemetry.trace` — zero-overhead-when-off span API with
   virtual + wall timestamps and deterministic cross-worker merging.
+  Per-phase wall time comes from its ``phase.*`` spans.
 * :mod:`repro.telemetry.metrics` — log-scale histograms with
   merge-stable percentiles.
-* :mod:`repro.telemetry.profile` — per-phase wall-time profiling of
-  the epoch loop for the benchmark harness.
 * :mod:`repro.telemetry.export` — Chrome trace-event (Perfetto) JSON
   export and structural validation.
 
@@ -17,6 +16,6 @@ only observes — it never changes results. See README.md in this
 directory for the span model and determinism rules.
 """
 
-from repro.telemetry import export, metrics, profile, trace
+from repro.telemetry import export, metrics, trace
 
-__all__ = ["trace", "metrics", "profile", "export"]
+__all__ = ["trace", "metrics", "export"]

@@ -6,7 +6,9 @@ import pytest
 
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
+from repro.core.phases import EpochPhase
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
+from repro.core.transactions import SwapTx
 from repro.faults import FaultPlan, SyncWithhold
 from repro.simulation.clock import SimClock
 from repro.simulation.events import EventScheduler
@@ -76,6 +78,17 @@ def small_system(fault_plan: FaultPlan | None = None, **overrides) -> AmmBoostSy
     )
     defaults.update(overrides)
     return AmmBoostSystem(AmmBoostConfig(**defaults), fault_plan=fault_plan)
+
+
+class EndlessBacklog(EpochPhase):
+    """Leaves one fresh swap queued after every epoch, so no drain ends."""
+
+    def run(self, system, ctx) -> None:
+        tx = SwapTx(
+            user=system.population.addresses[0], amount=10**12, tx_id=system.ids()
+        )
+        tx.submitted_at = system.clock.now
+        system.queue.append(tx)
 
 
 def withheld_syncs(*epochs: int) -> FaultPlan:

@@ -60,10 +60,10 @@ def test_run_benchmarks_quick_writes_valid_json(tmp_path):
     assert scaling["wall_clock"]["1_shard"] > 0
     assert scaling["wall_clock"]["4_shards"] > 0
     assert scaling["simulated"]["speedup_4v1"] >= 2.5
-    # PR 10: per-phase wall-time breakdown of the epoch loop.
+    # Per-phase wall-time breakdown of the epoch loop, from its phase spans.
     phases = report["phase_profile"]
     assert phases["epochs"] >= 1
-    assert "RoundExecutionPhase" in phases["phases"]
+    assert "phase.round_execution" in phases["phases"]
     for row in phases["phases"].values():
         assert row["total_s"] >= 0.0
         assert row["calls"] >= 1

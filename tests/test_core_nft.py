@@ -46,7 +46,6 @@ def test_nft_not_created_before_sync():
     mint = MintTx(user=lp, tick_lower=-600, tick_upper=600,
                   amount0_desired=10**18, amount1_desired=10**18)
     system.queue.append(mint)
-    system._traffic_start = system.clock.now
     # Process the mint in a meta round but stop before the sync confirms.
     RoundExecutionPhase.mine_meta_block(system, 0, 0, system.clock.now + 7)
     position_id = mint.effects["position_id"]

@@ -46,8 +46,7 @@ def test_phases_are_stateless_and_shareable():
 def test_epoch_context_populated():
     system = small_system()
     system.setup()
-    system._traffic_start = system.clock.now
-    ctx = system._run_epoch(0, inject=True)
+    ctx = system.run_epoch(0, inject=True)
     assert ctx.epoch == 0 and ctx.inject
     assert ctx.rho > 0
     assert ctx.rounds_used == system.config.rounds_per_epoch - 1
@@ -58,9 +57,8 @@ def test_epoch_context_populated():
 def test_drain_epoch_closes_early():
     system = small_system()
     system.setup()
-    system._traffic_start = system.clock.now
-    system._run_epoch(0, inject=True)
-    drain_ctx = system._run_epoch(1, inject=False)
+    system.run_epoch(0, inject=True)
+    drain_ctx = system.run_epoch(1, inject=False)
     assert drain_ctx.rounds_used < system.config.rounds_per_epoch - 1
 
 
@@ -102,7 +100,6 @@ def test_phase_helpers_drive_single_stages():
     """Single stages of the loop can be driven through the phase layer."""
     system = small_system()
     system.setup()
-    system._traffic_start = system.clock.now
     # Stage-driving skips DepositMergePhase, so load the epoch-0 deposit
     # snapshot by hand — without it every transaction is uncovered (and
     # zero-liquidity swaps are now typed rejections, not nothing-swaps).
@@ -178,10 +175,9 @@ def test_committee_reuse_does_not_perturb_traffic():
 def test_committee_reuse_window_carries_group_key():
     system = small_system(seed=23, committee_reuse_epochs=3)
     system.setup()
-    system._traffic_start = system.clock.now
     keys = []
     for epoch in range(4):
-        system._run_epoch(epoch, inject=True)
+        system.run_epoch(epoch, inject=True)
         keys.append(system._auth.group_vk)
     # keys[i] is the auth installed at epoch i's end, i.e. the one epoch
     # i+1 runs under.  With a window of 3 the genesis key serves epochs

@@ -8,7 +8,6 @@ hand-over certificate chain.
 
 import pytest
 
-from repro.core import phases
 from repro.mainchain.transactions import TxStatus
 from tests.conftest import small_system, withheld_syncs
 
@@ -83,24 +82,20 @@ def test_pruning_deferred_until_mass_sync():
     """Meta-blocks of the failed epoch must survive until recovery."""
     system = small_system(fault_plan=withheld_syncs(1))
     system.setup()
-    system._traffic_start = system.clock.now
-    system._run_epoch(0, inject=True)
-    system._run_epoch(1, inject=True)  # sync withheld
+    system.run_epoch(0, inject=True)
+    system.run_epoch(1, inject=True)  # sync withheld
     assert system.ledger.live_meta_blocks(1), "epoch 1 must not be pruned yet"
-    system._run_epoch(2, inject=True)
-    system.mainchain.produce_blocks_until(system.clock.now + 36)
-    phases.check_pending_syncs(system)
+    system.run_epoch(2, inject=True)
+    system.settle_syncs()
     assert system.ledger.live_meta_blocks(1) == []
 
 
 def test_rollback_lost_sync_recovered():
     system = small_system()
     system.setup()
-    system._traffic_start = system.clock.now
-    system._run_epoch(0, inject=True)
+    system.run_epoch(0, inject=True)
     # Let the epoch-0 sync confirm, then abandon those blocks.
-    system.mainchain.produce_blocks_until(system.clock.now + 36)
-    phases.check_pending_syncs(system)
+    system.settle_syncs()
     assert system.ledger.is_synced(0)
     sync_tx = next(
         tx
@@ -114,9 +109,8 @@ def test_rollback_lost_sync_recovered():
     # TokenBank state rewound: the sync's effects are gone.
     assert system.token_bank.last_synced_epoch == -1
     # The next epoch's sync mass-covers epoch 0 again.
-    system._run_epoch(1, inject=True)
-    system.mainchain.produce_blocks_until(system.clock.now + 36)
-    phases.check_pending_syncs(system)
+    system.run_epoch(1, inject=True)
+    system.settle_syncs()
     assert system.token_bank.last_synced_epoch == 1
     for user, balance in system.executor.deposits.items():
         assert system.token_bank.deposit_of(user) == (balance[0], balance[1])

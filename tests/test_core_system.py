@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro import constants
 from repro.core.phases import EpochPhase, default_epoch_phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.core.transactions import MintTx
 from repro.errors import ConfigurationError
 from repro.workload.distribution import TrafficDistribution
-from tests.conftest import small_system
+from tests.conftest import EndlessBacklog, small_system
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +278,29 @@ def test_flash_loan_on_mainchain_during_run():
     )
     assert system.mainchain.is_confirmed(tx)
     assert tx.result[0] > 0  # fee earned by the pool
+
+
+def test_resumed_run_reports_the_chains_gas():
+    """A second ``run`` folds gas from zero, not on top of the first fold."""
+    system = small_system(num_users=16, seed=1)
+    system.run(num_epochs=1)
+    metrics = system.run(num_epochs=1)
+    chain_gas = sum(
+        amount
+        for block in system.mainchain.blocks
+        for tx in block.transactions
+        for amount in tx.gas_breakdown.values()
+    )
+    assert metrics.total_gas == chain_gas
+    assert sum(metrics.gas_by_label.values()) == chain_gas
+    straight = small_system(num_users=16, seed=1).run(num_epochs=2)
+    assert metrics.total_gas == straight.total_gas
+
+
+def test_run_fails_when_the_drain_never_ends(monkeypatch):
+    monkeypatch.setattr(constants, "MAX_DRAIN_EPOCHS", 2)
+    system = small_system()
+    system.epoch_phases += (EndlessBacklog(),)
+    with pytest.raises(ConfigurationError, match="drain did not complete"):
+        system.run(num_epochs=1)
+    assert system._next_epoch == 1 + 2

@@ -276,7 +276,7 @@ def test_fault_plan_applies_on_any_default_pipeline():
 
     def run(system):
         contexts, roots = [], {}
-        run_epoch, append = system._run_epoch, system.ledger.append_meta_block
+        run_epoch, append = system.run_epoch, system.ledger.append_meta_block
 
         def recording_epoch(epoch, inject):
             contexts.append(run_epoch(epoch, inject))
@@ -286,7 +286,7 @@ def test_fault_plan_applies_on_any_default_pipeline():
             roots.setdefault(block.epoch, []).append(block.tx_root)
             append(block)
 
-        system._run_epoch = recording_epoch
+        system.run_epoch = recording_epoch
         system.ledger.append_meta_block = recording_append
         metrics = system.run(num_epochs=2)
         log = [asdict(record) for record in system.faults.log]

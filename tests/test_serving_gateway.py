@@ -16,9 +16,13 @@ The headline guarantees under test:
 
 import asyncio
 
+import pytest
+
+from repro import constants
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
 from repro.core.transactions import IdSpace
+from repro.errors import ConfigurationError
 from repro.serving.clients import ClientFleet, FleetConfig
 from repro.serving.driver import ServingConfig, ServingRun
 from repro.serving.gateway import (
@@ -30,6 +34,7 @@ from repro.serving.gateway import (
     QuoteGateway,
     TokenBucket,
 )
+from tests.conftest import EndlessBacklog
 
 SMALL_RUN = dict(num_clients=40, epochs=2, ticks_per_epoch=4, seed=7)
 
@@ -252,3 +257,11 @@ def test_shutdown_refusals_carry_the_tick_they_were_issued_in():
     assert not gateway._inbox and not gateway._pending_quotes
     assert all(client.blocked_on is None for client in fleet.clients)
     assert fleet.requests_issued == sum(client.seq for client in fleet.clients)
+
+
+def test_serving_run_fails_when_the_drain_never_ends(monkeypatch):
+    monkeypatch.setattr(constants, "MAX_DRAIN_EPOCHS", 1)
+    run = ServingRun(ServingConfig(**SMALL_RUN))
+    run.system.epoch_phases += (EndlessBacklog(),)
+    with pytest.raises(ConfigurationError, match="serving drain did not complete"):
+        run.execute()

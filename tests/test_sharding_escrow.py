@@ -128,3 +128,33 @@ class TestEscrowLedger:
         # Malformed ids sort after well-formed ones instead of crashing.
         assert transfer_sort_key("x0-0-2") < transfer_sort_key("x0-0-10")
         assert transfer_sort_key("weird") > transfer_sort_key("x9-9-9")
+
+    def test_prepared_in_matches_a_full_scan(self):
+        """Return legs prepared out of id order across interleaved epochs
+        come back exactly as a scan of the whole history orders them."""
+        from dataclasses import replace
+
+        from repro.sharding.escrow import transfer_sort_key
+
+        ledger = EscrowLedger(0)
+        for tid, epoch in (
+            ("x0-1-2", 1), ("x0-0-10", 0), ("x0-1-0", 1), ("x0-0-2", 0),
+            ("x0-2-0", 2), ("x0-1-1", 1), ("x0-0-0", 0),
+        ):
+            ledger.prepare(
+                replace(record(tid, epoch=epoch), dest_pool="", swap_amount=0)
+            )
+        # A record another shard sourced is never this shard's prepare.
+        ledger.prepare(replace(record("x1-1-0", epoch=1), source_shard=1))
+        for epoch in range(4):
+            scan = sorted(
+                (
+                    r for r in ledger.records.values()
+                    if r.epoch == epoch and r.source_shard == 0
+                ),
+                key=lambda r: transfer_sort_key(r.transfer_id),
+            )
+            assert ledger.prepared_in(epoch) == scan
+        assert [r.transfer_id for r in ledger.prepared_in(1)] == [
+            "x0-1-0", "x0-1-1", "x0-1-2",
+        ]

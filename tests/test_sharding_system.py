@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import constants
 from repro.core.system import AmmBoostConfig
 from repro.errors import ConfigurationError
 from repro.sharding import (
@@ -12,6 +13,7 @@ from repro.sharding import (
 from repro.sharding.escrow import TransferRecord
 from repro.sharding.router import CrossShardRouter, TransferRegistry
 from repro.workload.shard_mix import HotShardLoad
+from tests.conftest import EndlessBacklog
 
 
 def small_base(seed: int = 0, **overrides) -> AmmBoostConfig:
@@ -157,3 +159,15 @@ class TestRouterResolution:
         second = registry.instructions_for(frozenset())
         assert [type(i).__name__ for i in second[0]] == ["SourceResolve"]
         assert not registry.has_pending()
+
+
+def test_sharded_run_fails_when_the_drain_never_ends(monkeypatch):
+    monkeypatch.setattr(constants, "MAX_DRAIN_EPOCHS", 1)
+    system = ShardedSystem(
+        ShardedConfig(num_shards=2, base=small_base(), cross_shard_ratio=0.0)
+    )
+    for index in range(2):
+        system.scheduler.shard(index).system.epoch_phases += (EndlessBacklog(),)
+    with pytest.raises(ConfigurationError, match="sharded drain did not complete"):
+        system.run(num_epochs=1)
+    assert len(system.epoch_records) == 1 + 1 + 1

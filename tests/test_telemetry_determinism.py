@@ -18,16 +18,14 @@ import pytest
 from repro.core.system import AmmBoostConfig
 from repro.sharding import ShardedSystem
 from repro.sharding.system import ShardedConfig
-from repro.telemetry import export, profile, trace
+from repro.telemetry import export, trace
 
 
 @pytest.fixture(autouse=True)
 def _clean_tracer():
     trace.disable()
-    profile.uninstall()
     yield
     trace.disable()
-    profile.uninstall()
 
 
 def _run_sharded(jobs: int, traced: bool):
@@ -125,32 +123,6 @@ def test_exported_trace_validates_and_stitches_across_shards():
         if len(tids) > 1 and key in begun
     ]
     assert stitched
-
-
-def test_profiler_does_not_change_results():
-    from repro.core.system import AmmBoostSystem
-
-    def run(profiled: bool):
-        if profiled:
-            profile.install(profile.PhaseProfiler())
-        try:
-            system = AmmBoostSystem(
-                AmmBoostConfig(num_users=16, daily_volume=50_000, seed=3)
-            )
-            report = system.run(num_epochs=2)
-        finally:
-            profiler = profile.active()
-            profile.uninstall()
-        return report, profiler
-
-    baseline, _ = run(profiled=False)
-    profiled, profiler = run(profiled=True)
-    assert profiled.summary() == baseline.summary()
-    summary = profiler.summary()
-    assert summary["epochs"] >= 2
-    assert "RoundExecutionPhase" in summary["phases"]
-    shares = [p["share"] for p in summary["phases"].values()]
-    assert sum(shares) == pytest.approx(1.0)
 
 
 def test_applied_faults_are_trace_instants():

@@ -103,7 +103,7 @@ def test_latency_stats_empty_as_dict_is_strict_json():
     from repro.metrics.collector import LatencyStats
 
     stats = LatencyStats()
-    block = stats.as_dict()
+    block = stats.summary()
     # Regression: an empty stat used to carry minimum=inf, which breaks
     # strict JSON serialization downstream.
     json.dumps(block, allow_nan=False)
@@ -117,10 +117,10 @@ def test_latency_stats_percentiles_and_merge():
     stats = LatencyStats()
     for v in (1.0, 2.0, 3.0, 10.0):
         stats.record(v)
-    assert stats.percentile(0.5) == pytest.approx(2.0, rel=0.2)
+    assert stats.quantile(0.5) == pytest.approx(2.0, rel=0.2)
     other = LatencyStats()
     other.record(100.0)
     stats.merge(other)
     assert stats.count == 5
-    assert stats.as_dict()["max"] == 100.0
-    assert stats.as_dict()["p99"] == pytest.approx(100.0, rel=0.1)
+    assert stats.summary()["max"] == 100.0
+    assert stats.summary()["p99"] == pytest.approx(100.0, rel=0.1)
