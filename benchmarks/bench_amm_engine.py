@@ -491,7 +491,7 @@ def make_migration_epoch_op(num_shards=2, jobs=1):
 
     def op():
         epoch = state["epoch"]
-        instructions = system._boundary_instructions(epoch, nobody, nobody)
+        instructions = system._boundary_instructions(epoch, nobody)
         records = scheduler.run_epoch(epoch, True, instructions)
         system.epoch_records.append(records)
         system._fold_records(records)

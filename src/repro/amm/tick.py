@@ -46,7 +46,7 @@ class TickTable:
         self.tick_spacing = tick_spacing
         self.ticks: dict[int, TickInfo] = {}
         self._sorted: list[int] = []
-        #: Cleared records parked by :meth:`clear` for :meth:`get` to reuse.
+        #: Cleared records kept by :meth:`clear` for :meth:`get` to reuse.
         self._spare: list[TickInfo] = []
 
     def __contains__(self, tick: int) -> bool:
@@ -129,7 +129,7 @@ class TickTable:
     def clear(self, tick: int) -> None:
         """Drop a fully-emptied tick's record (Tick.clear).
 
-        The record is parked for reuse: LP churn that burns a range and
+        The record is kept for reuse: LP churn that burns a range and
         re-mints it (or a neighbouring one) next would otherwise allocate
         two fresh records per round trip.  A tick that ``update`` already
         flipped out of the index (``liquidity_gross == 0``) needs no

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro import constants
 from repro.core.transactions import IdSpace
+from repro.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
 from repro.simulation.rng import DeterministicRng
 from repro.workload.distribution import TrafficDistribution
@@ -35,7 +36,6 @@ class AmmOpConfig:
     round_duration: float = constants.DEFAULT_ROUND_DURATION_S
     rounds_per_epoch: int = constants.DEFAULT_ROUNDS_PER_EPOCH
     seed: int = 0
-    max_drain_batches: int = 1_000_000
 
 
 class AmmOpRollup:
@@ -80,11 +80,16 @@ class AmmOpRollup:
             now = next_batch
             self._build_batch(now)
             next_batch += cfg.batch_interval
-            if next_round >= traffic_end and not self.queue:
+            if next_round < traffic_end:
+                continue
+            if not self.queue:
                 break
             drained += 1
-            if drained > cfg.max_drain_batches:
-                raise RuntimeError("rollup drain did not complete")
+            if drained > constants.MAX_DRAIN_EPOCHS:
+                raise ConfigurationError(
+                    "rollup drain did not complete within "
+                    f"{constants.MAX_DRAIN_EPOCHS} batches"
+                )
 
         self.metrics.elapsed_seconds = now
         return self.metrics

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from repro import constants
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.core.transactions import BurnTx, CollectTx, IdSpace, MintTx, SidechainTx, SwapTx
+from repro.errors import ConfigurationError
 from repro.mainchain.chain import Mainchain
 from repro.mainchain.contracts.erc20 import ERC20Token
 from repro.mainchain.transactions import TxStatus
@@ -40,8 +41,6 @@ class UniswapL1Config:
     #: Which measured size table to use for chain growth ("sepolia" is the
     #: paper's primary baseline; "ethereum" gives the 97.60% comparison).
     size_profile: str = "sepolia"
-    #: Cap on drain rounds after traffic stops.
-    max_drain_rounds: int = 500_000
 
     @property
     def sizes(self) -> dict[str, float]:
@@ -117,7 +116,12 @@ class UniswapL1Baseline:
             )
             self._harvest()
         drained = 0
-        while self.mainchain.mempool and drained < self.config.max_drain_rounds:
+        while self.mainchain.mempool:
+            if drained >= constants.MAX_DRAIN_EPOCHS:
+                raise ConfigurationError(
+                    "L1 drain did not complete within "
+                    f"{constants.MAX_DRAIN_EPOCHS} block intervals"
+                )
             self.mainchain.produce_blocks_until(
                 self.clock.now + self.mainchain.config.block_interval
             )

@@ -49,7 +49,7 @@ class EscrowRecord:
     """One cross-shard transfer's mainchain-side two-phase-commit state.
 
     ``prepared`` value has left the owner's balance (via the epoch
-    summary that carried the prepare) and is parked in the bank until the
+    summary that carried the prepare) and is held in the bank until the
     coordinator either releases it (settle: the value re-materialises on
     the destination shard's bank) or refunds it (abort: the value returns
     to the owner's deposit, and the sidechain re-credits it through the
@@ -310,7 +310,7 @@ class TokenBank(Contract):
     # take no CallContext: they are coordinator-driven state transitions,
     # not user transactions.  The owner's balance delta itself flows
     # through the summary's absolute payouts; locking therefore does NOT
-    # touch ``deposits`` — the record *is* the parked value.
+    # touch ``deposits`` — the record *is* the escrowed value.
 
     def escrow_lock(
         self, transfer_id: str, user: str, amount0: int, amount1: int
@@ -379,7 +379,7 @@ class TokenBank(Contract):
         return record
 
     def escrow_balance(self) -> tuple[int, int]:
-        """Value currently parked in prepared escrows (conservation term)."""
+        """Value currently held in prepared escrows (conservation term)."""
         total0 = total1 = 0
         for record in self.escrows.values():
             if record.status == EscrowRecord.PREPARED:

@@ -188,11 +188,12 @@ class EscrowError(ShardError):
 class WorkerLostError(ShardError):
     """A scheduler worker died and stayed dead through its retry budget.
 
-    Raised when respawn-with-replay is exhausted and graceful
-    degradation is disabled.  ``concise`` marks the message as complete
-    on its own: front-ends (the experiments CLI) print it as a one-line
-    failure instead of a traceback — the interesting state is the
-    worker's, and that process is gone.
+    Raised once respawn-with-replay is exhausted, after every worker is
+    reaped: the run heals bit-identically or ends here.  ``concise``
+    marks the message as complete on its own: front-ends (the
+    experiments CLI) print it as a one-line failure instead of a
+    traceback — the interesting state is the worker's, and that process
+    is gone.
     """
 
     concise = True

@@ -16,7 +16,6 @@ the paper's Section III adversary, and how to register a fault scenario.
 """
 
 from repro.faults.driver import FaultDriver, node_of
-from repro.faults.generate import random_epoch_plan, random_message_plan
 from repro.faults.plan import (
     EMPTY_PLAN,
     Corrupt,
@@ -52,6 +51,4 @@ __all__ = [
     "SyncWithhold",
     "ViewChangeBurst",
     "node_of",
-    "random_epoch_plan",
-    "random_message_plan",
 ]

@@ -107,8 +107,8 @@ class Drop:
     """Drop a ``fraction`` of matching messages sent during [start, end).
 
     Dropping violates the Δ-delivery assumption for the affected traffic,
-    so model-respecting plans only aim drops at faulty members (see
-    :mod:`repro.faults.generate`).  Draws come from the driver's own RNG
+    so model-respecting plans only aim drops at faulty members (see the
+    generators in ``tests/fault_plans.py``).  Draws come from the driver's own RNG
     substream, never from the network's delay stream.
     """
 

@@ -1,6 +1,6 @@
-"""Cross-shard recovery: fork compensation, pool migration, self-healing.
+"""Cross-shard recovery: fork compensation and pool migration.
 
-The three failure modes PR 5's shard engine made explicit, closed:
+Two failure modes of the shard engine, closed:
 
 * :mod:`repro.recovery.journal` — the coordinator's **bridge journal**:
   every bank-touching bridge action (escrow lock, release, refund,
@@ -15,10 +15,10 @@ The three failure modes PR 5's shard engine made explicit, closed:
   riding the same settlement inboxes escrow instructions use; the
   :class:`~repro.recovery.migration.DrainHottestShard` policy drives
   migrations off observed queue pressure.
-* :mod:`repro.recovery.healing` — the **self-healing scheduler**
-  support types: bounded deterministic retry/backoff configuration,
-  declarative worker-crash injection for tests, and the epoch
-  checkpoint log that respawned workers replay.
+
+A lost scheduler worker is not a deployment failure: the shard
+scheduler (:mod:`repro.sharding.scheduler`) respawns and replays it, or
+fails the run with :class:`~repro.errors.WorkerLostError`.
 
 Everything here is opt-in or no-op by default: a fault-free,
 migration-free run records journal entries but never draws randomness,
@@ -26,11 +26,6 @@ never perturbs a counter, and produces byte-identical output to a
 deployment without the recovery layer.
 """
 
-from repro.recovery.healing import (
-    EpochLog,
-    SchedulerRecoveryConfig,
-    WorkerCrash,
-)
 from repro.recovery.journal import (
     BridgeJournal,
     JournalEntry,
@@ -56,7 +51,6 @@ __all__ = [
     "BridgeJournal",
     "CompletePoolMigration",
     "DrainHottestShard",
-    "EpochLog",
     "JournalEntry",
     "MigrationDirective",
     "MigrationEngine",
@@ -66,6 +60,4 @@ __all__ = [
     "ResyncResolve",
     "RollbackReport",
     "ScheduledMigrations",
-    "SchedulerRecoveryConfig",
-    "WorkerCrash",
 ]

@@ -248,29 +248,6 @@ class MigrationEngine:
             self.migrating or self._begin_queue or self._sealed
         )
 
-    def drained(self, failed: frozenset[int] = frozenset()) -> bool:
-        """Idle, or every pending handoff is wedged on a failed shard.
-
-        A degraded deployment must not wait for a begin whose source is
-        lost, a sealed manifest whose destination is lost, or an
-        in-window pool whose (still-source) owner died before sealing —
-        none of those will ever complete.
-        """
-        if self.idle():
-            return True
-        if not failed:
-            return False
-        if any(source not in failed for source, _ in self._begin_queue):
-            return False
-        if any(m.to_shard not in failed for m in self._sealed):
-            return False
-        queued = {begin.pool_id for _, begin in self._begin_queue}
-        queued |= {m.pool_id for m in self._sealed}
-        return all(
-            pool in queued or self.assignment.get(pool) in failed
-            for pool in self.migrating
-        )
-
     def counts(self) -> dict[str, int]:
         return {
             "migrations": len(self.history),

@@ -24,40 +24,12 @@ from __future__ import annotations
 from repro.faults.plan import FaultPlan, Rollback
 from repro.faults.shard import ShardFault
 from repro.recovery.migration import DrainHottestShard
-from repro.scenarios.scaling import scaled_ammboost_config
+from repro.scenarios.shard import sharded_config
 from repro.scenarios.spec import ScenarioSpec
-from repro.sharding.system import ShardedConfig, ShardedSystem
+from repro.sharding.system import ShardedSystem
 from repro.workload.shard_mix import HotShardLoad
 
-#: Simulated daily volume per shard (scaled by REPRO_FAST / ``--scale``).
-PER_SHARD_VOLUME = 400_000
 EPOCHS = 4
-
-
-def _recovery_config(
-    num_shards: int,
-    seed: int,
-    scale: int | None,
-    cross_shard_ratio: float,
-    **overrides,
-) -> tuple[ShardedConfig, int]:
-    base, actual_scale = scaled_ammboost_config(
-        PER_SHARD_VOLUME * num_shards,
-        scale=scale,
-        committee_size=8,
-        miner_population=16,
-        num_users=10,
-        rounds_per_epoch=6,
-        seed=seed,
-    )
-    config = ShardedConfig(
-        num_shards=num_shards,
-        num_pools=2 * num_shards,
-        base=base,
-        cross_shard_ratio=cross_shard_ratio,
-        **overrides,
-    )
-    return config, actual_scale
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +54,7 @@ def fork_recovery_point(params) -> dict:
         faults.append(
             ShardFault(shard=2, offline_epochs=frozenset({fork_epoch}))
         )
-    config, _ = _recovery_config(
+    config, _ = sharded_config(
         num_shards, params["seed"], params.get("scale"),
         cross_shard_ratio=0.3,
         shard_faults=tuple(faults),
@@ -140,7 +112,7 @@ def fork_recovery_spec() -> ScenarioSpec:
 def shard_rebalance_point(params) -> dict:
     drain = params["policy"] == "drain"
     num_shards = 3
-    config, scale = _recovery_config(
+    config, scale = sharded_config(
         num_shards, params["seed"], params.get("scale"),
         cross_shard_ratio=0.2,
         load_profile=HotShardLoad(hot_shard=0, factor=6.0),

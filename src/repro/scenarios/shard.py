@@ -32,13 +32,15 @@ PER_SHARD_VOLUME = 400_000
 EPOCHS = 3
 
 
-def _sharded_config(
+def sharded_config(
     num_shards: int,
     seed: int,
     scale: int | None,
     cross_shard_ratio: float,
     **overrides,
 ) -> tuple[ShardedConfig, int]:
+    """A small ``num_shards`` deployment with ``2 * num_shards`` pools at
+    :data:`PER_SHARD_VOLUME` per shard; returns it with its scale."""
     base, actual_scale = scaled_ammboost_config(
         PER_SHARD_VOLUME * num_shards,
         scale=scale,
@@ -65,7 +67,7 @@ def _sharded_config(
 
 def shard_scaling_point(params) -> dict:
     num_shards = params["num_shards"]
-    config, scale = _sharded_config(
+    config, scale = sharded_config(
         num_shards, params["seed"], params.get("scale"),
         cross_shard_ratio=0.1,
     )
@@ -111,7 +113,7 @@ def shard_scaling_spec() -> ScenarioSpec:
 def hot_shard_point(params) -> dict:
     factor = params["factor"]
     num_shards = 4
-    config, scale = _sharded_config(
+    config, scale = sharded_config(
         num_shards, params["seed"], params.get("scale"),
         cross_shard_ratio=0.05,
         load_profile=HotShardLoad(hot_shard=0, factor=factor),
@@ -179,7 +181,7 @@ def cross_shard_ratio_point(params) -> dict:
                 plan=FaultPlan((SyncWithhold(epoch=2),)),
             ),
         )
-    config, scale = _sharded_config(
+    config, scale = sharded_config(
         num_shards, params["seed"], params.get("scale"),
         cross_shard_ratio=ratio,
         shard_faults=faults,

@@ -10,8 +10,6 @@ Resolution rules, per prepared transfer at the boundary into epoch ``b``:
 
 * destination shard unknown, or destination pool not owned by it →
   **abort** (typed reason, refunded at the source);
-* destination shard failed (its scheduler worker died past its retry
-  budget) → **abort** (``shard_failed``, non-retryable);
 * destination pool mid-migration → **abort** (``pool_migrating``,
   retryable: resubmit once the handoff completes);
 * destination shard offline in ``b`` → **abort** ("cross-shard swaps to
@@ -28,11 +26,7 @@ reason; codes in :data:`RETRYABLE_ABORTS` mark transient conditions
 
 The registry is also the conservation authority: every in-flight
 transfer's value is counted exactly once — here — until it lands on a
-shard (destination credit for settles, source refund for aborts).  A
-*failed* shard can neither receive nor apply instructions, ever; an
-entry whose only outstanding deliveries target failed shards is
-*parked*: its value stays counted in flight forever (balancing the
-failed shard's frozen books) but it no longer holds up the drain loop.
+shard (destination credit for settles, source refund for aborts).
 """
 
 from __future__ import annotations
@@ -101,7 +95,6 @@ class CrossShardRouter:
         self,
         transfer: TransferRecord,
         offline: frozenset[int],
-        failed: frozenset[int] = frozenset(),
         migrating: frozenset[str] = frozenset(),
     ) -> tuple[bool, str, str]:
         """(settle?, abort reason, abort code) at this boundary."""
@@ -110,13 +103,6 @@ class CrossShardRouter:
                 False,
                 f"unknown destination shard {transfer.dest_shard}",
                 "unknown_shard",
-            )
-        if transfer.dest_shard in failed:
-            return (
-                False,
-                f"destination shard {transfer.dest_shard} is lost "
-                "(worker failed)",
-                "shard_failed",
             )
         if transfer.dest_pool and transfer.dest_pool in migrating:
             return (
@@ -175,15 +161,12 @@ class TransferRegistry:
     def instructions_for(
         self,
         offline: frozenset[int],
-        failed: frozenset[int] = frozenset(),
         migrating: frozenset[str] = frozenset(),
     ) -> dict[int, ShardInstructions]:
         """Build every shard's settlement inbox for the coming epoch.
 
         Decides undecided transfers, delivers whatever each online shard
         can apply, and defers the rest.  Mutates the registry state.
-        Failed shards never receive anything: a delivery they would need
-        stays undelivered and the entry parks.
         """
         instructions: dict[int, ShardInstructions] = {}
 
@@ -197,7 +180,7 @@ class TransferRegistry:
             transfer = entry.transfer
             if not entry.decided:
                 settle, reason, code = self.router.classify(
-                    transfer, offline, failed=failed, migrating=migrating
+                    transfer, offline, migrating=migrating
                 )
                 entry.decided = True
                 entry.settle = settle
@@ -207,19 +190,9 @@ class TransferRegistry:
                     # Destination is online by construction of classify.
                     deliver(transfer.dest_shard, SettleCredit(transfer))
                     entry.credit_delivered = True
-            elif (
-                entry.settle
-                and not entry.credit_delivered
-                and transfer.dest_shard not in offline
-                and transfer.dest_shard not in failed
-            ):
-                # A previously-revoked credit, redeliverable now.
-                deliver(transfer.dest_shard, SettleCredit(transfer))
-                entry.credit_delivered = True
             if (
                 not entry.resolve_delivered
                 and transfer.source_shard not in offline
-                and transfer.source_shard not in failed
             ):
                 deliver(
                     transfer.source_shard,
@@ -234,47 +207,6 @@ class TransferRegistry:
             if entry.complete:
                 self.completed[transfer_id] = self.entries.pop(transfer_id)
         return instructions
-
-    def revoke_deliveries(
-        self, shard: int, inbox: ShardInstructions
-    ) -> None:
-        """Unmark deliveries a dead worker never applied.
-
-        When a scheduler slot exhausts its retry budget, the inbox sent
-        with the fatal epoch message was lost with the process.  The
-        registry must stop believing that value landed: revoked entries
-        return to the active set with their delivery flags cleared, so
-        in-flight accounting keeps counting them (conservation) and —
-        where the target is not the failed shard itself — redelivery can
-        happen at a later boundary.
-        """
-        for item in inbox:
-            if isinstance(item, SettleCredit):
-                entry = self._reactivate(item.transfer.transfer_id)
-                if entry is not None:
-                    entry.credit_delivered = False
-            elif isinstance(item, SourceResolve):
-                entry = self._reactivate(item.transfer_id)
-                if entry is not None:
-                    entry.resolve_delivered = False
-
-    def _reactivate(self, transfer_id: str) -> InFlightTransfer | None:
-        if transfer_id in self.completed:
-            self.entries[transfer_id] = self.completed.pop(transfer_id)
-        return self.entries.get(transfer_id)
-
-    def parked(
-        self, entry: InFlightTransfer, failed: frozenset[int]
-    ) -> bool:
-        """True when every outstanding delivery targets a failed shard."""
-        if not entry.decided:
-            return False
-        outstanding = []
-        if entry.settle and not entry.credit_delivered:
-            outstanding.append(entry.transfer.dest_shard)
-        if not entry.resolve_delivered:
-            outstanding.append(entry.transfer.source_shard)
-        return bool(outstanding) and all(s in failed for s in outstanding)
 
     # -- accounting ------------------------------------------------------------
 
@@ -291,14 +223,9 @@ class TransferRegistry:
                 total1 += entry.transfer.amount1
         return total0, total1
 
-    def has_pending(self, failed: frozenset[int] = frozenset()) -> bool:
-        """Work left?  Parked entries never resolve — don't wait on them."""
-        if not failed:
-            return bool(self.entries)
-        return any(
-            not self.parked(entry, failed)
-            for entry in self.entries.values()
-        )
+    def has_pending(self) -> bool:
+        """Any transfer with work left?"""
+        return bool(self.entries)
 
     def counts(self) -> dict[str, int]:
         out = {"prepared": 0, "settled": 0, "aborted": 0}

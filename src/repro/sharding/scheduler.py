@@ -11,6 +11,9 @@ the run's lifetime, and drives them epoch by epoch over pipes:
 * ``("finish",)`` — final sync confirmation + metrics, returning
   :class:`~repro.sharding.shard.ShardFinal` per shard, then exit.
 
+A serial scheduler serves the same messages in-process through the same
+:func:`_serve_message`, so both modes share one serving path.
+
 Bit-identity with serial execution holds because a shard owns all of
 its state — its transaction ids come from its own deployment's id space
 and its randomness from shard-local substreams — so shard trajectories
@@ -19,46 +22,40 @@ parent already paid the import cost); on platforms without ``fork`` the
 scheduler silently degrades to serial execution — same results, one
 process.
 
-**Self-healing.**  Every message sent to a worker is journaled in a
-per-slot :class:`~repro.recovery.healing.EpochLog`.  Waiting for a
-response polls the pipe with liveness checks
-(:class:`~repro.recovery.healing.SchedulerRecoveryConfig` sets the
-heartbeat interval and timeout); a dead or wedged worker triggers a
-bounded retry loop — deterministic jittered backoff, fork a replacement,
-**replay the journal** (which, by lock-step determinism, reconstructs
-the lost shards' exact state at the last completed boundary), re-send
-the in-flight message.  A worker that raises a Python exception is
-*not* retried: that is a deterministic program error and replay would
-simply reproduce it.  When the retry budget is exhausted the slot is
-marked failed: with ``degrade=True`` its shards are frozen (the
-coordinator synthesizes offline records at their last reported supply
-and the registry parks their deliveries) while every other shard keeps
-finalizing; with ``degrade=False`` the run raises
-:class:`~repro.errors.WorkerLostError`.
-
-Crash-free runs execute the exact same message sequence as before the
-healing layer existed, and a healed run is bit-identical to a serial
-one — the replay reconstructs states, never perturbs them.
+**Heal or fail.**  Every message sent to a worker is kept in a per-slot
+list.  Waiting for a response polls the pipe with liveness checks
+(every :data:`HEARTBEAT_INTERVAL_S`, wedged after
+:data:`HEARTBEAT_TIMEOUT_S`); a dead or wedged worker is respawned — fork
+a replacement, **replay** every message but the in-flight last one
+(which, by lock-step determinism, reconstructs the lost shards' exact
+state at the last completed boundary), re-send the in-flight message —
+at most :data:`MAX_RESPAWNS` times.  A healed run is bit-identical to a
+serial one: the replay reconstructs states, never perturbs them.  Past
+the budget the run raises :class:`~repro.errors.WorkerLostError` with
+every worker reaped.  A worker that raises a Python exception is *not*
+retried: that is a deterministic program error and replay would simply
+reproduce it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from multiprocessing.connection import Connection
 from typing import Any, Mapping, Sequence
 
-from repro.errors import ConfigurationError, ShardError, WorkerLostError
-from repro.recovery.healing import (
-    EpochLog,
-    SchedulerRecoveryConfig,
-    WorkerCrash,
-    record_heal_event,
-)
+from repro.errors import ShardError, WorkerLostError
 from repro.sharding.escrow import ShardInstructions
 from repro.sharding.shard import Shard, ShardEpochRecord, ShardFinal, ShardSpec
 from repro.telemetry import trace
+
+#: Respawns a lost worker slot gets (per in-flight message) before the
+#: run fails with ``WorkerLostError``.
+MAX_RESPAWNS = 2
+#: Seconds between liveness checks while waiting on a worker's reply.
+HEARTBEAT_INTERVAL_S = 0.05
+#: Seconds of silence after which a live worker is presumed wedged.
+HEARTBEAT_TIMEOUT_S = 300.0
 
 
 class _WorkerDown(Exception):
@@ -100,15 +97,18 @@ def _worker_main(
     specs: Sequence[ShardSpec],
     conn: Connection,
     replay: Sequence[tuple[Any, ...]] = (),
-    crash: WorkerCrash | None = None,
+    inherited: Sequence[Connection] = (),
 ) -> None:
     """Own ``specs``'s shards for the run; serve epoch/finish requests.
 
     ``replay`` re-runs already-confirmed messages silently — the respawn
     path, reconstructing the shards' state at the last boundary.
-    ``crash`` is the test-injection directive: hard-exit before serving
-    the matching epoch (only a ``persistent`` crash survives respawn).
+    ``inherited`` are the coordinator's pipe ends the fork copied; they
+    are closed first, so the coordinator closing its end reaches this
+    worker as EOF.
     """
+    for other in inherited:
+        other.close()
     try:
         shards = {spec.index: Shard(spec) for spec in specs}
         for message in replay:
@@ -119,12 +119,6 @@ def _worker_main(
         trace.discard()
         while True:
             message = conn.recv()
-            if (
-                crash is not None
-                and message[0] == "epoch"
-                and message[1] == crash.epoch
-            ):
-                os._exit(1)
             payload, spans = _serve_message(shards, message)
             if spans is None:
                 conn.send(("ok", payload))
@@ -150,37 +144,18 @@ def _worker_main(
 class ShardScheduler:
     """Drives every shard through lock-step epochs, serially or forked."""
 
-    def __init__(
-        self,
-        specs: Sequence[ShardSpec],
-        jobs: int = 1,
-        recovery: SchedulerRecoveryConfig | None = None,
-        crashes: Sequence[WorkerCrash] = (),
-    ) -> None:
+    def __init__(self, specs: Sequence[ShardSpec], jobs: int = 1) -> None:
         if jobs < 1:
             raise ShardError(f"jobs must be >= 1, got {jobs}")
         self.specs = list(specs)
-        self.recovery = recovery or SchedulerRecoveryConfig()
         methods = multiprocessing.get_all_start_methods()
         self.jobs = min(jobs, len(self.specs)) if "fork" in methods else 1
         self._shards: dict[int, Shard] = {}
         self._workers: list[multiprocessing.process.BaseProcess] = []
         self._conns: list[Connection] = []
         self._groups: list[list[ShardSpec]] = []
-        self._logs: list[EpochLog] = []
-        self._crashes: dict[int, WorkerCrash] = {}
-        for crash in crashes:
-            if crash.slot in self._crashes:
-                raise ConfigurationError(
-                    f"multiple worker crashes for slot {crash.slot}"
-                )
-            self._crashes[crash.slot] = crash
-        #: Slots (and the shards they own) lost past the retry budget.
-        self.failed_slots: set[int] = set()
-        self.failed_shards: set[int] = set()
-        #: Each shard's last reported record — the freeze point for
-        #: synthesized records/finals after a worker loss.
-        self._last_records: dict[int, ShardEpochRecord] = {}
+        #: Per slot, every message sent so far — the respawn replay log.
+        self._sent: list[list[tuple[Any, ...]]] = []
         #: shard index -> owning worker slot (parallel mode only).
         self._owner: dict[int, int] = {}
         if self.jobs <= 1:
@@ -193,31 +168,29 @@ class ShardScheduler:
             self._owner[spec.index] = slot
         self._groups = groups
         for slot in range(self.jobs):
-            self._logs.append(EpochLog())
-            self._workers.append(None)  # type: ignore[arg-type]
-            self._conns.append(None)  # type: ignore[arg-type]
-            self._spawn(slot, replay=(), fresh=True)
+            self._sent.append([])
+            worker, conn = self._spawn(slot, replay=())
+            self._workers.append(worker)
+            self._conns.append(conn)
 
     def _spawn(
-        self,
-        slot: int,
-        replay: Sequence[tuple[Any, ...]],
-        fresh: bool = False,
-    ) -> None:
-        crash = self._crashes.get(slot)
-        if not fresh and crash is not None and not crash.persistent:
-            crash = None  # a transient crash does not survive respawn
+        self, slot: int, replay: Sequence[tuple[Any, ...]]
+    ) -> tuple[multiprocessing.process.BaseProcess, Connection]:
         context = multiprocessing.get_context("fork")
         parent_conn, child_conn = context.Pipe()
         worker = context.Process(
             target=_worker_main,
-            args=(self._groups[slot], child_conn, tuple(replay), crash),
+            args=(
+                self._groups[slot],
+                child_conn,
+                tuple(replay),
+                (parent_conn, *self._conns),
+            ),
             daemon=True,
         )
         worker.start()
         child_conn.close()
-        self._workers[slot] = worker
-        self._conns[slot] = parent_conn
+        return worker, parent_conn
 
     @property
     def parallel(self) -> bool:
@@ -232,66 +205,41 @@ class ShardScheduler:
         instructions: Mapping[int, ShardInstructions],
     ) -> dict[int, ShardEpochRecord]:
         if not self.parallel:
-            records = {
-                index: self._shards[index].run_epoch(
-                    epoch, list(instructions.get(index, [])), inject
-                )
-                for index in sorted(self._shards)
-            }
-            self._last_records.update(records)
-            return records
+            return self._serve(("epoch", epoch, inject, instructions))
         for slot in range(self.jobs):
-            if slot in self.failed_slots:
-                continue
             owned = {
                 index: list(plan)
                 for index, plan in instructions.items()
                 if self._owner[index] == slot
             }
             self._post(slot, ("epoch", epoch, inject, owned))
-        records: dict[int, ShardEpochRecord] = {}
-        spans_by_shard: dict[int, list] = {}
-        for slot in range(self.jobs):
-            if slot in self.failed_slots:
-                continue
-            collected = self._collect(slot)
-            if collected is not None:
-                payload, spans = collected
-                records.update(payload)
-                if spans:
-                    spans_by_shard.update(spans)
-        self._merge_spans(spans_by_shard)
-        for index in sorted(self.failed_shards):
-            records[index] = self._synthesize_record(index, epoch)
-        self._last_records.update(
-            {i: r for i, r in records.items() if i not in self.failed_shards}
-        )
-        return records
+        return self._collect_all()
 
     def finish(self) -> dict[int, ShardFinal]:
         if not self.parallel:
-            return {
-                index: self._shards[index].finish()
-                for index in sorted(self._shards)
-            }
+            return self._serve(("finish",))
         for slot in range(self.jobs):
-            if slot not in self.failed_slots:
-                self._post(slot, ("finish",))
-        finals: dict[int, ShardFinal] = {}
-        spans_by_shard: dict[int, list] = {}
-        for slot in range(self.jobs):
-            if slot not in self.failed_slots:
-                collected = self._collect(slot)
-                if collected is not None:
-                    payload, spans = collected
-                    finals.update(payload)
-                    if spans:
-                        spans_by_shard.update(spans)
-        self._merge_spans(spans_by_shard)
-        for index in sorted(self.failed_shards):
-            finals[index] = self._synthesize_final(index)
+            self._post(slot, ("finish",))
+        finals = self._collect_all()
         self.close()
         return finals
+
+    def _serve(self, message: tuple[Any, ...]) -> dict[int, Any]:
+        """Serial mode: the workers' serving path, run in-process."""
+        payload, spans = _serve_message(self._shards, message)
+        self._merge_spans(spans or {})
+        return payload
+
+    def _collect_all(self) -> dict[int, Any]:
+        """Every slot's reply to the in-flight message, merged."""
+        payload: dict[int, Any] = {}
+        spans_by_shard: dict[int, list] = {}
+        for slot in range(self.jobs):
+            part, spans = self._collect(slot)
+            payload.update(part)
+            spans_by_shard.update(spans or {})
+        self._merge_spans(spans_by_shard)
+        return payload
 
     @staticmethod
     def _merge_spans(spans_by_shard: dict[int, list]) -> None:
@@ -308,8 +256,8 @@ class ShardScheduler:
     # -- healing ---------------------------------------------------------------
 
     def _post(self, slot: int, message: tuple[Any, ...]) -> None:
-        """Journal and send; a send failure is healed at collect time."""
-        self._logs[slot].append(message)
+        """Log and send; a send failure is healed at collect time."""
+        self._sent[slot].append(message)
         try:
             self._conns[slot].send(message)
         except OSError:
@@ -317,33 +265,36 @@ class ShardScheduler:
 
     def _collect(
         self, slot: int
-    ) -> tuple[dict[int, Any], dict[int, list] | None] | None:
+    ) -> tuple[dict[int, Any], dict[int, list] | None]:
         """The in-flight message's response, healing the worker as needed.
 
         Attempt 0 is the normal receive; each further attempt is one
-        respawn (backoff, fork, journal replay, re-send) out of the
-        ``max_retries`` budget.  Returns ``None`` when the slot was
-        irrecoverable and the scheduler degraded instead of raising.
+        respawn (fork, replay, re-send) out of the ``MAX_RESPAWNS``
+        budget.  Past it the run fails with ``WorkerLostError``.
         """
-        for attempt in range(self.recovery.max_retries + 1):
+        for attempt in range(MAX_RESPAWNS + 1):
             if attempt:
-                time.sleep(self.recovery.backoff_s(slot, attempt))
                 self._respawn(slot)
             try:
                 return self._receive(slot)
             except _WorkerDown:
                 continue
-        return self._give_up(slot)
+        owned = sorted(index for index, s in self._owner.items() if s == slot)
+        self.close()
+        raise WorkerLostError(
+            f"shard worker {slot} (shards {owned}) lost after "
+            f"{MAX_RESPAWNS} respawn attempt(s)"
+        )
 
     def _receive(
         self, slot: int
     ) -> tuple[dict[int, Any], dict[int, list] | None]:
         conn = self._conns[slot]
         worker = self._workers[slot]
-        deadline = time.monotonic() + self.recovery.heartbeat_timeout_s
+        deadline = time.monotonic() + HEARTBEAT_TIMEOUT_S
         while True:
             try:
-                ready = conn.poll(self.recovery.heartbeat_interval_s)
+                ready = conn.poll(HEARTBEAT_INTERVAL_S)
             except OSError:
                 raise _WorkerDown(f"worker {slot}: pipe lost")
             if ready:
@@ -371,13 +322,17 @@ class ShardScheduler:
 
     def _respawn(self, slot: int) -> None:
         """Fork a replacement and bring it to the in-flight message."""
-        if trace.enabled():
-            current = self._logs[slot].current()
-            record_heal_event(
-                "respawn",
-                slot,
-                current[1] if current and current[0] == "epoch" else None,
-            )
+        sent = self._sent[slot]
+        current = sent[-1]
+        # Healing is driven by wall-clock liveness, so the only virtual
+        # timestamp it has is the in-flight epoch (0.0 for "finish"):
+        # the instant lands on the trace's epoch axis next to the work
+        # it interrupted.
+        trace.instant(
+            "healing.respawn",
+            float(current[1]) if current[0] == "epoch" else 0.0,
+            slot=slot,
+        )
         try:
             self._conns[slot].close()
         except OSError:  # pragma: no cover - already closed
@@ -386,110 +341,26 @@ class ShardScheduler:
         if old.is_alive():
             old.terminate()
         old.join(timeout=5)
-        log = self._logs[slot]
-        self._spawn(slot, replay=log.replay_messages())
-        current = log.current()
-        if current is not None:
-            try:
-                self._conns[slot].send(current)
-            except OSError:
-                pass  # dead at birth; the next _receive attempt sees it
-
-    def _give_up(self, slot: int) -> None:
-        """Retry budget exhausted: degrade the slot or fail the run."""
-        owned = sorted(
-            index for index, s in self._owner.items() if s == slot
-        )
-        if trace.enabled():
-            current = self._logs[slot].current()
-            record_heal_event(
-                "give_up",
-                slot,
-                current[1] if current and current[0] == "epoch" else None,
-                shards=owned,
-                degrade=self.recovery.degrade,
-            )
-        if not self.recovery.degrade:
-            self.close()
-            raise WorkerLostError(
-                f"shard worker {slot} (shards {owned}) lost after "
-                f"{self.recovery.max_retries} respawn attempt(s)"
-            )
-        self.failed_slots.add(slot)
-        self.failed_shards.update(owned)
-        worker = self._workers[slot]
-        if worker.is_alive():  # pragma: no cover - usually already dead
-            worker.terminate()
-        worker.join(timeout=5)
+        self._workers[slot], self._conns[slot] = self._spawn(slot, sent[:-1])
         try:
-            self._conns[slot].close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        return None
-
-    # -- degraded-mode synthesis -----------------------------------------------
-
-    def _synthesize_record(
-        self, index: int, epoch: int
-    ) -> ShardEpochRecord:
-        """Offline record freezing a lost shard at its last report.
-
-        A shard lost before reporting anything freezes at zero — its
-        value was never counted into the conservation baseline, so the
-        invariant stays self-consistent either way.
-        """
-        last = self._last_records.get(index)
-        return ShardEpochRecord(
-            shard=index,
-            epoch=epoch,
-            online=False,
-            prepares=[],
-            queue_depth=0,
-            processed_txs=last.processed_txs if last else 0,
-            rejected_txs=last.rejected_txs if last else 0,
-            epochs_synced=last.epochs_synced if last else 0,
-            supply0=last.supply0 if last else 0,
-            supply1=last.supply1 if last else 0,
-            peak_queue_depth=last.peak_queue_depth if last else 0,
-        )
-
-    def _synthesize_final(self, index: int) -> ShardFinal:
-        last = self._last_records.get(index)
-        return ShardFinal(
-            shard=index,
-            metrics={
-                "processed_txs": last.processed_txs if last else 0,
-                "rejected_txs": last.rejected_txs if last else 0,
-                "throughput_tps": 0.0,
-                "peak_queue_depth": last.peak_queue_depth if last else 0,
-                "worker_failed": 1,
-            },
-            ledger_counts={},
-            supply0=last.supply0 if last else 0,
-            supply1=last.supply1 if last else 0,
-            epochs_synced=last.epochs_synced if last else 0,
-            epochs_run=last.epoch + 1 if last else 0,
-            fault_log_len=0,
-            state_digest=f"lost-worker:{self._owner.get(index, -1)}",
-            degraded=True,
-        )
+            self._conns[slot].send(current)
+        except OSError:
+            pass  # dead at birth; the next _receive attempt sees it
 
     # -- teardown --------------------------------------------------------------
 
     def close(self) -> None:
+        """Close every pipe and reap every worker (idempotent)."""
         for conn in self._conns:
-            if conn is None:
-                continue
             try:
                 conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
         for worker in self._workers:
-            if worker is None:
-                continue
             worker.join(timeout=5)
             if worker.is_alive():  # pragma: no cover - hung worker
                 worker.terminate()
+                worker.join()
         self._workers = []
         self._conns = []
 

@@ -152,10 +152,6 @@ class ShardFinal:
     epochs_run: int = 0
     fault_log_len: int = 0
     state_digest: str = ""
-    #: True when this final was synthesized by the coordinator because
-    #: the shard's worker was lost past its retry budget: metrics are
-    #: frozen at the last reported epoch and the digest is synthetic.
-    degraded: bool = False
 
 
 class ShardExecutor(SidechainExecutor):

@@ -24,12 +24,10 @@ boundary exchange: every bank-touching delivery is recorded in a
 fork can be compensated deterministically at the next boundary; a
 :class:`~repro.recovery.migration.MigrationEngine` turns rebalance
 policy decisions into pool handoffs riding the settlement inboxes; and
-the scheduler heals crashed workers (or degrades around irrecoverable
-ones — their shards freeze, their undelivered instructions are revoked
-back into the registry, and the rest of the deployment keeps
-finalizing).  With no faults, no crashes, and no rebalance policy every
-one of these is a no-op and runs are byte-identical to the plain
-sharded engine.
+the scheduler respawns crashed workers and replays them to the lost
+boundary (or fails the run with ``WorkerLostError``).  With no faults,
+no crashes, and no rebalance policy every one of these is a no-op and
+runs are byte-identical to the plain sharded engine.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro import constants
 from repro.core.system import AmmBoostConfig
 from repro.errors import ConfigurationError, EscrowError
 from repro.faults.shard import ShardFault, ShardFaultBook
-from repro.recovery.healing import SchedulerRecoveryConfig, WorkerCrash
 from repro.recovery.journal import (
     BridgeJournal,
     RelockEscrow,
@@ -95,11 +92,6 @@ class ShardedConfig:
     #: Worker processes for the shard scheduler (1 = serial).
     jobs: int = 1
     shard_faults: tuple[ShardFault, ...] = ()
-    #: Scheduler self-healing knobs (``None`` = defaults: 2 respawn
-    #: attempts, then degrade around the lost slot).
-    recovery: SchedulerRecoveryConfig | None = None
-    #: Test-injection directives: kill worker slots at given epochs.
-    worker_crashes: tuple[WorkerCrash, ...] = ()
     #: Pool-rebalancing policy (``None`` = no migrations, ever).
     rebalance: RebalancePolicy | None = None
 
@@ -152,7 +144,9 @@ class ShardedRunReport:
     recovery: dict[str, int] = field(default_factory=dict)
     #: Completed pool handoffs, in completion order.
     migrations: list[PoolManifest] = field(default_factory=list)
-    #: Shards frozen because their scheduler worker was lost.
+    #: Always empty: a lost worker is respawned or the run raises
+    #: ``WorkerLostError``, so no shard is ever left behind.  Kept only
+    #: because ``bench/workloads.py`` still checks it.
     degraded_shards: tuple[int, ...] = ()
 
     def digest(self) -> str:
@@ -241,12 +235,7 @@ class ShardedSystem:
     @property
     def scheduler(self) -> ShardScheduler:
         if self._scheduler is None:
-            self._scheduler = ShardScheduler(
-                self.specs,
-                jobs=self.config.jobs,
-                recovery=self.config.recovery,
-                crashes=self.config.worker_crashes,
-            )
+            self._scheduler = ShardScheduler(self.specs, jobs=self.config.jobs)
         return self._scheduler
 
     def run(self, num_epochs: int = 3) -> ShardedRunReport:
@@ -270,22 +259,9 @@ class ShardedSystem:
             while True:
                 inject = epoch < num_epochs
                 offline = self.faults.any_offline(epoch)
-                failed = frozenset(scheduler.failed_shards)
-                instructions = self._boundary_instructions(
-                    epoch, offline, failed
-                )
+                instructions = self._boundary_instructions(epoch, offline)
                 records = scheduler.run_epoch(epoch, inject, instructions)
                 self.epoch_records.append(records)
-                # A slot lost *this* epoch took its inbox down with it:
-                # the registry must stop believing those deliveries
-                # landed before conservation is re-checked.
-                for shard in sorted(
-                    frozenset(scheduler.failed_shards) - failed
-                ):
-                    self.registry.revoke_deliveries(
-                        shard, instructions.get(shard, [])
-                    )
-                failed = frozenset(scheduler.failed_shards)
                 self._fold_records(records)
                 baseline = self._check_conservation(records, baseline, epoch)
                 queue_depth = sum(r.queue_depth for r in records.values())
@@ -293,9 +269,9 @@ class ShardedSystem:
                 if (
                     not inject
                     and queue_depth == 0
-                    and not self.registry.has_pending(failed)
-                    and self.engine.drained(failed)
-                    and not self._compensations_pending(failed)
+                    and not self.registry.has_pending()
+                    and self.engine.idle()
+                    and not self._compensations_pending()
                 ):
                     break
                 if epoch > num_epochs + constants.MAX_DRAIN_EPOCHS:
@@ -314,10 +290,7 @@ class ShardedSystem:
         )
 
     def _boundary_instructions(
-        self,
-        epoch: int,
-        offline: frozenset[int],
-        failed: frozenset[int],
+        self, epoch: int, offline: frozenset[int]
     ) -> dict[int, ShardInstructions]:
         """Assemble every shard's boundary inbox, journaling as it goes.
 
@@ -325,10 +298,9 @@ class ShardedSystem:
         landing in the same inbox may need its relocked escrow), then
         migration directives, then escrow settlements.
         """
-        unreachable = frozenset(offline | failed)
         inboxes: dict[int, ShardInstructions] = {}
         for shard in sorted(self._compensations):
-            if shard in unreachable:
+            if shard in offline:
                 continue  # deferred until the shard is back
             for comp in self._compensations.pop(shard):
                 if isinstance(comp, RelockEscrow):
@@ -344,12 +316,12 @@ class ShardedSystem:
                     )
                 inboxes.setdefault(shard, []).append(comp)
         directives = self.engine.directives_for(
-            epoch, unreachable, self._queue_pressure(failed)
+            epoch, offline, self._queue_pressure()
         )
         for shard in sorted(directives):
             inboxes.setdefault(shard, []).extend(directives[shard])
         settlements = self.registry.instructions_for(
-            offline, failed=failed, migrating=self.engine.migrating_pools
+            offline, migrating=self.engine.migrating_pools
         )
         for shard in sorted(settlements):
             for item in settlements[shard]:
@@ -364,7 +336,7 @@ class ShardedSystem:
                 inboxes.setdefault(shard, []).append(item)
         return inboxes
 
-    def _queue_pressure(self, failed: frozenset[int]) -> dict[int, int]:
+    def _queue_pressure(self) -> dict[int, int]:
         """Observed per-shard queue pressure for the rebalance policy."""
         if not self.epoch_records:
             return {}
@@ -372,7 +344,6 @@ class ShardedSystem:
         return {
             index: record.peak_queue_depth
             for index, record in previous.items()
-            if index not in failed
         }
 
     def _fold_records(
@@ -399,13 +370,9 @@ class ShardedSystem:
                     )
         self.engine.collect(records)
 
-    def _compensations_pending(self, failed: frozenset[int]) -> bool:
-        """Deliverable compensations left?  (A dead shard's never are.)"""
-        return any(
-            bool(comps)
-            for shard, comps in self._compensations.items()
-            if shard not in failed
-        )
+    def _compensations_pending(self) -> bool:
+        """Compensations left to deliver?"""
+        return any(bool(comps) for comps in self._compensations.values())
 
     def _check_conservation(
         self,
@@ -466,5 +433,4 @@ class ShardedSystem:
             abort_codes=self.registry.abort_codes(),
             recovery=self.journal.counts(),
             migrations=list(self.engine.history),
-            degraded_shards=tuple(sorted(self.scheduler.failed_shards)),
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.amm.fixed_point import encode_price_sqrt
@@ -47,6 +49,46 @@ def count_calls(monkeypatch):
 
         monkeypatch.setattr(cls, name, classmethod(counting))
         return calls
+
+    return install
+
+
+@pytest.fixture
+def kill_worker(monkeypatch, tmp_path):
+    """``kill_worker(slot, message, persistent=False)`` hard-exits a forked
+    shard-scheduler worker: the worker in ``slot`` calls ``os._exit(1)``
+    just before serving its ``message``-th message (0-based, counting
+    the replay a respawned worker runs first).
+
+    The worker-side ``_serve_message`` is patched in this process, so
+    every worker forked afterwards inherits the patch; the coordinator
+    itself never dies.  A transient kill fires once — a marker file
+    remembers it across the respawn — a persistent one every time.
+    """
+    from repro.sharding import scheduler
+
+    coordinator = os.getpid()
+    serve = scheduler._serve_message
+
+    def install(slot: int, message: int, persistent: bool = False) -> None:
+        marker = tmp_path / f"killed-{slot}-{message}"
+        served = [0]  # per process: each fork starts from the parent's 0
+
+        def killing(shards, msg):
+            index = served[0]
+            served[0] += 1
+            # Slots own shards round-robin, so slot s's lowest shard is s.
+            if (
+                os.getpid() != coordinator
+                and min(shards) == slot
+                and index == message
+                and (persistent or not marker.exists())
+            ):
+                marker.touch()
+                os._exit(1)
+            return serve(shards, msg)
+
+        monkeypatch.setattr(scheduler, "_serve_message", killing)
 
     return install
 

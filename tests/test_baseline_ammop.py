@@ -3,6 +3,7 @@
 import pytest
 
 from repro import constants
+from repro.errors import ConfigurationError
 from repro.baselines.ammop import AmmOpConfig, AmmOpRollup
 
 
@@ -54,3 +55,10 @@ def test_all_transactions_eventually_processed():
     rollup, metrics = run_rollup()
     generated = sum(rollup.generator.generated_counts.values())
     assert metrics.processed_txs == generated
+
+
+def test_drain_past_the_cap_raises(monkeypatch):
+    """A backlog the cap cannot clear raises the typed error."""
+    monkeypatch.setattr(constants, "MAX_DRAIN_EPOCHS", 1)
+    with pytest.raises(ConfigurationError, match="rollup drain did not complete"):
+        run_rollup()

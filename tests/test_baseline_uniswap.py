@@ -3,6 +3,7 @@
 import pytest
 
 from repro import constants
+from repro.errors import ConfigurationError
 from repro.baselines.uniswap_l1 import UniswapL1Baseline, UniswapL1Config
 
 
@@ -72,3 +73,14 @@ def test_pool_state_evolves(ran_baseline):
     baseline, _ = ran_baseline
     assert baseline.pool.balance0 > 0
     assert baseline.pool.fee_growth_global0_x128 > 0
+
+
+def test_drain_past_the_cap_raises(monkeypatch):
+    """A backlog the cap cannot clear fails loudly, not with partial metrics."""
+    monkeypatch.setattr(constants, "MAX_DRAIN_EPOCHS", 1)
+    baseline = UniswapL1Baseline(
+        UniswapL1Config(daily_volume=2_000_000, num_users=10, seed=7,
+                        rounds_per_epoch=2)
+    )
+    with pytest.raises(ConfigurationError, match="L1 drain did not complete"):
+        baseline.run(num_epochs=1)

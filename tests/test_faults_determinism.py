@@ -14,7 +14,6 @@ from repro.faults import (
     Rollback,
     SyncWithhold,
     ViewChangeBurst,
-    random_message_plan,
 )
 from repro.scenarios.faults import (
     crash_churn_spec,
@@ -24,6 +23,7 @@ from repro.scenarios.faults import (
 )
 from repro.scenarios.runner import ScenarioRunner
 from repro.simulation.rng import DeterministicRng
+from tests.fault_plans import random_message_plan
 
 
 def test_fault_scenarios_jobs1_and_jobs4_bit_identical():

@@ -27,17 +27,12 @@ from repro import constants
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.keys import generate_keypair
-from repro.faults import (
-    Drop,
-    FaultDriver,
-    FaultPlan,
-    random_epoch_plan,
-    random_message_plan,
-)
+from repro.faults import Drop, FaultDriver, FaultPlan
 from repro.sidechain.pbft import PbftConfig, PbftRound
 from repro.simulation.events import EventScheduler
 from repro.simulation.network import Network
 from repro.simulation.rng import DeterministicRng
+from tests.fault_plans import random_epoch_plan, random_message_plan
 
 FAST_GROUP = SchnorrGroup.small_test_group()
 

@@ -1,30 +1,22 @@
 """Unit tests for the recovery layer: bridge journal, pool migration,
-scheduler self-healing.
+scheduler healing.
 
 End-to-end behaviour (conservation through forks, migrations under
-faults, degraded deployments) lives in the sharding suites; these tests
-pin the recovery components' own contracts — rewound-window selection,
-handoff state machinery, crash/retry/degrade paths — in isolation.
+faults, every worker kill point) lives in the sharding suites; these
+tests pin the recovery components' own contracts — rewound-window
+selection, handoff state machinery, respawn-or-raise — in isolation.
 """
 
 import pytest
 
 from repro.core.system import AmmBoostConfig
-from repro.errors import (
-    ConfigurationError,
-    PlacementError,
-    ShardError,
-    WorkerLostError,
-)
+from repro.errors import PlacementError, ShardError, WorkerLostError
 from repro.recovery import (
     BridgeJournal,
     DrainHottestShard,
-    EpochLog,
     MigrationEngine,
     RollbackReport,
     ScheduledMigrations,
-    SchedulerRecoveryConfig,
-    WorkerCrash,
 )
 from repro.recovery.migration import (
     AssignmentUpdate,
@@ -151,7 +143,7 @@ class TestMigrationEngine:
         assert second[1] == [CompletePoolMigration(manifest)]
         assert second[0] == [AssignmentUpdate("pool-0", 1)]
         assert engine.assignment["pool-0"] == 1
-        assert engine.idle() and engine.drained()
+        assert engine.idle()
         assert engine.counts()["migrations"] == 1
 
     def test_offline_shards_defer_every_leg(self):
@@ -183,13 +175,6 @@ class TestMigrationEngine:
         with pytest.raises(PlacementError, match="shard"):
             engine.directives_for(1, frozenset(), {})
 
-    def test_drained_ignores_handoffs_wedged_on_failed_shards(self):
-        engine = self.engine(ScheduledMigrations(moves=((1, "pool-0", 1),)))
-        engine.directives_for(1, frozenset({0}), {})  # begin deferred
-        assert not engine.drained()
-        assert not engine.drained(frozenset({1}))
-        assert engine.drained(frozenset({0}))
-
     def test_drain_hottest_policy_picks_hot_to_cold(self):
         policy = DrainHottestShard(factor=2.0, min_queue=5)
         moves = policy.decide(1, {0: 20, 1: 4}, self.assignment())
@@ -207,36 +192,6 @@ class TestMigrationEngine:
         engine.directives_for(1, frozenset(), {})
         engine.directives_for(2, frozenset(), {})
         assert engine.migrating_pools == frozenset({"pool-0"})
-
-
-class TestSchedulerRecoveryConfig:
-    def test_backoff_is_deterministic_and_bounded(self):
-        config = SchedulerRecoveryConfig(backoff_base_s=0.1, backoff_max_s=0.3)
-        first = config.backoff_s(0, 1)
-        assert first == config.backoff_s(0, 1)
-        assert first != config.backoff_s(1, 1)
-        assert 0.05 <= first <= 0.15
-        assert config.backoff_s(0, 9) <= 0.45  # capped * max jitter
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SchedulerRecoveryConfig(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            SchedulerRecoveryConfig(heartbeat_timeout_s=0)
-        with pytest.raises(ConfigurationError):
-            WorkerCrash(slot=-1, epoch=0)
-
-
-class TestEpochLog:
-    def test_replay_excludes_in_flight_message(self, tmp_path):
-        log = EpochLog()
-        log.append(("epoch", 0, True, {}))
-        log.append(("epoch", 1, True, {}))
-        assert log.replay_messages() == [("epoch", 0, True, {})]
-        assert log.current() == ("epoch", 1, True, {})
-        assert log.manifest() == {"messages": 2, "epochs": 2}
-        path = log.save(tmp_path / "spool" / "w0.pkl")
-        assert EpochLog.load(path).messages == log.messages
 
 
 def small_specs(num_shards=2):
@@ -263,72 +218,30 @@ def small_specs(num_shards=2):
     ]
 
 
-def fast_recovery(**overrides):
-    defaults = dict(
-        max_retries=1, backoff_base_s=0.001, backoff_max_s=0.002
-    )
-    defaults.update(overrides)
-    return SchedulerRecoveryConfig(**defaults)
-
-
 class TestSchedulerHealing:
-    def test_transient_crash_heals_bit_identically(self):
+    def test_transient_crash_heals_bit_identically(self, kill_worker):
         serial = ShardScheduler(small_specs(), jobs=1)
         for epoch in range(2):
             serial.run_epoch(epoch, True, {})
         expected = serial.finish()
 
-        healed = ShardScheduler(
-            small_specs(),
-            jobs=2,
-            recovery=fast_recovery(),
-            crashes=(WorkerCrash(slot=1, epoch=1),),
-        )
+        kill_worker(slot=1, message=1)
+        healed = ShardScheduler(small_specs(), jobs=2)
         for epoch in range(2):
             healed.run_epoch(epoch, True, {})
         finals = healed.finish()
-        assert not healed.failed_shards
         assert {
             i: f.state_digest for i, f in finals.items()
         } == {i: f.state_digest for i, f in expected.items()}
 
-    def test_persistent_crash_degrades_slot(self):
-        scheduler = ShardScheduler(
-            small_specs(),
-            jobs=2,
-            recovery=fast_recovery(),
-            crashes=(WorkerCrash(slot=0, epoch=1, persistent=True),),
-        )
-        scheduler.run_epoch(0, True, {})
-        records = scheduler.run_epoch(1, True, {})
-        assert scheduler.failed_shards == {0}
-        # The lost shard freezes at its epoch-0 report...
-        assert records[0].online is False
-        assert records[0].supply0 > 0
-        # ...while the surviving shard keeps running.
-        assert records[1].online is True
-        finals = scheduler.finish()
-        assert finals[0].degraded and not finals[1].degraded
-        assert finals[0].metrics["worker_failed"] == 1
-
-    def test_persistent_crash_raises_when_degrade_disabled(self):
-        scheduler = ShardScheduler(
-            small_specs(),
-            jobs=2,
-            recovery=fast_recovery(degrade=False),
-            crashes=(WorkerCrash(slot=1, epoch=0, persistent=True),),
-        )
+    def test_persistent_crash_raises_when_degrade_disabled(self, kill_worker):
+        """There is no degraded mode left to disable: past the respawn
+        budget the scheduler always raises."""
+        kill_worker(slot=1, message=0, persistent=True)
+        scheduler = ShardScheduler(small_specs(), jobs=2)
         with pytest.raises(WorkerLostError, match="worker 1"):
             scheduler.run_epoch(0, True, {})
         assert WorkerLostError.concise is True
-
-    def test_duplicate_crash_slots_rejected(self):
-        with pytest.raises(ConfigurationError, match="slot"):
-            ShardScheduler(
-                small_specs(),
-                jobs=2,
-                crashes=(WorkerCrash(0, 0), WorkerCrash(0, 1)),
-            )
 
     def test_worker_exception_is_not_retried(self):
         scheduler = ShardScheduler(small_specs(), jobs=2)
@@ -353,8 +266,6 @@ class TestRouterAbortCodes:
             t, frozenset(), migrating=frozenset({"pool-1"})
         )
         assert code == "pool_migrating"
-        _, _, code = router.classify(t, frozenset(), failed=frozenset({1}))
-        assert code == "shard_failed"
         stale = make_transfer(dest=0)  # pool-1 lives on shard 1
         _, _, code = router.classify(stale, frozenset())
         assert code == "stale_route"
