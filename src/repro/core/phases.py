@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from repro import constants
 from repro.core.summary import summarize_epoch
 from repro.core.sync import create_tx_sync
-from repro.core.transactions import BurnTx, MintTx, SidechainTx
+from repro.core.transactions import BurnTx, MintTx, SidechainTx, SwapTx
 from repro.crypto.dkg import simulate_dkg
 from repro.crypto.hashing import keccak256
 from repro.core.sync import SyncPayload, TsqcAuthenticator
@@ -342,14 +342,14 @@ class RoundExecutionPhase(EpochPhase):
         metrics = system.metrics
         metrics.processed_txs += len(accepted)
         metrics.rejected_txs += rejected
-        record_latency = metrics.sidechain_latency.record
         track_ownership = RoundExecutionPhase.track_position_ownership
         for tx in accepted:
             tx.included_round = round_index
             tx.included_epoch = epoch
             tx.included_at = round_end
-            record_latency(round_end - tx.submitted_at)
-            track_ownership(system, tx)
+            if type(tx) is not SwapTx:
+                track_ownership(system, tx)
+        record_latencies(metrics.sidechain_latency, round_end, accepted)
         block.transactions = accepted
         system._epoch_txs.setdefault(epoch, []).extend(accepted)
         block.seal()
@@ -361,6 +361,26 @@ class RoundExecutionPhase(EpochPhase):
             system.population.on_position_created(tx.user, tx.effects["position_id"])
         elif isinstance(tx, BurnTx) and tx.effects.get("deleted"):
             system.population.on_position_deleted(tx.user, tx.effects["position_id"])
+
+
+def record_latencies(stats, end: float, txs: list[SidechainTx]) -> None:
+    """Record ``end - tx.submitted_at`` for every transaction, in order.
+
+    A generated round stamps all its transactions with one
+    ``submitted_at``, so each run of equal stamps is one
+    :meth:`~repro.telemetry.metrics.LogHistogram.record_run` — the same
+    histogram, bit for bit, as one ``record`` per transaction.
+    """
+    if not txs:
+        return
+    run_at, n = txs[0].submitted_at, 0
+    for tx in txs:
+        at = tx.submitted_at
+        if at != run_at:
+            stats.record_run(end - run_at, n)
+            run_at, n = at, 0
+        n += 1
+    stats.record_run(end - run_at, n)
 
 
 # -- 5. summary-block and TSQC-authenticated sync ------------------------------
@@ -511,8 +531,9 @@ def on_sync_confirmed(system, pending) -> None:
             continue
         system.ledger.mark_synced(epoch)
         system.ledger.prune_epoch(epoch)
-        for tx in system._epoch_txs.pop(epoch, []):
-            system.metrics.payout_latency.record(confirm_time - tx.submitted_at)
+        record_latencies(
+            system.metrics.payout_latency, confirm_time, system._epoch_txs.pop(epoch, [])
+        )
     max_epoch = max(pending.epochs)
     system._unsynced = [s for s in system._unsynced if s.epoch > max_epoch]
     system._onchain_vkc_epoch = max(system._onchain_vkc_epoch, pending.signer_epoch + 1)

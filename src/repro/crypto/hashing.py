@@ -25,10 +25,21 @@ def _keccak256_pure(*parts: bytes | str | int) -> bytes:
     """
     h = hashlib.sha3_256()
     for part in parts:
-        data = _to_bytes(part)
-        h.update(len(data).to_bytes(4, "big"))
-        h.update(data)
+        h.update(encode_part(part))
     return h.digest()
+
+
+def encode_part(part: bytes | str | int) -> bytes:
+    """The bytes one part contributes to a part hash.
+
+    A 4-byte big-endian length, then the part itself: bytes as-is,
+    strings UTF-8 encoded, ints as a sign byte and an at-least-32-byte
+    big-endian magnitude.  This is the one definition of the layout;
+    callers that hash many parts at once (the meta-block seal) fuse
+    these bytes into a single SHA3 call.
+    """
+    data = _to_bytes(part)
+    return len(data).to_bytes(4, "big") + data
 
 
 def keccak256_int(*parts: bytes | str | int) -> int:
@@ -56,6 +67,13 @@ def _to_bytes(part: bytes | str | int) -> bytes:
         length = max(32, (magnitude.bit_length() + 7) // 8)
         return sign + magnitude.to_bytes(length, "big")
     raise TypeError(f"cannot hash value of type {type(part).__name__}")
+
+
+#: ``encode_part(v) == WORD_PART_HEAD + v.to_bytes(32, "big")`` for every
+#: int ``0 <= v < WORD_BOUND``: a 33-byte length and the ``+`` sign.  The
+#: fast path for the ids and sizes a meta-block seal hashes.
+WORD_BOUND = 1 << 256
+WORD_PART_HEAD = encode_part(0)[:5]
 
 
 # Resolved last so the amm package (which never imports repro.crypto)

@@ -16,15 +16,16 @@ class LatencyStats(LogHistogram):
     """Streaming latency histogram: a :class:`LogHistogram` of durations.
 
     Its one addition is refusing negative latencies, which only a clock
-    bug produces.
+    bug produces.  :meth:`record` goes through :meth:`record_run`, so
+    both paths refuse them.
     """
 
     __slots__ = ()
 
-    def record(self, value: float) -> None:
+    def record_run(self, value: float, n: int) -> None:
         if value < 0:
             raise ValueError(f"negative latency: {value}")
-        super().record(value)
+        super().record_run(value, n)
 
 
 @dataclass

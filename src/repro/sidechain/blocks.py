@@ -8,15 +8,18 @@ a whole epoch (Section II, chainBoost overview; Section IV).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.crypto.hashing import keccak256
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.hashing import WORD_BOUND, WORD_PART_HEAD, encode_part, keccak256
+from repro.crypto.merkle import DIGEST_LEAF_HEAD, leaf_node, merkle_root
 
 #: Bytes of block header/metadata counted toward sidechain growth.
 META_BLOCK_HEADER_SIZE = 200
 SUMMARY_BLOCK_HEADER_SIZE = 300
+
+_LEAF_TAG = encode_part(b"tx-leaf")
 
 
 @dataclass
@@ -31,23 +34,52 @@ class MetaBlock:
     tx_root: bytes = b""
 
     def seal(self) -> None:
-        """Compute the Merkle commitment over the carried transactions."""
-        leaves = [self._tx_leaf(tx) for tx in self.transactions] or [b"empty"]
-        self.tx_root = MerkleTree(leaves).root
+        """Compute the Merkle commitment over the carried transactions.
 
-    @staticmethod
-    def _tx_leaf(tx) -> bytes:
-        """Leaf commitment for one transaction.
+        A transaction's leaf is the part hash ``keccak256(b"tx-leaf",
+        type name, tx_id, user, size_bytes)``: its identity (``tx_id`` is
+        unique within a run and feeds position-id hashes), its issuer and
+        its wire size — the fields inclusion proofs over pruned history
+        need.  An empty block commits to the single leaf ``b"empty"``.
 
-        Commits to the transaction's identity (``tx_id`` is unique within a
-        run and feeds position-id hashes), its issuer and its wire size —
-        the fields inclusion proofs over pruned history need.  Hashing the
-        fixed field tuple instead of ``repr(tx)`` keeps ``seal`` off the
-        dataclass-repr slow path, which dominated epoch mining time.
+        The leaf's parts are encoded by :func:`encode_part` (ids and
+        sizes below 2**256 on its fixed-width fast path) and fused into
+        one SHA3 call; a second hashes the leaf node and
+        :func:`merkle_root` adds about one interior node per leaf.  Those
+        three SHA3 calls per transaction are the floor while ``tx_root``
+        stays the value it has always been — only a change to what a
+        leaf commits to could lower it.
         """
-        return keccak256(
-            b"tx-leaf", type(tx).__name__, tx.tx_id, tx.user, tx.size_bytes
-        )
+        txs = self.transactions
+        if not txs:
+            self.tx_root = merkle_root([leaf_node(b"empty")])
+            return
+        sha3, leaf_head = hashlib.sha3_256, DIGEST_LEAF_HEAD
+        word_head, bound = WORD_PART_HEAD, WORD_BOUND
+        # Per seal, so nothing outlives the block: the leaf tag and the
+        # type-name part, which together open every leaf.
+        openings: dict[type, bytes] = {}
+        nodes = []
+        for tx in txs:
+            cls = type(tx)
+            opening = openings.get(cls)
+            if opening is None:
+                opening = openings[cls] = _LEAF_TAG + encode_part(cls.__name__)
+            tx_id, size = tx.tx_id, tx.size_bytes
+            leaf = sha3(
+                b"".join((
+                    opening,
+                    word_head + tx_id.to_bytes(32, "big")
+                    if 0 <= tx_id < bound
+                    else encode_part(tx_id),
+                    encode_part(tx.user),
+                    word_head + size.to_bytes(32, "big")
+                    if 0 <= size < bound
+                    else encode_part(size),
+                ))
+            ).digest()
+            nodes.append(sha3(leaf_head + leaf).digest())
+        self.tx_root = merkle_root(nodes)
 
     @property
     def size_bytes(self) -> int:

@@ -31,6 +31,15 @@ class DeterministicRng:
         """Derive an independent RNG for a named sub-component."""
         return DeterministicRng(f"{self.seed}/{label}")
 
+    @property
+    def stream(self) -> random.Random:
+        """The underlying :class:`random.Random`.
+
+        For hot loops that bind its methods once; they draw exactly what
+        the pass-throughs below draw.
+        """
+        return self._random
+
     # -- thin pass-throughs -------------------------------------------------
 
     def random(self) -> float:

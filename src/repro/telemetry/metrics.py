@@ -47,18 +47,36 @@ class LogHistogram:
         self.maximum: float | None = None
 
     def record(self, value: float) -> None:
+        """Add one value; NaN and ±inf raise ``ValueError`` untouched."""
+        self.record_run(value, 1)
+
+    def record_run(self, value: float, n: int) -> None:
+        """Add ``value`` ``n`` times: the same state, bit for bit, as ``n``
+        calls to :meth:`record` (``total`` takes ``n`` separate additions,
+        since ``n * value`` can round differently).
+
+        A non-finite value raises ``ValueError`` before anything changes,
+        so a refused value never reaches ``summary()``'s strict JSON.
+        """
         value = float(value)
-        self.count += 1
-        self.total += value
+        if not math.isfinite(value):
+            raise ValueError(f"cannot record a non-finite value: {value}")
+        if n <= 0:
+            return
+        self.count += n
+        total = self.total
+        for _ in range(n):
+            total += value
+        self.total = total
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
         if value <= 0.0:
-            self.zero_count += 1
+            self.zero_count += n
             return
         index = _bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        self.buckets[index] = self.buckets.get(index, 0) + n
 
     @property
     def mean(self) -> float:

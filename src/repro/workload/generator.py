@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro import constants
 from repro.core.transactions import BurnTx, CollectTx, IdSpace, MintTx, SidechainTx, SwapTx
 from repro.workload.distribution import TrafficDistribution
 from repro.workload.users import UserPopulation
@@ -68,82 +69,90 @@ class TrafficGenerator:
     def generate_round(
         self, count: int, submitted_at: float, current_tick: int = 0
     ) -> list[SidechainTx]:
-        """Generate ``count`` transactions timestamped ``submitted_at``."""
+        """Generate ``count`` transactions timestamped ``submitted_at``.
+
+        The round's types are drawn first, then each transaction's user
+        and parameters in order.  A mint tops up one of its user's
+        positions 30% of the time (if the user has any); a burn (whole
+        position) or collect targets a position of a random owner, and
+        becomes a swap while nobody owns one, so the round keeps its
+        count.
+        """
+        rng = self.rng.stream
+        random, randint, choice = rng.random, rng.randint, rng.choice
+        pick_owner = self.population.pick_lp_with_position
+        users = self.population.users
+        addresses = [user.address for user in users]
+        ids, amounts, spacing = self.ids, self.amounts, self.tick_spacing
+        sizes = constants.SIZE_UNISWAP_ETHEREUM
+        swap_size, mint_size = round(sizes["swap"]), round(sizes["mint"])
+        burn_size, collect_size = round(sizes["burn"]), round(sizes["collect"])
+        center = (current_tick // spacing) * spacing
+
         types, weights = self.distribution.as_weights()
-        chosen = self.rng.choices(types, weights=weights, k=count)
-        txs = []
-        for tx_type in chosen:
-            tx = self._generate_one(tx_type, current_tick)
-            tx.submitted_at = submitted_at
-            txs.append(tx)
+        txs: list[SidechainTx] = []
+        append = txs.append
+        mints = burns = collects = 0
+        for tx_type in rng.choices(types, weights=weights, k=count):
+            if tx_type == "mint":
+                user = choice(users)
+                positions = user.positions
+                position_id = choice(positions) if positions and random() < 0.3 else None
+                half_width = randint(amounts.range_min_spacings, amounts.range_max_spacings)
+                amount = randint(amounts.liquidity_min, amounts.liquidity_max)
+                append(MintTx(
+                    user=user.address,
+                    size_bytes=mint_size,
+                    submitted_at=submitted_at,
+                    tick_lower=center - half_width * spacing,
+                    tick_upper=center + half_width * spacing,
+                    amount0_desired=amount,
+                    amount1_desired=amount,
+                    position_id=position_id,
+                    tx_id=ids(),
+                ))
+                mints += 1
+                continue
+            if tx_type != "swap":
+                owner = pick_owner(self.rng)
+                if owner is not None:
+                    position_id = choice(owner.positions)
+                    if tx_type == "burn":
+                        # Generated burns withdraw the whole position (None
+                        # = everything); partial burns are unit-tested.
+                        append(BurnTx(
+                            user=owner.address,
+                            size_bytes=burn_size,
+                            submitted_at=submitted_at,
+                            position_id=position_id,
+                            liquidity=None,
+                            tx_id=ids(),
+                        ))
+                        burns += 1
+                    else:
+                        append(CollectTx(
+                            user=owner.address,
+                            size_bytes=collect_size,
+                            submitted_at=submitted_at,
+                            position_id=position_id,
+                            tx_id=ids(),
+                        ))
+                        collects += 1
+                    continue
+            address = choice(addresses)
+            amount = randint(amounts.swap_min, amounts.swap_max)
+            append(SwapTx(
+                user=address,
+                size_bytes=swap_size,
+                submitted_at=submitted_at,
+                zero_for_one=random() < 0.5,
+                exact_input=random() < 0.85,
+                amount=amount,
+                tx_id=ids(),
+            ))
+        counts = self.generated_counts
+        counts["swap"] += len(txs) - mints - burns - collects
+        counts["mint"] += mints
+        counts["burn"] += burns
+        counts["collect"] += collects
         return txs
-
-    def _generate_one(self, tx_type: str, current_tick: int) -> SidechainTx:
-        if tx_type == "mint":
-            tx = self._generate_mint(current_tick)
-        elif tx_type == "burn":
-            tx = self._generate_burn()
-        elif tx_type == "collect":
-            tx = self._generate_collect()
-        else:
-            tx = self._generate_swap()
-        self.generated_counts[type(tx).txtype.value] += 1
-        return tx
-
-    def _generate_swap(self) -> SwapTx:
-        user = self.population.pick(self.rng)
-        amount = self.rng.randint(self.amounts.swap_min, self.amounts.swap_max)
-        return SwapTx(
-            user=user.address,
-            zero_for_one=self.rng.random() < 0.5,
-            exact_input=self.rng.random() < 0.85,
-            amount=amount,
-            tx_id=self.ids(),
-        )
-
-    def _generate_mint(self, current_tick: int) -> MintTx:
-        user = self.population.pick(self.rng)
-        # Occasionally top up an existing position instead of opening one.
-        if user.positions and self.rng.random() < 0.3:
-            position_id = self.rng.choice(sorted(user.positions))
-        else:
-            position_id = None
-        half_width = self.rng.randint(
-            self.amounts.range_min_spacings, self.amounts.range_max_spacings
-        )
-        center = self._align(current_tick)
-        tick_lower = center - half_width * self.tick_spacing
-        tick_upper = center + half_width * self.tick_spacing
-        amount = self.rng.randint(
-            self.amounts.liquidity_min, self.amounts.liquidity_max
-        )
-        return MintTx(
-            user=user.address,
-            tick_lower=tick_lower,
-            tick_upper=tick_upper,
-            amount0_desired=amount,
-            amount1_desired=amount,
-            position_id=position_id,
-            tx_id=self.ids(),
-        )
-
-    def _generate_burn(self) -> SidechainTx:
-        user = self.population.pick_lp_with_position(self.rng)
-        if user is None:
-            # Nobody holds a position yet; substitute a swap so the round's
-            # transaction count is preserved.
-            return self._generate_swap()
-        position_id = self.rng.choice(sorted(user.positions))
-        # Generated burns withdraw the whole position (None = everything);
-        # partial burns are exercised by the unit tests.
-        return BurnTx(user=user.address, position_id=position_id, liquidity=None, tx_id=self.ids())
-
-    def _generate_collect(self) -> SidechainTx:
-        user = self.population.pick_lp_with_position(self.rng)
-        if user is None:
-            return self._generate_swap()
-        position_id = self.rng.choice(sorted(user.positions))
-        return CollectTx(user=user.address, position_id=position_id, tx_id=self.ids())
-
-    def _align(self, tick: int) -> int:
-        return (tick // self.tick_spacing) * self.tick_spacing

@@ -65,3 +65,20 @@ def test_any_int_hashes(value):
 def test_collision_resistance_on_samples(a, b):
     if a != b:
         assert keccak256(a) != keccak256(b)
+
+
+@given(st.integers(0, 2**256 - 1))
+def test_word_fast_path_is_the_part_encoding(value):
+    from repro.crypto.hashing import WORD_BOUND, WORD_PART_HEAD, encode_part
+
+    assert value < WORD_BOUND
+    assert WORD_PART_HEAD + value.to_bytes(32, "big") == encode_part(value)
+
+
+def test_word_fast_path_bounds():
+    from repro.crypto.hashing import WORD_BOUND, WORD_PART_HEAD, encode_part
+
+    assert encode_part(WORD_BOUND - 1) == WORD_PART_HEAD + (WORD_BOUND - 1).to_bytes(32, "big")
+    # Outside [0, 2**256) the general encoding differs: wider or signed.
+    assert not encode_part(WORD_BOUND).startswith(WORD_PART_HEAD)
+    assert not encode_part(-1).startswith(WORD_PART_HEAD)

@@ -6,7 +6,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.metrics.collector import LatencyStats
 from repro.telemetry.metrics import (
     LogHistogram,
     SUBBUCKETS,
@@ -124,3 +127,74 @@ def test_latency_stats_percentiles_and_merge():
     assert stats.count == 5
     assert stats.summary()["max"] == 100.0
     assert stats.summary()["p99"] == pytest.approx(100.0, rel=0.1)
+
+
+# -- refused values and runs ---------------------------------------------------
+
+
+def _state(hist: LogHistogram) -> tuple:
+    return (
+        hist.count,
+        float.hex(hist.total),
+        sorted(hist.buckets.items()),
+        hist.zero_count,
+        hist.minimum,
+        hist.maximum,
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_is_refused_before_any_change(bad):
+    for hist in (LogHistogram(), LatencyStats()):
+        hist.record(1.0)
+        before = _state(hist)
+        with pytest.raises(ValueError):
+            hist.record(bad)
+        with pytest.raises(ValueError):
+            hist.record_run(bad, 3)
+        assert _state(hist) == before
+        summary = hist.summary()
+        json.dumps(summary, allow_nan=False)
+        assert summary["count"] == 1
+        assert summary["max"] == summary["mean"] == 1.0
+
+
+def test_latency_stats_refuses_negative_runs_untouched():
+    stats = LatencyStats()
+    stats.record(2.0)
+    before = _state(stats)
+    with pytest.raises(ValueError):
+        stats.record(-0.5)
+    with pytest.raises(ValueError):
+        stats.record_run(-0.5, 4)
+    assert _state(stats) == before
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from((0.0, -0.0, -2.5, 0.1, 1e-300, 1.7e308)),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            st.integers(0, 40),
+        ),
+        max_size=20,
+    )
+)
+def test_record_run_equals_repeated_record(runs):
+    by_run, by_record = LogHistogram(), LogHistogram()
+    for value, n in runs:
+        by_run.record_run(value, n)
+        for _ in range(n):
+            by_record.record(value)
+    assert _state(by_run) == _state(by_record)
+
+
+def test_record_run_of_zero_changes_nothing():
+    hist = LogHistogram()
+    hist.record_run(3.0, 0)
+    assert _state(hist) == _state(LogHistogram())
+    # Repeated addition, not multiplication: 0.1 * 10 != 0.1 added ten times.
+    hist.record_run(0.1, 10)
+    assert hist.total == sum([0.1] * 10) != 0.1 * 10

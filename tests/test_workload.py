@@ -1,6 +1,8 @@
 """Tests for traffic distributions, arrival process and generation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import constants
 from repro.core.transactions import BurnTx, CollectTx, IdSpace, MintTx, SwapTx
@@ -176,6 +178,32 @@ def test_pick_lp_with_position():
     assert population.pick_lp_with_position(rng) is None
     population.users[1].positions.add("p")
     assert population.pick_lp_with_position(rng) is population.users[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.integers(0, 5), st.sampled_from("abcdefg")),
+        max_size=60,
+    )
+)
+def test_owner_list_and_sorted_ids_match_a_scan(ops):
+    population = UserPopulation(6, seed=0)
+    held = [set() for _ in population.users]
+    for create, index, position_id in ops:
+        address = population.users[index].address
+        if create:
+            population.on_position_created(address, position_id)
+            held[index].add(position_id)
+        else:
+            population.on_position_deleted(address, position_id)
+            held[index].discard(position_id)
+        for user, ids in zip(population.users, held):
+            assert list(user.positions) == sorted(ids)
+        owners = [u for u, ids in zip(population.users, held) if ids]
+        rng = DeterministicRng(len(ops))
+        expected = rng.choice(owners) if owners else None
+        assert population.pick_lp_with_position(DeterministicRng(len(ops))) is expected
 
 
 def test_empty_population_rejected():
