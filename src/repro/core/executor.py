@@ -17,6 +17,7 @@ public key, verified on burns and collects.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -31,8 +32,10 @@ from repro.core.transactions import (
     SidechainTx,
     SwapTx,
 )
-from repro.crypto.hashing import keccak256
+from repro.crypto.hashing import encode_part
 from repro.errors import AMMError, DepositError, PositionError
+
+_POSITION_TAG = encode_part(b"position")
 
 
 @dataclass
@@ -438,5 +441,11 @@ class SidechainExecutor:
 
     @staticmethod
     def _new_position_id(tx: MintTx) -> str:
-        """Position id = hash of the mint transaction and the LP's key."""
-        return keccak256(b"position", tx.tx_id, tx.user).hex()[:32]
+        """Position id = hash of the mint transaction and the LP's key.
+
+        The part hash ``keccak256(b"position", tx_id, user)``, its three
+        parts fused into one SHA3 call behind a precomputed tag.
+        """
+        return hashlib.sha3_256(
+            _POSITION_TAG + encode_part(tx.tx_id) + encode_part(tx.user)
+        ).hexdigest()[:32]

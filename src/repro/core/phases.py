@@ -500,7 +500,12 @@ class SummarySyncPhase(EpochPhase):
 
 
 def check_pending_syncs(system) -> None:
-    """Confirm / drop submitted Sync calls; prune epochs they covered."""
+    """Confirm / drop submitted Sync calls; prune epochs they covered.
+
+    A confirmed sync's record (payload and TokenBank ``pre_state``) is
+    kept only while a rollback could still abandon its block; below the
+    mainchain's final height, or once a fork has dropped it, it goes.
+    """
     still_pending = []
     for pending in system._pending_syncs:
         if system.mainchain.is_confirmed(pending.tx):
@@ -512,6 +517,12 @@ def check_pending_syncs(system) -> None:
         else:
             still_pending.append(pending)
     system._pending_syncs = still_pending
+    final = system.mainchain.final_height
+    system._confirmed_syncs = [
+        p
+        for p in system._confirmed_syncs
+        if p.tx.block_number is not None and p.tx.block_number >= final
+    ]
 
 
 def on_sync_confirmed(system, pending) -> None:
@@ -603,7 +614,7 @@ class PruneRecoveryPhase(EpochPhase):
             depth = chain.height - max(sync_blocks)
         else:
             depth = rollback.depth
-        return min(depth, len(chain.blocks), chain.config.max_rollback_depth)
+        return min(depth, chain.height - chain.final_height)
 
 
 def default_epoch_phases(

@@ -9,18 +9,24 @@ verification key ``vk_c`` recorded by the *previous* epoch's sync.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro import constants
 from repro.core.summary import EpochSummary
 from repro.crypto.bls import BlsSignature, ThresholdBls, bls_verify_hashed
 from repro.crypto.groups import G2Element, PairingGroup
-from repro.crypto.hashing import keccak256
+from repro.crypto.hashing import WORD_BOUND, WORD_PART_HEAD, encode_part
 from repro.crypto.shamir import Share
 from repro.errors import SyncAuthError, ThresholdError
 
 #: Selector + epoch bookkeeping overhead of a Sync call, bytes.
 SYNC_CALL_OVERHEAD = 100
+
+_SYNC_TAG = encode_part(b"sync")
+#: Payout or position entries :meth:`SyncPayload.digest` encodes before
+#: it feeds them to the hash, so no join holds a whole payload.
+_DIGEST_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -84,29 +90,76 @@ class SyncPayload:
         )
 
     def digest(self) -> bytes:
-        """The message the committee threshold-signs."""
-        parts: list = [b"sync"]
+        """The message the committee threshold-signs.
+
+        The part hash ``keccak256(b"sync", ...)`` over, per summary, its
+        epoch and pool balances, each payout's user and balances, and
+        each position's id, owner, liquidity delta, liquidity after and
+        owed fees; then ``vkc_next`` and each hand-over's epoch and key.
+        That layout is unchanged; it is streamed: every part goes through
+        :func:`encode_part` (ints below 2**256 on its word fast path,
+        user names encoded once per call) and one SHA3 is fed a chunk of
+        at most :data:`_DIGEST_CHUNK` entries at a time.  Nothing is
+        cached — the payload is mutable, so the signer and TokenBank
+        each recompute it from what they hold.
+        """
+        word_head, bound = WORD_PART_HEAD, WORD_BOUND
+        h = hashlib.sha3_256(_SYNC_TAG)
+        names: dict[str, bytes] = {}
+        chunk: list[bytes] = []
         for summary in self.summaries:
-            parts.append(summary.epoch)
-            parts.append(summary.pool_balance0)
-            parts.append(summary.pool_balance1)
-            for p in summary.payouts:
-                parts.extend((p.user, p.balance0, p.balance1))
-            for pos in summary.positions:
-                parts.extend(
-                    (
-                        pos.position_id,
-                        pos.owner,
-                        pos.liquidity_delta,
-                        pos.liquidity_after,
-                        pos.fees_owed0,
-                        pos.fees_owed1,
-                    )
+            chunk += (
+                encode_part(summary.epoch),
+                encode_part(summary.pool_balance0),
+                encode_part(summary.pool_balance1),
+            )
+            for i, p in enumerate(summary.payouts, 1):
+                user = names.get(p.user)
+                if user is None:
+                    user = names[p.user] = encode_part(p.user)
+                b0, b1 = p.balance0, p.balance1
+                chunk += (
+                    user,
+                    word_head + b0.to_bytes(32, "big")
+                    if 0 <= b0 < bound
+                    else encode_part(b0),
+                    word_head + b1.to_bytes(32, "big")
+                    if 0 <= b1 < bound
+                    else encode_part(b1),
                 )
-        parts.append(self.vkc_next.encode())
+                if not i % _DIGEST_CHUNK:
+                    h.update(b"".join(chunk))
+                    chunk.clear()
+            for i, pos in enumerate(summary.positions, 1):
+                owner = names.get(pos.owner)
+                if owner is None:
+                    owner = names[pos.owner] = encode_part(pos.owner)
+                delta, after = pos.liquidity_delta, pos.liquidity_after
+                fees0, fees1 = pos.fees_owed0, pos.fees_owed1
+                chunk += (
+                    encode_part(pos.position_id),
+                    owner,
+                    word_head + delta.to_bytes(32, "big")
+                    if 0 <= delta < bound
+                    else encode_part(delta),
+                    word_head + after.to_bytes(32, "big")
+                    if 0 <= after < bound
+                    else encode_part(after),
+                    word_head + fees0.to_bytes(32, "big")
+                    if 0 <= fees0 < bound
+                    else encode_part(fees0),
+                    word_head + fees1.to_bytes(32, "big")
+                    if 0 <= fees1 < bound
+                    else encode_part(fees1),
+                )
+                if not i % _DIGEST_CHUNK:
+                    h.update(b"".join(chunk))
+                    chunk.clear()
+        chunk.append(encode_part(self.vkc_next.encode()))
         for handover in self.handovers:
-            parts.extend((handover.epoch, handover.vkc.encode()))
-        return keccak256(*parts)
+            chunk += (encode_part(handover.epoch), encode_part(handover.vkc.encode()))
+        h.update(b"".join(chunk))
+        return h.digest()
 
 
 def create_tx_sync(

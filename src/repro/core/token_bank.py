@@ -21,7 +21,7 @@ Two calibration notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro import constants
 from repro.core.summary import EpochSummary
@@ -31,6 +31,9 @@ from repro.crypto.groups import G2Element
 from repro.errors import EscrowError, FlashLoanError, RevertError, SyncAuthError
 from repro.mainchain.contracts.base import CallContext, Contract
 from repro.mainchain.contracts.erc20 import ERC20Token, GAS_APPROVE
+
+if TYPE_CHECKING:
+    from repro.core.nft import PositionNftRegistry
 
 #: Packed storage footprint of one liquidity position (Table II: "each
 #: consists of 192 bytes (or 6 words)").
@@ -44,7 +47,7 @@ POOL_BALANCE_STORAGE_BYTES = 64
 GAS_DEPOSIT_CALL = constants.GAS_DEPOSIT_TWO_TOKENS - 2 * GAS_APPROVE
 
 
-@dataclass
+@dataclass(frozen=True)
 class EscrowRecord:
     """One cross-shard transfer's mainchain-side two-phase-commit state.
 
@@ -54,6 +57,10 @@ class EscrowRecord:
     the destination shard's bank) or refunds it (abort: the value returns
     to the owner's deposit, and the sidechain re-credits it through the
     ordinary deposit-merge pipeline).
+
+    Records are immutable: a transition stores ``replace(record,
+    status=...)`` back into :attr:`TokenBank.escrows`, so a rollback
+    snapshot can share the record objects instead of copying them.
     """
 
     transfer_id: str
@@ -109,7 +116,7 @@ class TokenBank(Contract):
         #: Optional Remark-3 extension: an attached
         #: :class:`~repro.core.nft.PositionNftRegistry` mints/burns the
         #: wrapping NFTs as positions are synced.
-        self.nft_registry = None
+        self.nft_registry: PositionNftRegistry | None = None
         #: Confirmed deposit events ``(timestamp, user, amount0, amount1)``;
         #: the sidechain merges entries newer than its last snapshot so
         #: mid-epoch deposits are credited without waiting for a sync.
@@ -236,7 +243,9 @@ class TokenBank(Contract):
             ctx.gas.charge(constants.GAS_PAYOUT_ENTRY, "payout")
         for delta in summary.positions:
             existing = self.positions.get(delta.position_id)
-            if delta.deleted or delta.liquidity_after == 0:
+            # Only the signed liquidity decides a deletion: ``deleted`` is
+            # not part of the digest, so a relayer could flip it.
+            if delta.liquidity_after == 0:
                 if existing is not None:
                     del self.positions[delta.position_id]
                     self._release(POSITION_STORAGE_BYTES)
@@ -331,7 +340,7 @@ class TokenBank(Contract):
     def escrow_release(self, transfer_id: str) -> tuple[int, int]:
         """Settle: the escrowed value bridges out to the destination bank."""
         record = self._active_escrow(transfer_id)
-        record.status = EscrowRecord.SETTLED
+        self.escrows[transfer_id] = replace(record, status=EscrowRecord.SETTLED)
         return record.amount0, record.amount1
 
     def escrow_refund(
@@ -344,8 +353,9 @@ class TokenBank(Contract):
         through the ordinary deposit-merge pipeline.
         """
         record = self._active_escrow(transfer_id)
-        record.status = EscrowRecord.REFUNDED
-        record.abort_reason = reason
+        self.escrows[transfer_id] = replace(
+            record, status=EscrowRecord.REFUNDED, abort_reason=reason
+        )
         self.credit_external(
             record.user, record.amount0, record.amount1, timestamp
         )
@@ -397,6 +407,11 @@ class TokenBank(Contract):
         ammBoost system captures this snapshot before submitting a sync
         and restores it if that sync's block is abandoned, reproducing
         real rollback semantics for the recovery experiments.
+
+        Only containers are copied.  Escrow records are immutable and
+        positions are replaced, never edited, on sync, so the snapshot
+        shares those objects with the live state; deposit balances are
+        mutable lists and are copied one by one.
         """
         return {
             "deposits": {u: list(b) for u, b in self.deposits.items()},
@@ -409,13 +424,15 @@ class TokenBank(Contract):
             "sync_count": self.sync_count,
             "storage_bytes": self.storage_bytes,
             "deposit_events": list(self.deposit_events),
-            "escrows": {
-                tid: replace(r) for tid, r in self.escrows.items()
-            },
+            "escrows": dict(self.escrows),
         }
 
     def restore_state(self, snapshot: dict) -> None:
-        """Rewind to a previously captured snapshot (rollback recovery)."""
+        """Rewind to a previously captured snapshot (rollback recovery).
+
+        Copies the snapshot's containers, never its records, so the
+        snapshot stays intact for a second restore.
+        """
         self.deposits = {u: list(b) for u, b in snapshot["deposits"].items()}
         self.positions = dict(snapshot["positions"])
         self.pool_balance0 = snapshot["pool_balance0"]
@@ -426,9 +443,7 @@ class TokenBank(Contract):
         self.sync_count = snapshot["sync_count"]
         self.storage_bytes = snapshot["storage_bytes"]
         self.deposit_events = list(snapshot["deposit_events"])
-        self.escrows = {
-            tid: replace(r) for tid, r in snapshot.get("escrows", {}).items()
-        }
+        self.escrows = dict(snapshot["escrows"])
 
     # -- views ------------------------------------------------------------------------
 

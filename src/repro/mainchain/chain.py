@@ -33,7 +33,8 @@ class MainchainConfig:
 
     block_interval: float = constants.MAINCHAIN_BLOCK_INTERVAL_S
     block_gas_limit: int = constants.MAINCHAIN_BLOCK_GAS_LIMIT
-    #: Blocks kept reorg-safe; rollbacks deeper than this raise.
+    #: Blocks kept reorg-safe; rollbacks reaching more than this below
+    #: the chain's peak raise (see :attr:`Mainchain.final_height`).
     max_rollback_depth: int = 64
 
 
@@ -74,6 +75,8 @@ class Mainchain:
         self.contracts: dict[str, Contract] = {}
         self.growth = ChainGrowth()
         self._last_block_time = self.clock.now
+        #: The highest the chain has ever been (see :attr:`final_height`).
+        self._peak_height = 0
         self.total_gas_used = 0
         self._tx_ids = itertools.count(1)
 
@@ -139,6 +142,16 @@ class Mainchain:
         return len(self.blocks)
 
     @property
+    def final_height(self) -> int:
+        """Blocks numbered below this are final: no rollback reaches them.
+
+        Counted from the highest the chain has ever been, so forks in a
+        row cannot together reach deeper than one fork of
+        ``max_rollback_depth``.
+        """
+        return max(0, self._peak_height - self.config.max_rollback_depth)
+
+    @property
     def next_block_time(self) -> float:
         return self._last_block_time + self.config.block_interval
 
@@ -178,6 +191,7 @@ class Mainchain:
             block.transactions.append(tx)
         self.mempool = remaining
         self.blocks.append(block)
+        self._peak_height = max(self._peak_height, self.height)
         self.growth.record_block(block)
         self._last_block_time = block_time
         return block
@@ -231,11 +245,12 @@ class Mainchain:
         Their transactions return to the mempool as DROPPED-then-PENDING;
         contract state is *not* rewound — the affected ammBoost syncs are
         recovered by mass-syncing, which is idempotent by design, and the
-        recovery tests exercise exactly that path.
+        recovery tests exercise exactly that path.  No fork reaches below
+        :attr:`final_height`.
         """
         if depth <= 0:
             raise RollbackError(f"rollback depth must be positive, got {depth}")
-        if depth > min(len(self.blocks), self.config.max_rollback_depth):
+        if depth > self.height - self.final_height:
             raise RollbackError(
                 f"cannot roll back {depth} of {len(self.blocks)} blocks"
             )

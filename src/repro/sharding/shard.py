@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.executor import SidechainExecutor
@@ -521,14 +521,16 @@ class Shard:
         the record's terminal status is restored.  Idempotent: a record
         that is already terminal is left alone.
         """
-        record = self.system.token_bank.escrows.get(resync.transfer_id)
+        escrows = self.system.token_bank.escrows
+        record = escrows.get(resync.transfer_id)
         if record is None or record.status != record.PREPARED:
             return
         if resync.settle:
-            record.status = record.SETTLED
+            escrows[resync.transfer_id] = replace(record, status=record.SETTLED)
         else:
-            record.status = record.REFUNDED
-            record.abort_reason = resync.reason
+            escrows[resync.transfer_id] = replace(
+                record, status=record.REFUNDED, abort_reason=resync.reason
+            )
 
     def _drain_rewinds(self, epoch: int) -> list[RollbackReport]:
         """Turn the chassis' fork log into reports for the coordinator."""

@@ -8,6 +8,8 @@ hand-over certificate chain.
 
 import pytest
 
+from repro.core.phases import check_pending_syncs
+from repro.errors import RollbackError
 from repro.mainchain.transactions import TxStatus
 from tests.conftest import small_system, withheld_syncs
 
@@ -129,3 +131,62 @@ def test_recovered_run_still_conserves_tokens():
     held0 = system.token0.balance_of("tokenbank")
     deposits0 = sum(b[0] for b in system.token_bank.deposits.values())
     assert held0 == deposits0 + system.token_bank.pool_balance0
+
+
+def _shallow_system(depth: int):
+    """A deployment whose mainchain lets no fork reach deeper than ``depth``."""
+    system = small_system()
+    system.mainchain.config.max_rollback_depth = depth
+    return system
+
+
+def test_confirmed_sync_records_stay_inside_the_rollback_horizon():
+    system = _shallow_system(4)
+    metrics = system.run(num_epochs=10)
+    final = system.mainchain.final_height
+    assert final > 0
+    kept = system._confirmed_syncs
+    assert 0 < len(kept) < metrics.num_syncs
+    assert all(p.tx.block_number >= final for p in kept)
+    sync_blocks = [
+        tx.block_number
+        for block in system.mainchain.blocks
+        for tx in block.transactions
+        if tx.label == "sync"
+    ]
+    assert sorted(p.tx.block_number for p in kept) == [
+        b for b in sync_blocks if b >= final
+    ]
+
+
+def test_rollback_of_the_full_depth_restores_the_retained_pre_state():
+    depth = 4
+    system = _shallow_system(depth)
+    system.run(num_epochs=4)
+    chain = system.mainchain
+    latest = max(system._confirmed_syncs, key=lambda p: p.tx.block_number)
+    # Mine until the latest sync's block is the oldest a fork may reach,
+    # confirming at every block so retention runs at the boundary.
+    while chain.height < latest.tx.block_number + depth:
+        chain.produce_blocks_until(chain.next_block_time)
+        check_pending_syncs(system)
+    assert chain.final_height == latest.tx.block_number
+    assert latest in system._confirmed_syncs
+    pre_state = latest.pre_state
+    assert system.inject_mainchain_rollback(depth) == 1
+    bank = system.token_bank
+    assert bank.last_synced_epoch == pre_state["last_synced_epoch"]
+    assert bank.deposits == pre_state["deposits"]
+    assert bank.synced_epochs == pre_state["synced_epochs"]
+    # No fork reaches below the final height, however many come in a row.
+    with pytest.raises(RollbackError):
+        system.inject_mainchain_rollback(1)
+    # The next epoch's mass-sync re-covers the lost epoch; nothing leaks.
+    system.run_epoch(4, inject=True)
+    system.settle_syncs()
+    assert bank.last_synced_epoch == 4
+    for user, balance in system.executor.deposits.items():
+        assert bank.deposit_of(user) == (balance[0], balance[1])
+    held0 = system.token0.balance_of("tokenbank")
+    deposits0 = sum(b[0] for b in bank.deposits.values())
+    assert held0 == deposits0 + bank.pool_balance0

@@ -272,6 +272,26 @@ def test_sync_deletes_withdrawn_positions(bank_setup):
     assert bank.storage_bytes < storage_before
 
 
+def test_unsigned_deleted_flag_cannot_delete_a_live_position(bank_setup):
+    """Only the signed ``liquidity_after`` decides a deletion."""
+    bank, _, _, auth = bank_setup
+    create = PositionDelta(
+        position_id="p", owner="alice", tick_lower=-60, tick_upper=60,
+        liquidity_delta=100, liquidity_after=100,
+    )
+    bank.sync(ctx("leader"), _signed_payload(
+        auth, [EpochSummary(epoch=0, positions=[create])], auth.group_vk))
+    topped_up = PositionDelta(
+        position_id="p", owner="alice", tick_lower=-60, tick_upper=60,
+        liquidity_delta=50, liquidity_after=150,
+    )
+    payload = _signed_payload(
+        auth, [EpochSummary(epoch=1, positions=[topped_up])], auth.group_vk)
+    # A relayer flips the flag after signing; the TSQC still verifies.
+    topped_up.deleted = True
+    bank.sync(ctx("leader"), payload)
+    assert bank.positions["p"].liquidity == 150
+
 def test_sync_gas_itemisation(bank_setup):
     bank, _, _, auth = bank_setup
     summary = EpochSummary(

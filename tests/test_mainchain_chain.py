@@ -169,6 +169,22 @@ def test_rollback_depth_validation(chain):
         chain.rollback(5)
 
 
+def test_forks_in_a_row_cannot_reach_below_the_final_height():
+    chain = Mainchain(config=MainchainConfig(max_rollback_depth=3))
+    chain.produce_blocks_until(12.0 * 5)
+    assert (chain.height, chain.final_height) == (5, 2)
+    chain.rollback(2)
+    # The peak, not the current height, sets the floor.
+    assert (chain.height, chain.final_height) == (3, 2)
+    with pytest.raises(RollbackError):
+        chain.rollback(2)
+    chain.rollback(1)
+    assert chain.height == chain.final_height == 2
+    chain.produce_blocks_until(12.0 * 6)
+    assert (chain.height, chain.final_height) == (6, 3)
+    chain.rollback(3)
+    assert chain.height == 3
+
 def test_chain_continues_after_rollback(chain):
     chain.produce_blocks_until(24.0)
     chain.rollback(1)

@@ -1,11 +1,16 @@
 """Escrow state machines: TokenBank (mainchain) and EscrowLedger (shard)."""
 
+from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.token_bank import EscrowRecord, TokenBank
 from repro.errors import EscrowError
 from repro.mainchain.contracts.erc20 import ERC20Token
+from repro.recovery.journal import ResyncResolve
 from repro.sharding.escrow import EscrowLedger, TransferRecord
+from repro.sharding.shard import Shard
 
 
 def make_bank() -> TokenBank:
@@ -69,6 +74,48 @@ class TestTokenBankEscrow:
         bank.restore_state(snapshot)
         assert bank.escrows["t1"].status == EscrowRecord.PREPARED
         assert bank.escrow_balance() == (9, 9)
+
+    @pytest.mark.parametrize(
+        "transition", ["release", "refund", "resync_settle", "resync_refund"]
+    )
+    def test_transitions_replace_records_the_snapshot_shares(self, transition):
+        bank = make_bank()
+        bank.escrow_lock("t1", "alice", 9, 4)
+        bank.escrow_lock("t2", "bob", 1, 0)
+        snapshot = bank.state_snapshot()
+        shared = dict(snapshot["escrows"])
+        assert shared["t1"] is bank.escrows["t1"]
+        if transition == "release":
+            bank.escrow_release("t1")
+        elif transition == "refund":
+            bank.escrow_refund("t1", timestamp=1.0, reason="dest offline")
+        else:
+            shard = SimpleNamespace(system=SimpleNamespace(token_bank=bank))
+            resync = ResyncResolve(
+                "t1", settle=transition == "resync_settle", reason="fork"
+            )
+            Shard._apply_resync(shard, resync)
+        assert bank.escrows["t1"].status != EscrowRecord.PREPARED
+        assert bank.escrows["t1"] is not shared["t1"]
+        # The snapshot's own records never moved.
+        assert snapshot["escrows"] == shared
+        assert all(snapshot["escrows"][t] is shared[t] for t in shared)
+        assert shared["t1"].status == EscrowRecord.PREPARED
+        assert shared["t1"].abort_reason == ""
+        bank.restore_state(snapshot)
+        assert bank.escrows["t1"].status == EscrowRecord.PREPARED
+        assert bank.escrow_balance() == (10, 4)
+        # A second transition after the restore leaves the snapshot intact.
+        bank.escrow_release("t2")
+        assert snapshot["escrows"]["t2"].status == EscrowRecord.PREPARED
+
+    def test_records_are_immutable(self):
+        bank = make_bank()
+        record = bank.escrow_lock("t1", "alice", 9, 9)
+        with pytest.raises(FrozenInstanceError):
+            record.status = EscrowRecord.SETTLED  # type: ignore[misc]
+        with pytest.raises(FrozenInstanceError):
+            record.abort_reason = "late"  # type: ignore[misc]
 
 
 def record(tid: str, epoch: int = 0) -> TransferRecord:
