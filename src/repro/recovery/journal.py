@@ -21,7 +21,10 @@ erased writes fall into exactly three classes:
   in ``inject_mainchain_rollback`` itself).
 
 The journal records every bank-touching bridge action as it is
-delivered, keyed by shard and epoch.  When a shard reports a rollback,
+delivered, keyed by shard and epoch, as one plain :data:`JournalEntry`
+tuple each: a transfer journals up to three entries, so a long run keeps
+tens of thousands, and tuples of atomics leave the cyclic GC's working
+set.  When a shard reports a rollback,
 :meth:`BridgeJournal.compensations_for` replays the journal over the
 rewound window and emits compensating entries for the next boundary:
 
@@ -48,31 +51,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Protocol
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the packages acyclic
-    from repro.sharding.escrow import TransferRecord
+    from repro.sharding.escrow import TransferRow
 
-
-@dataclass(frozen=True)
-class JournalEntry:
-    """One bank-touching bridge action on one shard.
-
-    ``kind`` is one of ``lock`` (escrow lock for an outbound transfer),
-    ``release`` / ``refund`` (source-side resolve), or ``credit``
-    (``credit_external`` on the destination).  ``at_boundary`` marks
-    writes applied at a boundary, *before* the epoch's bank snapshot —
-    end-of-epoch locks carry ``False`` and sit *after* it, which shifts
-    their rewound window by one epoch.
-    """
-
-    LOCK = "lock"
-    RELEASE = "release"
-    REFUND = "refund"
-    CREDIT = "credit"
-
-    kind: str
-    shard: int
-    transfer_id: str
-    epoch: int
-    at_boundary: bool = False
+#: One bank-touching bridge action on one shard: ``(kind, shard,
+#: transfer_id, epoch, at_boundary)``.  ``kind`` is one of :data:`LOCK`
+#: (escrow lock for an outbound transfer), :data:`RELEASE` /
+#: :data:`REFUND` (source-side resolve), or :data:`CREDIT`
+#: (``credit_external`` on the destination).  ``at_boundary`` marks
+#: writes applied at a boundary, *before* the epoch's bank snapshot —
+#: end-of-epoch locks carry ``False`` and sit *after* it, which shifts
+#: their rewound window by one epoch.
+JournalEntry = tuple[str, int, str, int, bool]
+LOCK = "lock"
+RELEASE = "release"
+REFUND = "refund"
+CREDIT = "credit"
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,7 @@ class RelockEscrow:
     over-approximation and double forks).
     """
 
-    transfer: TransferRecord
+    transfer: TransferRow
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ class _EntryView(Protocol):
     """The slice of the registry's in-flight entry the journal reads."""
 
     @property
-    def transfer(self) -> TransferRecord: ...
+    def transfer(self) -> TransferRow: ...
 
     @property
     def settle(self) -> bool: ...
@@ -147,41 +140,18 @@ class BridgeJournal:
         epoch: int,
         at_boundary: bool = False,
     ) -> None:
-        self.entries.append(
-            JournalEntry(
-                kind=JournalEntry.LOCK,
-                shard=shard,
-                transfer_id=transfer_id,
-                epoch=epoch,
-                at_boundary=at_boundary,
-            )
-        )
+        self.entries.append((LOCK, shard, transfer_id, epoch, at_boundary))
 
     def record_resolve(
         self, shard: int, transfer_id: str, epoch: int, settle: bool
     ) -> None:
-        self.entries.append(
-            JournalEntry(
-                kind=JournalEntry.RELEASE if settle else JournalEntry.REFUND,
-                shard=shard,
-                transfer_id=transfer_id,
-                epoch=epoch,
-                at_boundary=True,
-            )
-        )
+        kind = RELEASE if settle else REFUND
+        self.entries.append((kind, shard, transfer_id, epoch, True))
 
     def record_credit(
         self, shard: int, transfer_id: str, epoch: int
     ) -> None:
-        self.entries.append(
-            JournalEntry(
-                kind=JournalEntry.CREDIT,
-                shard=shard,
-                transfer_id=transfer_id,
-                epoch=epoch,
-                at_boundary=True,
-            )
-        )
+        self.entries.append((CREDIT, shard, transfer_id, epoch, True))
 
     def compensations_for(
         self,
@@ -202,20 +172,19 @@ class BridgeJournal:
         self.rollbacks.append(report)
         relock_ids: set[str] = set()
         resync_ids: set[str] = set()
-        for entry in self.entries:
-            if entry.shard != report.shard:
+        restored = report.restored_epoch
+        for kind, shard, transfer_id, epoch, at_boundary in self.entries:
+            if shard != report.shard:
                 continue
-            if entry.kind == JournalEntry.LOCK:
+            if kind == LOCK:
                 rewound = (
-                    entry.epoch > report.restored_epoch
-                    if entry.at_boundary
-                    else entry.epoch >= report.restored_epoch
+                    epoch > restored if at_boundary else epoch >= restored
                 )
                 if rewound:
-                    relock_ids.add(entry.transfer_id)
-            elif entry.kind in (JournalEntry.RELEASE, JournalEntry.REFUND):
-                if entry.epoch > report.restored_epoch:
-                    resync_ids.add(entry.transfer_id)
+                    relock_ids.add(transfer_id)
+            elif kind in (RELEASE, REFUND):
+                if epoch > restored:
+                    resync_ids.add(transfer_id)
             # CREDIT entries need no compensation: the credit merged
             # into the executor before the fork; the rollback hook
             # repairs the merge cursor over the truncated event log.

@@ -17,9 +17,9 @@ from repro.sharding.escrow import (
     CrossShardSwapTx,
     CrossShardTransferTx,
     EscrowLedger,
-    SettleCredit,
-    SourceResolve,
+    Instruction,
     TransferRecord,
+    TransferRow,
 )
 from repro.sharding.placement import (
     ExplicitPlacement,
@@ -52,9 +52,9 @@ __all__ = [
     "EscrowLedger",
     "ExplicitPlacement",
     "HashPlacement",
+    "Instruction",
     "PlacementPolicy",
     "RoundRobinPlacement",
-    "SettleCredit",
     "Shard",
     "ShardEpochRecord",
     "ShardExecutor",
@@ -65,9 +65,9 @@ __all__ = [
     "ShardedConfig",
     "ShardedRunReport",
     "ShardedSystem",
-    "SourceResolve",
     "TransferRecord",
     "TransferRegistry",
+    "TransferRow",
     "pools_of",
     "shard_substream_seed",
 ]

@@ -30,12 +30,23 @@ The two-phase commit, end to end:
 
 Every identifier is deterministic (per-shard, per-epoch counters), so the
 whole protocol is bit-identical under any scheduler job count.
+
+**Wire format.**  Per-transfer data crosses the scheduler pipes and lives
+in the coordinator as exact tuples of ``str``/``int``/``bool``, not
+as dataclasses: a prepare is a :data:`TransferRow` (the twelve immutable
+:class:`TransferRecord` fields in declaration order, so
+``TransferRecord(*row)`` rebuilds a prepared record), and a settlement
+item is an :data:`Instruction` — ``("credit", row)`` to the destination
+or ``("resolve", transfer_id, settle, reason, code)`` to the source.
+Plain tuples pickle in C and drop out of the cyclic GC once it has seen
+them; see ``sharding/README.md`` for the measured cost of the
+alternatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Literal
 
 from repro.core.transactions import SwapTx
 from repro.errors import EscrowError
@@ -69,30 +80,43 @@ class TransferRecord:
     SETTLED = "settled"
     ABORTED = "aborted"
 
-
-@dataclass
-class SettleCredit:
-    """Coordinator -> destination shard: value arriving from an escrow."""
-
-    transfer: TransferRecord
-
-
-@dataclass
-class SourceResolve:
-    """Coordinator -> source shard: release or refund a prepared escrow.
-
-    ``code`` is the machine-readable abort code ("" for settles);
-    retryable codes are listed in
-    :data:`repro.sharding.router.RETRYABLE_ABORTS`.
-    """
-
-    transfer_id: str
-    settle: bool
-    reason: str = ""
-    code: str = ""
+    def row(self) -> TransferRow:
+        """The record's wire form: every field but the shard-side
+        ``status`` and ``abort_reason``, in declaration order."""
+        return (
+            self.transfer_id,
+            self.user,
+            self.source_shard,
+            self.dest_shard,
+            self.dest_pool,
+            self.amount0,
+            self.amount1,
+            self.epoch,
+            self.zero_for_one,
+            self.exact_input,
+            self.swap_amount,
+            self.return_output,
+        )
 
 
-#: One shard's settlement inbox for an epoch.  Beyond the two escrow
+#: A prepared transfer on the wire: ``(transfer_id, user, source_shard,
+#: dest_shard, dest_pool, amount0, amount1, epoch, zero_for_one,
+#: exact_input, swap_amount, return_output)``.
+TransferRow = tuple[str, str, int, int, str, int, int, int, bool, bool, int, bool]
+
+#: One escrow settlement item, tagged by its first element:
+#: ``("credit", row)`` delivers value arriving from an escrow to the
+#: destination shard; ``("resolve", transfer_id, settle, reason, code)``
+#: tells the source shard to release (``settle``) or refund its escrow.
+#: ``code`` is the machine-readable abort code ("" for settles);
+#: retryable codes are listed in
+#: :data:`repro.sharding.router.RETRYABLE_ABORTS`.
+Instruction = (
+    tuple[Literal["credit"], TransferRow]
+    | tuple[Literal["resolve"], str, bool, str, str]
+)
+
+#: One shard's settlement inbox for an epoch.  Beyond the escrow
 #: instructions it may carry the recovery layer's boundary directives
 #: (fork compensations and pool-migration steps, see
 #: :mod:`repro.recovery`); the list type stays permissive so the escrow

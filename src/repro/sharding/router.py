@@ -27,6 +27,11 @@ reason; codes in :data:`RETRYABLE_ABORTS` mark transient conditions
 The registry is also the conservation authority: every in-flight
 transfer's value is counted exactly once — here — until it lands on a
 shard (destination credit for settles, source refund for aborts).
+
+The registry holds transfers as the shards report them, in their wire
+form (:data:`~repro.sharding.escrow.TransferRow` tuples), and emits the
+tagged :data:`~repro.sharding.escrow.Instruction` tuples the shards
+apply; neither is ever unpacked into a dataclass on this side.
 """
 
 from __future__ import annotations
@@ -34,13 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.sharding.escrow import (
-    SettleCredit,
-    ShardInstructions,
-    SourceResolve,
-    TransferRecord,
-    transfer_sort_key,
-)
+from repro.errors import EscrowError
+from repro.sharding.escrow import Instruction, TransferRow, transfer_sort_key
 
 #: Abort codes marking transient conditions: the sender can resubmit
 #: the same trade and expect it to go through once the condition clears.
@@ -53,7 +53,7 @@ RETRYABLE_ABORTS = frozenset(
 class InFlightTransfer:
     """Registry entry: one prepared transfer awaiting resolution."""
 
-    transfer: TransferRecord
+    transfer: TransferRow
     decided: bool = False
     settle: bool = False
     reason: str = ""
@@ -93,37 +93,37 @@ class CrossShardRouter:
 
     def classify(
         self,
-        transfer: TransferRecord,
+        transfer: TransferRow,
         offline: frozenset[int],
         migrating: frozenset[str] = frozenset(),
     ) -> tuple[bool, str, str]:
         """(settle?, abort reason, abort code) at this boundary."""
-        if not 0 <= transfer.dest_shard < self.num_shards:
+        dest_shard = transfer[3]
+        dest_pool = transfer[4]
+        if not 0 <= dest_shard < self.num_shards:
             return (
                 False,
-                f"unknown destination shard {transfer.dest_shard}",
+                f"unknown destination shard {dest_shard}",
                 "unknown_shard",
             )
-        if transfer.dest_pool and transfer.dest_pool in migrating:
+        if dest_pool and dest_pool in migrating:
             return (
                 False,
-                f"pool {transfer.dest_pool} is migrating; retry after "
-                "the handoff",
+                f"pool {dest_pool} is migrating; retry after the handoff",
                 "pool_migrating",
             )
-        if transfer.dest_pool:
-            owner = self.owner_of(transfer.dest_pool)
-            if owner != transfer.dest_shard:
+        if dest_pool:
+            owner = self.owner_of(dest_pool)
+            if owner != dest_shard:
                 return (
                     False,
-                    f"pool {transfer.dest_pool} is not on shard "
-                    f"{transfer.dest_shard}",
+                    f"pool {dest_pool} is not on shard {dest_shard}",
                     "stale_route",
                 )
-        if transfer.dest_shard in offline:
+        if dest_shard in offline:
             return (
                 False,
-                f"destination shard {transfer.dest_shard} is partitioned",
+                f"destination shard {dest_shard} is partitioned",
                 "dest_partitioned",
             )
         return True, "", ""
@@ -143,16 +143,12 @@ class TransferRegistry:
     entries: dict[str, InFlightTransfer] = field(default_factory=dict)
     completed: dict[str, InFlightTransfer] = field(default_factory=dict)
 
-    def add_prepares(self, prepares: Iterable[TransferRecord]) -> None:
+    def add_prepares(self, prepares: Iterable[TransferRow]) -> None:
         for transfer in prepares:
-            if (
-                transfer.transfer_id in self.entries
-                or transfer.transfer_id in self.completed
-            ):
-                raise ValueError(
-                    f"transfer {transfer.transfer_id} prepared twice"
-                )
-            self.entries[transfer.transfer_id] = InFlightTransfer(transfer)
+            transfer_id = transfer[0]
+            if transfer_id in self.entries or transfer_id in self.completed:
+                raise EscrowError(f"transfer {transfer_id} prepared twice")
+            self.entries[transfer_id] = InFlightTransfer(transfer)
 
     def all_entries(self) -> dict[str, InFlightTransfer]:
         """Every transfer ever registered (tests, reports, audits)."""
@@ -162,17 +158,15 @@ class TransferRegistry:
         self,
         offline: frozenset[int],
         migrating: frozenset[str] = frozenset(),
-    ) -> dict[int, ShardInstructions]:
+    ) -> dict[int, list[Instruction]]:
         """Build every shard's settlement inbox for the coming epoch.
 
         Decides undecided transfers, delivers whatever each online shard
         can apply, and defers the rest.  Mutates the registry state.
         """
-        instructions: dict[int, ShardInstructions] = {}
+        instructions: dict[int, list[Instruction]] = {}
 
-        def deliver(
-            shard: int, item: SettleCredit | SourceResolve
-        ) -> None:
+        def deliver(shard: int, item: Instruction) -> None:
             instructions.setdefault(shard, []).append(item)
 
         for transfer_id in sorted(self.entries, key=transfer_sort_key):
@@ -188,19 +182,18 @@ class TransferRegistry:
                 entry.code = code
                 if settle:
                     # Destination is online by construction of classify.
-                    deliver(transfer.dest_shard, SettleCredit(transfer))
+                    deliver(transfer[3], ("credit", transfer))
                     entry.credit_delivered = True
-            if (
-                not entry.resolve_delivered
-                and transfer.source_shard not in offline
-            ):
+            source_shard = transfer[2]
+            if not entry.resolve_delivered and source_shard not in offline:
                 deliver(
-                    transfer.source_shard,
-                    SourceResolve(
-                        transfer_id=transfer.transfer_id,
-                        settle=entry.settle,
-                        reason=entry.reason,
-                        code=entry.code,
+                    source_shard,
+                    (
+                        "resolve",
+                        transfer_id,
+                        entry.settle,
+                        entry.reason,
+                        entry.code,
                     ),
                 )
                 entry.resolve_delivered = True
@@ -219,8 +212,8 @@ class TransferRegistry:
         total0 = total1 = 0
         for entry in self.entries.values():
             if not entry.value_landed:
-                total0 += entry.transfer.amount0
-                total1 += entry.transfer.amount1
+                total0 += entry.transfer[5]
+                total1 += entry.transfer[6]
         return total0, total1
 
     def has_pending(self) -> bool:

@@ -11,6 +11,13 @@ the run's lifetime, and drives them epoch by epoch over pipes:
 * ``("finish",)`` — final sync confirmation + metrics, returning
   :class:`~repro.sharding.shard.ShardFinal` per shard, then exit.
 
+Everything per transfer in those messages is a plain tuple: the inboxes
+carry tagged :data:`~repro.sharding.escrow.Instruction` tuples and the
+records carry :data:`~repro.sharding.escrow.TransferRow` prepares (see
+"Wire format" in ``sharding/README.md``), so a boundary's pickling cost
+is the tuples', not a dataclass graph's.  The replay log below keeps the
+same tuples.
+
 A serial scheduler serves the same messages in-process through the same
 :func:`_serve_message`, so both modes share one serving path.
 

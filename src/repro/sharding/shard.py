@@ -17,7 +17,10 @@ metrics — wrapped with three shard-aware pieces:
   settlement instructions at the epoch boundary, runs the chassis epoch,
   locks the epoch's fresh prepares into the mainchain TokenBank escrow,
   and reports a picklable :class:`ShardEpochRecord` back to the
-  coordinator.
+  coordinator — its prepares as plain
+  :data:`~repro.sharding.escrow.TransferRow` tuples, the same wire form
+  the settlement inbox delivers back as ``("credit", row)`` /
+  ``("resolve", ...)`` tuples.
 
 Beyond escrow settlement the boundary inbox carries the recovery
 layer's instructions (:mod:`repro.recovery`): fork compensations
@@ -66,10 +69,9 @@ from repro.sharding.escrow import (
     CrossShardSwapTx,
     CrossShardTransferTx,
     EscrowLedger,
-    SettleCredit,
     ShardInstructions,
-    SourceResolve,
     TransferRecord,
+    TransferRow,
 )
 from repro.simulation.rng import DeterministicRng
 from repro.telemetry import trace
@@ -121,8 +123,8 @@ class ShardEpochRecord:
     shard: int
     epoch: int
     online: bool
-    #: Transfers prepared (mined) during this epoch.
-    prepares: list[TransferRecord] = field(default_factory=list)
+    #: Transfers prepared (mined) during this epoch, as wire rows.
+    prepares: list[TransferRow] = field(default_factory=list)
     queue_depth: int = 0
     processed_txs: int = 0
     rejected_txs: int = 0
@@ -398,8 +400,8 @@ class Shard:
             self.system.run_epoch(epoch, inject=inject)
             self.epochs_run += 1
             rollbacks = self._drain_rewinds(epoch)
-            prepares = self.ledger.prepared_in(epoch)
-            for record in prepares:
+            prepared = self.ledger.prepared_in(epoch)
+            for record in prepared:
                 self.system.token_bank.escrow_lock(
                     record.transfer_id,
                     record.user,
@@ -414,7 +416,10 @@ class Shard:
                     epoch=epoch,
                 )
             return self._record(
-                epoch, online=True, prepares=prepares, rollbacks=rollbacks
+                epoch,
+                online=True,
+                prepares=[record.row() for record in prepared],
+                rollbacks=rollbacks,
             )
         finally:
             if traced:
@@ -424,31 +429,30 @@ class Shard:
         bank = self.system.token_bank
         now = self.system.clock.now
         for instruction in instructions:
-            if isinstance(instruction, SourceResolve):
-                if instruction.settle:
-                    bank.escrow_release(instruction.transfer_id)
-                    self.ledger.mark_settled(instruction.transfer_id)
+            if type(instruction) is tuple and instruction[0] == "credit":
+                self._apply_settle_credit(instruction[1], now)
+            elif type(instruction) is tuple:
+                _, transfer_id, settle, reason, _code = instruction
+                if settle:
+                    bank.escrow_release(transfer_id)
+                    self.ledger.mark_settled(transfer_id)
                     trace.async_end(
                         "xfer.transfer",
-                        instruction.transfer_id,
+                        transfer_id,
                         now,
                         outcome="settled",
                         shard=self.index,
                     )
                 else:
-                    bank.escrow_refund(
-                        instruction.transfer_id, now, instruction.reason
-                    )
-                    self.ledger.mark_aborted(
-                        instruction.transfer_id, instruction.reason
-                    )
-                    self.system.metrics.record_refund(instruction.reason)
+                    bank.escrow_refund(transfer_id, now, reason)
+                    self.ledger.mark_aborted(transfer_id, reason)
+                    self.system.metrics.record_refund(reason)
                     trace.async_end(
                         "xfer.transfer",
-                        instruction.transfer_id,
+                        transfer_id,
                         now,
                         outcome="refunded",
-                        reason=instruction.reason,
+                        reason=reason,
                         shard=self.index,
                     )
             elif isinstance(instruction, RelockEscrow):
@@ -463,31 +467,43 @@ class Shard:
                 self.assignment[instruction.pool_id] = instruction.shard
                 self._refresh_remote_pools()
             else:
-                self._apply_settle_credit(instruction, now)
+                raise EscrowError(
+                    f"shard {self.index} cannot apply instruction "
+                    f"{instruction!r}"
+                )
 
-    def _apply_settle_credit(
-        self, credit: SettleCredit, now: float
-    ) -> None:
+    def _apply_settle_credit(self, row: TransferRow, now: float) -> None:
         """Inbound settle: bridge the value in; enqueue the next leg."""
-        transfer = credit.transfer
-        self.system.token_bank.credit_external(
-            transfer.user, transfer.amount0, transfer.amount1, now
-        )
+        (
+            transfer_id,
+            user,
+            source_shard,
+            _dest_shard,
+            _dest_pool,
+            amount0,
+            amount1,
+            _epoch,
+            zero_for_one,
+            exact_input,
+            swap_amount,
+            return_output,
+        ) = row
+        self.system.token_bank.credit_external(user, amount0, amount1, now)
         trace.async_instant(
             "xfer.credit",
-            transfer.transfer_id,
+            transfer_id,
             now,
             dest_shard=self.index,
         )
-        if transfer.swap_amount > 0:
+        if swap_amount > 0:
             leg = CrossShardSwapTx(
-                user=transfer.user,
-                zero_for_one=transfer.zero_for_one,
-                exact_input=transfer.exact_input,
-                amount=transfer.swap_amount,
-                transfer_id=transfer.transfer_id,
-                home_shard=transfer.source_shard,
-                return_output=transfer.return_output,
+                user=user,
+                zero_for_one=zero_for_one,
+                exact_input=exact_input,
+                amount=swap_amount,
+                transfer_id=transfer_id,
+                home_shard=source_shard,
+                return_output=return_output,
                 tx_id=self.system.ids(),
             )
             leg.submitted_at = now
@@ -495,7 +511,7 @@ class Shard:
 
     # -- fork compensation -----------------------------------------------------
 
-    def _apply_relock(self, transfer: TransferRecord) -> None:
+    def _apply_relock(self, transfer: TransferRow) -> None:
         """Recreate an escrow lock a mainchain fork erased.
 
         Idempotent — a lock the fork did not actually reach (the
@@ -503,14 +519,10 @@ class Shard:
         previous compensation already restored is left alone.
         """
         bank = self.system.token_bank
-        if transfer.transfer_id in bank.escrows:
+        transfer_id, user = transfer[0], transfer[1]
+        if transfer_id in bank.escrows:
             return
-        bank.escrow_lock(
-            transfer.transfer_id,
-            transfer.user,
-            transfer.amount0,
-            transfer.amount1,
-        )
+        bank.escrow_lock(transfer_id, user, transfer[5], transfer[6])
 
     def _apply_resync(self, resync: ResyncResolve) -> None:
         """Re-apply a release/refund status a fork erased — status only.
@@ -689,7 +701,7 @@ class Shard:
         self,
         epoch: int,
         online: bool,
-        prepares: list[TransferRecord] | None = None,
+        prepares: list[TransferRow] | None = None,
         rollbacks: list[RollbackReport] | None = None,
     ) -> ShardEpochRecord:
         supply0, supply1 = self.supply()
@@ -699,7 +711,7 @@ class Shard:
             shard=self.index,
             epoch=epoch,
             online=online,
-            prepares=list(prepares or []),
+            prepares=prepares or [],
             queue_depth=self.queue_depth(),
             processed_txs=self.system.metrics.processed_txs,
             rejected_txs=self.system.metrics.rejected_txs,

@@ -56,11 +56,7 @@ from repro.sharding.placement import (
     pools_of,
     validate_assignment,
 )
-from repro.sharding.escrow import (
-    SettleCredit,
-    ShardInstructions,
-    SourceResolve,
-)
+from repro.sharding.escrow import ShardInstructions
 from repro.sharding.router import CrossShardRouter, TransferRegistry
 from repro.sharding.scheduler import ShardScheduler
 from repro.sharding.shard import ShardEpochRecord, ShardFinal, ShardSpec
@@ -305,10 +301,7 @@ class ShardedSystem:
             for comp in self._compensations.pop(shard):
                 if isinstance(comp, RelockEscrow):
                     self.journal.record_lock(
-                        shard,
-                        comp.transfer.transfer_id,
-                        epoch,
-                        at_boundary=True,
+                        shard, comp.transfer[0], epoch, at_boundary=True
                     )
                 else:
                     self.journal.record_resolve(
@@ -325,15 +318,13 @@ class ShardedSystem:
         )
         for shard in sorted(settlements):
             for item in settlements[shard]:
-                if isinstance(item, SettleCredit):
-                    self.journal.record_credit(
-                        shard, item.transfer.transfer_id, epoch
-                    )
-                elif isinstance(item, SourceResolve):
-                    self.journal.record_resolve(
-                        shard, item.transfer_id, epoch, item.settle
-                    )
-                inboxes.setdefault(shard, []).append(item)
+                if item[0] == "credit":
+                    row = item[1]
+                    self.journal.record_credit(shard, row[0], epoch)
+                else:
+                    _, transfer_id, settle, _, _ = item
+                    self.journal.record_resolve(shard, transfer_id, epoch, settle)
+            inboxes.setdefault(shard, []).extend(settlements[shard])
         return inboxes
 
     def _queue_pressure(self) -> dict[int, int]:
@@ -354,9 +345,7 @@ class ShardedSystem:
             record = records[index]
             self.registry.add_prepares(record.prepares)
             for prepare in record.prepares:
-                self.journal.record_lock(
-                    index, prepare.transfer_id, record.epoch
-                )
+                self.journal.record_lock(index, prepare[0], record.epoch)
         # Replay rollbacks only after every lock is journaled and every
         # prepare is registered — compensation lookups need both.
         for index in sorted(records):

@@ -39,6 +39,7 @@ class _Entry:
 
 
 def make_transfer(tid="x0-1-0", source=0, dest=1):
+    """A prepared transfer's wire row, as the registry holds it."""
     return TransferRecord(
         transfer_id=tid,
         user="alice",
@@ -48,7 +49,7 @@ def make_transfer(tid="x0-1-0", source=0, dest=1):
         amount0=10,
         amount1=0,
         epoch=1,
-    )
+    ).row()
 
 
 class TestBridgeJournal:
@@ -73,7 +74,7 @@ class TestBridgeJournal:
             "RelockEscrow",
             "ResyncResolve",
         ]
-        assert comps[0].transfer.transfer_id == "x0-1-0"
+        assert comps[0].transfer == entries["x0-1-0"].transfer
         assert comps[1].transfer_id == "x0-1-0" and comps[1].settle is True
         assert journal.counts() == {"rollbacks": 1, "relocks": 1, "resyncs": 1}
 
@@ -86,7 +87,8 @@ class TestBridgeJournal:
             report, {"x1-2-0": _Entry(make_transfer("x1-2-0", source=1))}
         )
         assert len(comps) == 1
-        assert comps[0].transfer.transfer_id == "x1-2-0"
+        assert comps[0].transfer[0] == "x1-2-0"
+        assert TransferRecord(*comps[0].transfer).source_shard == 1
 
     def test_relocks_ordered_before_resyncs_in_fifo_order(self):
         """A same-inbox resync may need its relocked record, and ids
@@ -107,7 +109,7 @@ class TestBridgeJournal:
             "ResyncResolve",
             "ResyncResolve",
         ]
-        assert comps[0].transfer.transfer_id == "x0-1-2"
+        assert comps[0].transfer[0] == "x0-1-2"
         assert comps[2].transfer_id == "x0-1-2"
 
 

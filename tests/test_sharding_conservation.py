@@ -192,7 +192,7 @@ def test_aborted_transfers_are_refunded_to_sender(case):
     system = ShardedSystem(case_config(case))
     system.run(num_epochs=3)
     aborted = [
-        entry.transfer
+        TransferRecord(*entry.transfer)
         for entry in system.registry.all_entries().values()
         if entry.decided and not entry.settle
     ]

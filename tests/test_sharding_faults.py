@@ -54,7 +54,7 @@ class TestOfflineShard:
         assert report.transfers["aborted"] > 0
         # Every abort is a refund at its source, typed with the reason.
         aborted = [
-            entry.transfer
+            TransferRecord(*entry.transfer)
             for entry in system.registry.all_entries().values()
             if entry.decided and not entry.settle
         ]
@@ -83,7 +83,7 @@ class TestOfflineShard:
         settled_to_1 = [
             entry.transfer
             for entry in system.registry.all_entries().values()
-            if entry.settle and entry.transfer.dest_shard == 1
+            if entry.settle and TransferRecord(*entry.transfer).dest_shard == 1
         ]
         assert settled_to_1
 
@@ -163,14 +163,17 @@ class TestMisroutedTransferAborts:
         )
         shard0.ledger.prepare(rogue)
         shard0.system.token_bank.escrow_lock("x0-0-999", "ghost", 5, 0)
-        system.registry.add_prepares([rogue])
+        system.registry.add_prepares([rogue.row()])
         instructions = system.registry.instructions_for(frozenset())
         resolve = [
             i for i in instructions.get(0, [])
-            if getattr(i, "transfer_id", None) == "x0-0-999"
+            if i[0] == "resolve" and i[1] == "x0-0-999"
         ]
-        assert resolve and resolve[0].settle is False
-        assert "unknown destination" in resolve[0].reason
+        assert resolve
+        _, _, settle, reason, code = resolve[0]
+        assert settle is False
+        assert "unknown destination" in reason
+        assert code == "unknown_shard"
         scheduler.run_epoch(1, False, instructions)
         assert shard0.ledger.records["x0-0-999"].status == "aborted"
         assert (

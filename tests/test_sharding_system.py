@@ -119,14 +119,16 @@ class TestRouterResolution:
             transfer_id=tid, user="alice", source_shard=0,
             dest_shard=dest_shard, dest_pool=dest_pool,
             amount0=5, amount1=0, epoch=0, swap_amount=5,
-        )
+        ).row()
 
     def test_settle_delivers_credit_and_release(self):
         registry = self.make_registry()
-        registry.add_prepares([self.transfer("t")])
+        row = self.transfer("t")
+        registry.add_prepares([row])
         instructions = registry.instructions_for(frozenset())
-        assert {type(i).__name__ for i in instructions[1]} == {"SettleCredit"}
-        assert instructions[0][0].settle is True
+        assert instructions[1] == [("credit", row)]
+        tag, tid, settle, _, _ = instructions[0][0]
+        assert (tag, tid, settle) == ("resolve", "t", True)
         assert not registry.has_pending()
         assert registry.in_flight_value() == (0, 0)
 
@@ -135,9 +137,10 @@ class TestRouterResolution:
         registry.add_prepares([self.transfer("t")])
         instructions = registry.instructions_for(frozenset({1}))
         assert 1 not in instructions
-        resolve = instructions[0][0]
-        assert resolve.settle is False
-        assert "partitioned" in resolve.reason
+        tag, _, settle, reason, _ = instructions[0][0]
+        assert tag == "resolve"
+        assert settle is False
+        assert "partitioned" in reason
 
     def test_unknown_pool_owner_aborts(self):
         registry = self.make_registry()
@@ -145,8 +148,10 @@ class TestRouterResolution:
             [self.transfer("t", dest_shard=1, dest_pool="pool-0")]
         )
         instructions = registry.instructions_for(frozenset())
-        assert instructions[0][0].settle is False
-        assert "not on shard" in instructions[0][0].reason
+        tag, _, settle, reason, _ = instructions[0][0]
+        assert tag == "resolve"
+        assert settle is False
+        assert "not on shard" in reason
 
     def test_offline_source_defers_resolution(self):
         registry = self.make_registry()
@@ -157,7 +162,7 @@ class TestRouterResolution:
         assert registry.has_pending()
         assert registry.in_flight_value() == (0, 0)  # value landed once
         second = registry.instructions_for(frozenset())
-        assert [type(i).__name__ for i in second[0]] == ["SourceResolve"]
+        assert [i[0] for i in second[0]] == ["resolve"]
         assert not registry.has_pending()
 
 
