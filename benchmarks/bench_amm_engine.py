@@ -444,70 +444,6 @@ def make_sharded_epoch_op(num_shards=SHARDED_EPOCH_SHARDS, jobs=None):
     return op
 
 
-def make_migration_epoch_op(num_shards=2, jobs=1):
-    """One lock-step epoch with a live pool handoff always in flight.
-
-    Same deployment shape as ``sharded_epoch`` but driven through the
-    coordinator's recovery-aware boundary path (bridge journal, migration
-    engine, conservation check), under a rebalance policy that ping-pongs
-    one pool between two shards at every boundary — so every measured
-    epoch carries two-boundary handoff work: a begin directive to the
-    source, a manifest sealed into the epoch record, and a completion
-    plus assignment fan-out at the next boundary.  In-window cross-shard
-    legs abort retryably and are refunded, and conservation is re-checked
-    every epoch (the op raises on the first violation).  Serial scheduler
-    (``jobs=1``) so the number does not depend on the host's core count.
-
-    ``op.scale`` is the deployment's *nominal* transaction count, but a
-    pool's volume slice is dormant while its handoff is in the window
-    (the source shed it, the destination has not activated it yet), so
-    each epoch processes fewer transactions than ``sharded_epoch``'s and
-    the reported ops/sec is NOT comparable across the two scenarios —
-    it is a self-consistent trajectory of the migration path's cost,
-    tracked PR-over-PR against its own baseline.
-    """
-    import dataclasses
-
-    from repro.recovery.migration import RebalancePolicy
-    from repro.sharding import ShardedSystem
-    from repro.workload.generator import arrival_rate_per_round
-
-    class PingPongPool(RebalancePolicy):
-        cooldown_epochs = 0
-        max_moves = None
-
-        def decide(self, epoch, queue_depths, assignment):
-            if epoch < 1:
-                return ()  # boundary 0 predates the first epoch's records
-            return (("pool-0", (assignment["pool-0"] + 1) % num_shards),)
-
-    config = dataclasses.replace(
-        make_sharded_config(num_shards, jobs=jobs), rebalance=PingPongPool()
-    )
-    system = ShardedSystem(config)
-    scheduler = system.scheduler  # build + set up shards outside the timing
-    state = {"epoch": 0, "baseline": None}
-    nobody = frozenset()
-
-    def op():
-        epoch = state["epoch"]
-        instructions = system._boundary_instructions(epoch, nobody)
-        records = scheduler.run_epoch(epoch, True, instructions)
-        system.epoch_records.append(records)
-        system._fold_records(records)
-        state["baseline"] = system._check_conservation(
-            records, state["baseline"], epoch
-        )
-        state["epoch"] = epoch + 1
-
-    rho = arrival_rate_per_round(
-        SYSTEM_EPOCH_VOLUME, system.config.base.round_duration
-    )
-    op.scale = num_shards * rho * (SYSTEM_EPOCH_ROUNDS - 1)
-    op.cleanup = scheduler.close
-    return op
-
-
 # -- pytest-benchmark wrappers -------------------------------------------------
 
 
@@ -557,13 +493,6 @@ def test_bench_sharded_epoch(benchmark):
     # Serial scheduler: pytest-benchmark numbers should not depend on
     # the host's core count.
     benchmark(make_sharded_epoch_op(num_shards=2, jobs=1))
-
-
-def test_bench_migration_epoch(benchmark):
-    # Serial scheduler again; every measured epoch carries a live pool
-    # handoff (see the factory docstring), so this tracks the recovery
-    # path's cost next to test_bench_sharded_epoch's happy path.
-    benchmark(make_migration_epoch_op())
 
 
 def test_bench_tick_math_roundtrip(benchmark):

@@ -102,17 +102,6 @@ SEED_BASELINE_OPS_PER_SEC = {
     # of a 4-shard deployment, in aggregate sidechain tx/s.  No seed
     # baseline (the subsystem is new); the shard_scaling block of the
     # report carries the 1-vs-4-shard scaling ratios.
-    # migration_epoch was added in PR 6 (recovery engine): a 2-shard
-    # serial epoch with a live pool handoff in flight at every boundary,
-    # driven through the recovery-aware coordinator path (bridge
-    # journal, migration engine, per-epoch conservation check).
-    # Baseline measured on the PR 6 tree with this runner — it tracks
-    # migration-path overhead from here on (the *happy-path* cost of the
-    # recovery machinery is gated by sharded_epoch's head-vs-merge-base
-    # comparison in CI).  Not comparable to sharded_epoch's number: a
-    # migrating pool's volume slice is dormant inside each handoff
-    # window, so epochs carry fewer transactions than nominal.
-    "migration_epoch": 28_872.4,
     # committee_epoch was added with the linear committee crypto: sortition
     # of 500 out of 1 000 miners + simulate_dkg(500, 334) + two threshold
     # signatures, in epochs of committee work per second.  Baseline
@@ -143,7 +132,6 @@ SCENARIOS = {
     "pbft_round": bench_amm_engine.make_pbft_round_op,
     "committee_epoch": bench_amm_engine.make_committee_epoch_op,
     "sharded_epoch": bench_amm_engine.make_sharded_epoch_op,
-    "migration_epoch": bench_amm_engine.make_migration_epoch_op,
 }
 
 

@@ -177,10 +177,6 @@ class ShardError(AmmBoostError):
     """Base class for sharded-deployment failures."""
 
 
-class PlacementError(ShardError):
-    """A pool-to-shard assignment is missing, duplicated, or out of range."""
-
-
 class EscrowError(ShardError):
     """An escrow transfer was driven through an invalid state transition."""
 

@@ -388,10 +388,10 @@ def arrivals_spec() -> ScenarioSpec:
 #: scenarios (partition_heal, crash_churn, delta_sweep,
 #: interrupted_recovery) live in :mod:`repro.scenarios.faults`, the
 #: sharding scenarios (shard_scaling, hot_shard, cross_shard_ratio) in
-#: :mod:`repro.scenarios.shard`, the recovery scenarios
-#: (fork_recovery, shard_rebalance) in :mod:`repro.scenarios.recovery`,
-#: and the serving scenarios (serving_latency, serving_overload) in
-#: :mod:`repro.scenarios.serving`; all register through the same tuple.
+#: :mod:`repro.scenarios.shard`, the recovery scenario (fork_recovery)
+#: in :mod:`repro.scenarios.recovery`, and the serving scenarios
+#: (serving_latency, serving_overload) in :mod:`repro.scenarios.serving`;
+#: all register through the same tuple.
 from repro.scenarios.faults import FAULT_SPEC_BUILDERS  # noqa: E402
 from repro.scenarios.recovery import RECOVERY_SPEC_BUILDERS  # noqa: E402
 from repro.scenarios.serving import SERVING_SPEC_BUILDERS  # noqa: E402

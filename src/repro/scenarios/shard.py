@@ -6,8 +6,8 @@
   near-linearly (cross-shard settlement is the only coupling);
 * ``hot_shard`` — a :class:`~repro.workload.shard_mix.HotShardLoad` skew
   concentrates traffic on one shard: its queue grows and its share of
-  the processed volume rises while the cold shards idle — the case
-  placement policies exist to fix;
+  the processed volume rises while the cold shards idle — congestion
+  that the fixed round-robin placement leaves in place;
 * ``cross_shard_ratio`` — sweeps the fraction of trades that cross
   shards, including a point with the destination shard partitioned:
   transfers to it abort cleanly (refunds, typed reasons) and token

@@ -21,13 +21,7 @@ from repro.sharding.escrow import (
     TransferRecord,
     TransferRow,
 )
-from repro.sharding.placement import (
-    ExplicitPlacement,
-    HashPlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
-    pools_of,
-)
+from repro.sharding.placement import pools_of, round_robin
 from repro.sharding.router import CrossShardRouter, TransferRegistry
 from repro.sharding.scheduler import ShardScheduler
 from repro.sharding.shard import (
@@ -50,11 +44,7 @@ __all__ = [
     "CrossShardSwapTx",
     "CrossShardTransferTx",
     "EscrowLedger",
-    "ExplicitPlacement",
-    "HashPlacement",
     "Instruction",
-    "PlacementPolicy",
-    "RoundRobinPlacement",
     "Shard",
     "ShardEpochRecord",
     "ShardExecutor",
@@ -69,5 +59,6 @@ __all__ = [
     "TransferRegistry",
     "TransferRow",
     "pools_of",
+    "round_robin",
     "shard_substream_seed",
 ]

@@ -110,17 +110,18 @@ TransferRow = tuple[str, str, int, int, str, int, int, int, bool, bool, int, boo
 #: tells the source shard to release (``settle``) or refund its escrow.
 #: ``code`` is the machine-readable abort code ("" for settles);
 #: retryable codes are listed in
-#: :data:`repro.sharding.router.RETRYABLE_ABORTS`.
+#: :data:`repro.sharding.router.RETRYABLE_ABORTS`; a misroute
+#: (``stale_route``, ``unknown_shard``) is not among them, because the
+#: pool assignment never changes and the same leg would abort again.
 Instruction = (
     tuple[Literal["credit"], TransferRow]
     | tuple[Literal["resolve"], str, bool, str, str]
 )
 
 #: One shard's settlement inbox for an epoch.  Beyond the escrow
-#: instructions it may carry the recovery layer's boundary directives
-#: (fork compensations and pool-migration steps, see
-#: :mod:`repro.recovery`); the list type stays permissive so the escrow
-#: module does not depend on the recovery package.
+#: instructions it may carry the recovery layer's fork compensations
+#: (see :mod:`repro.recovery`); the list type stays permissive so the
+#: escrow module does not depend on the recovery package.
 ShardInstructions = list[Any]
 
 

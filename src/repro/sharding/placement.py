@@ -1,131 +1,25 @@
-"""Deterministic pool-to-shard placement policies.
+"""Pool-to-shard placement: pools are dealt once and stay put.
 
-A sharded deployment partitions its logical pools across ``S`` shards.
-Placement is *data*: given the ordered pool-id list and the shard count,
-a policy returns a complete ``pool_id -> shard`` mapping.  Policies are
-pure functions of their inputs (no RNG state), so the same deployment
-description always produces the same assignment — in every worker
-process, under any job count.
-
-Two policies cover the common cases:
-
-* :class:`HashPlacement` — stable hashing of the pool id (sha256, not
-  Python's randomised ``hash``) onto the shard ring; adding pools does
-  not move existing ones between runs with the same shard count.
-* :class:`ExplicitPlacement` — an operator-specified mapping, validated
-  for completeness and range; the tool for draining a hot shard by
-  hand-placing its pools.
+A sharded deployment partitions its logical pools across ``S`` shards
+when it is built: pool ``i`` goes to shard ``i % S``, so every shard owns
+within one pool of every other and load skew comes only from traffic.
+The assignment is a pure function of the ordered pool-id list and the
+shard count (no RNG state), so every worker process derives the same
+one under any job count.  Nothing moves a pool afterwards.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.errors import PlacementError
 
-
-def _stable_hash(pool_id: str) -> int:
-    digest = hashlib.sha256(pool_id.encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-class PlacementPolicy:
-    """Interface: assign every pool id to a shard index."""
-
-    def assign(
-        self, pool_ids: Sequence[str], num_shards: int
-    ) -> dict[str, int]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class HashPlacement(PlacementPolicy):
-    """``shard = sha256(pool_id) % num_shards`` — deterministic everywhere.
-
-    ``salt`` lets two deployments of the same pool set land differently
-    (e.g. to compare placements in an experiment grid).
-    """
-
-    salt: str = ""
-
-    def assign(
-        self, pool_ids: Sequence[str], num_shards: int
-    ) -> dict[str, int]:
-        _check_shards(num_shards)
-        return {
-            pool_id: _stable_hash(f"{self.salt}/{pool_id}") % num_shards
-            for pool_id in pool_ids
-        }
-
-
-@dataclass(frozen=True)
-class RoundRobinPlacement(PlacementPolicy):
-    """Pool ``i`` goes to shard ``i % num_shards`` — maximally balanced.
-
-    The default for generated deployments: every shard owns within one
-    pool of every other, so load skew comes only from traffic, not from
-    placement accidents.
-    """
-
-    def assign(
-        self, pool_ids: Sequence[str], num_shards: int
-    ) -> dict[str, int]:
-        _check_shards(num_shards)
-        return {
-            pool_id: index % num_shards
-            for index, pool_id in enumerate(pool_ids)
-        }
-
-
-@dataclass(frozen=True)
-class ExplicitPlacement(PlacementPolicy):
-    """An operator-written ``pool_id -> shard`` map, validated on use."""
-
-    mapping: Mapping[str, int] = field(default_factory=dict)
-
-    def assign(
-        self, pool_ids: Sequence[str], num_shards: int
-    ) -> dict[str, int]:
-        _check_shards(num_shards)
-        missing = [p for p in pool_ids if p not in self.mapping]
-        if missing:
-            raise PlacementError(
-                f"explicit placement misses pool(s): {', '.join(missing)}"
-            )
-        unknown = [p for p in self.mapping if p not in set(pool_ids)]
-        if unknown:
-            raise PlacementError(
-                f"explicit placement names unknown pool(s): {', '.join(unknown)}"
-            )
-        for pool_id, shard in self.mapping.items():
-            if not 0 <= shard < num_shards:
-                raise PlacementError(
-                    f"pool {pool_id} placed on shard {shard}, "
-                    f"but there are only {num_shards} shards"
-                )
-        return {pool_id: self.mapping[pool_id] for pool_id in pool_ids}
-
-
-def _check_shards(num_shards: int) -> None:
-    if num_shards < 1:
-        raise PlacementError(f"need at least one shard, got {num_shards}")
+def round_robin(pool_ids: Sequence[str], num_shards: int) -> dict[str, int]:
+    """``pool_id -> shard``: pool ``i`` goes to shard ``i % num_shards``."""
+    return {
+        pool_id: index % num_shards for index, pool_id in enumerate(pool_ids)
+    }
 
 
 def pools_of(assignment: Mapping[str, int], shard: int) -> tuple[str, ...]:
     """The pools ``assignment`` places on ``shard``, in pool-id order."""
     return tuple(sorted(p for p, s in assignment.items() if s == shard))
-
-
-def validate_assignment(
-    assignment: Mapping[str, int], num_shards: int
-) -> None:
-    """Every shard index in range; at least one pool somewhere."""
-    if not assignment:
-        raise PlacementError("assignment is empty")
-    for pool_id, shard in assignment.items():
-        if not 0 <= shard < num_shards:
-            raise PlacementError(
-                f"pool {pool_id} assigned to out-of-range shard {shard}"
-            )

@@ -2,16 +2,18 @@
 
 Splitting happens at the edges (the shard ingest converts a swap into a
 transfer leg; the shard executor escrows round-trip outputs); this module
-owns the *coordinator* half: which shard serves which pool, and — at
-every epoch boundary — which prepared transfers settle, which abort, and
-which must wait because an endpoint shard is partitioned.
+owns the *coordinator* half: which shard serves which pool (fixed when
+the deployment is built), and — at every epoch boundary — which
+prepared transfers settle, which abort, and which must wait because an
+endpoint shard is partitioned.
 
 Resolution rules, per prepared transfer at the boundary into epoch ``b``:
 
-* destination shard unknown, or destination pool not owned by it →
-  **abort** (typed reason, refunded at the source);
-* destination pool mid-migration → **abort** (``pool_migrating``,
-  retryable: resubmit once the handoff completes);
+* destination shard unknown (``unknown_shard``), or destination pool
+  not owned by it (``stale_route``) → **abort** (typed reason, refunded
+  at the source).  Shards route from the same fixed assignment the
+  router holds, so either is a misroute — a malformed row arriving from
+  a worker process — and resubmitting the same leg fails the same way;
 * destination shard offline in ``b`` → **abort** ("cross-shard swaps to
   a partitioned shard abort cleanly");
 * otherwise → **settle**: the credit is delivered to the destination in
@@ -21,8 +23,8 @@ Resolution rules, per prepared transfer at the boundary into epoch ``b``:
   registry tracks delivery so nothing is duplicated or lost).
 
 Every abort carries a machine-readable ``code`` next to its prose
-reason; codes in :data:`RETRYABLE_ABORTS` mark transient conditions
-(partition, migration window, stale route) a sender can simply retry.
+reason; codes in :data:`RETRYABLE_ABORTS` mark transient conditions (a
+partitioned destination) a sender can simply retry.
 
 The registry is also the conservation authority: every in-flight
 transfer's value is counted exactly once — here — until it lands on a
@@ -44,9 +46,8 @@ from repro.sharding.escrow import Instruction, TransferRow, transfer_sort_key
 
 #: Abort codes marking transient conditions: the sender can resubmit
 #: the same trade and expect it to go through once the condition clears.
-RETRYABLE_ABORTS = frozenset(
-    {"dest_partitioned", "pool_migrating", "stale_route"}
-)
+#: A misroute (``stale_route``, ``unknown_shard``) never clears.
+RETRYABLE_ABORTS = frozenset({"dest_partitioned"})
 
 
 @dataclass
@@ -92,10 +93,7 @@ class CrossShardRouter:
         return self.assignment.get(pool_id)
 
     def classify(
-        self,
-        transfer: TransferRow,
-        offline: frozenset[int],
-        migrating: frozenset[str] = frozenset(),
+        self, transfer: TransferRow, offline: frozenset[int]
     ) -> tuple[bool, str, str]:
         """(settle?, abort reason, abort code) at this boundary."""
         dest_shard = transfer[3]
@@ -105,12 +103,6 @@ class CrossShardRouter:
                 False,
                 f"unknown destination shard {dest_shard}",
                 "unknown_shard",
-            )
-        if dest_pool and dest_pool in migrating:
-            return (
-                False,
-                f"pool {dest_pool} is migrating; retry after the handoff",
-                "pool_migrating",
             )
         if dest_pool:
             owner = self.owner_of(dest_pool)
@@ -155,9 +147,7 @@ class TransferRegistry:
         return {**self.completed, **self.entries}
 
     def instructions_for(
-        self,
-        offline: frozenset[int],
-        migrating: frozenset[str] = frozenset(),
+        self, offline: frozenset[int]
     ) -> dict[int, list[Instruction]]:
         """Build every shard's settlement inbox for the coming epoch.
 
@@ -173,9 +163,7 @@ class TransferRegistry:
             entry = self.entries[transfer_id]
             transfer = entry.transfer
             if not entry.decided:
-                settle, reason, code = self.router.classify(
-                    transfer, offline, migrating=migrating
-                )
+                settle, reason, code = self.router.classify(transfer, offline)
                 entry.decided = True
                 entry.settle = settle
                 entry.reason = reason

@@ -23,16 +23,11 @@ metrics — wrapped with three shard-aware pieces:
   ``("resolve", ...)`` tuples.
 
 Beyond escrow settlement the boundary inbox carries the recovery
-layer's instructions (:mod:`repro.recovery`): fork compensations
-(:class:`~repro.recovery.journal.RelockEscrow` /
-:class:`~repro.recovery.journal.ResyncResolve`, both idempotent) and
-pool-migration directives — a shard sheds a pool and its volume share
-on :class:`~repro.recovery.migration.BeginPoolMigration`, sealing a
-manifest into its epoch record, and gains them on
-:class:`~repro.recovery.migration.CompletePoolMigration` one boundary
-later.  Routing state (assignment, owned pools, arrival volume) is
-therefore *live* per shard; absent migrations it never changes and the
-shard's trajectory is byte-identical to a fixed-placement run.
+layer's fork compensations (:mod:`repro.recovery`):
+:class:`~repro.recovery.journal.RelockEscrow` and
+:class:`~repro.recovery.journal.ResyncResolve`, both idempotent.  The
+pool assignment is fixed when the deployment is built, so a shard's
+routing table and arrival volume never change during a run.
 
 A shard numbers its transactions from its own deployment's id space,
 moved to :func:`stage_base` at the start of every stage (setup, each
@@ -52,18 +47,12 @@ from repro.core.executor import SidechainExecutor
 from repro.core.phases import WorkloadIngestPhase, default_epoch_phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.core.transactions import SwapTx
-from repro.errors import DepositError, EscrowError, PlacementError
+from repro.errors import DepositError, EscrowError
 from repro.faults.plan import FaultPlan
 from repro.recovery.journal import (
     RelockEscrow,
     ResyncResolve,
     RollbackReport,
-)
-from repro.recovery.migration import (
-    AssignmentUpdate,
-    BeginPoolMigration,
-    CompletePoolMigration,
-    PoolManifest,
 )
 from repro.sharding.escrow import (
     CrossShardSwapTx,
@@ -103,8 +92,6 @@ class ShardSpec:
     index: int
     num_shards: int
     chassis: AmmBoostConfig
-    #: Pools this shard owns (sorted pool ids).
-    pools: tuple[str, ...]
     #: The full deployment assignment ``pool_id -> shard``.
     assignment: dict[str, int]
     #: Fraction of generated exact-input swaps converted to cross-shard
@@ -135,9 +122,7 @@ class ShardEpochRecord:
     #: Mainchain forks this shard executed during the epoch — the
     #: coordinator replays its bridge journal over each one.
     rollbacks: list[RollbackReport] = field(default_factory=list)
-    #: Pool handoffs sealed this epoch (migration protocol, step one).
-    manifests: list[PoolManifest] = field(default_factory=list)
-    #: Cumulative peak queue depth — the rebalancing pressure signal.
+    #: Cumulative peak queue depth (the congestion signal).
     peak_queue_depth: int = 0
 
 
@@ -263,28 +248,10 @@ class ShardExecutor(SidechainExecutor):
 
 
 class ShardIngestPhase(WorkloadIngestPhase):
-    """Workload ingest that skims off cross-shard trades.
-
-    The arrival rate derives from the *shard's* live daily volume, not
-    the frozen chassis config: pool migrations move volume between
-    shards mid-run, and the shed/gained share must show up in the very
-    next epoch's arrivals.  Without migrations the two are equal and the
-    computation is bit-identical to the chassis phase.
-    """
+    """Workload ingest that skims off cross-shard trades."""
 
     def __init__(self, shard: "Shard") -> None:
         self.shard = shard
-
-    def run(self, system: Any, ctx: Any) -> None:
-        from repro.workload.generator import arrival_rate_per_round
-
-        ctx.rho = (
-            arrival_rate_per_round(
-                self.shard.daily_volume, system.config.round_duration
-            )
-            if ctx.inject
-            else 0
-        )
 
     def inject_traffic(  # type: ignore[override]
         self, system: Any, count: int, submitted_at: float
@@ -300,7 +267,7 @@ class ShardIngestPhase(WorkloadIngestPhase):
 
 
 class Shard:
-    """A live shard: chassis system + escrow ledger + routing state."""
+    """A live shard: chassis system + escrow ledger + routing table."""
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
@@ -308,18 +275,10 @@ class Shard:
         self.ledger = EscrowLedger(spec.index)
         self.current_epoch = 0
         self.epochs_run = 0
-        # Live routing state: seeded from the spec, mutated only by
-        # migration directives (fixed placements never touch it).
-        self.assignment: dict[str, int] = dict(spec.assignment)
-        self.owned_pools: set[str] = {
-            p for p, s in self.assignment.items() if s == spec.index
-        }
-        self.daily_volume: int = spec.chassis.daily_volume
         #: Pools owned by *other* shards, in deterministic order.
         self.remote_pools: tuple[str, ...] = tuple(
-            sorted(p for p, s in self.assignment.items() if s != spec.index)
+            sorted(p for p, s in spec.assignment.items() if s != spec.index)
         )
-        self._sealed_manifests: list[PoolManifest] = []
         self._rewind_cursor = 0
         self.xrng = DeterministicRng(f"{spec.chassis.seed}/xshard")
         # The chassis pipeline with the shard-aware ingest swapped in; a
@@ -360,7 +319,7 @@ class Shard:
             size_bytes=tx.size_bytes + TRANSFER_EXTRA_BYTES,
             tx_id=self.system.ids(),
             transfer_id=self.ledger.next_transfer_id(self.current_epoch),
-            dest_shard=self.assignment[dest_pool],
+            dest_shard=self.spec.assignment[dest_pool],
             dest_pool=dest_pool,
             return_output=self.xrng.random() < self.spec.return_ratio,
         )
@@ -459,13 +418,6 @@ class Shard:
                 self._apply_relock(instruction.transfer)
             elif isinstance(instruction, ResyncResolve):
                 self._apply_resync(instruction)
-            elif isinstance(instruction, BeginPoolMigration):
-                self._begin_migration(instruction)
-            elif isinstance(instruction, CompletePoolMigration):
-                self._complete_migration(instruction.manifest)
-            elif isinstance(instruction, AssignmentUpdate):
-                self.assignment[instruction.pool_id] = instruction.shard
-                self._refresh_remote_pools()
             else:
                 raise EscrowError(
                     f"shard {self.index} cannot apply instruction "
@@ -559,73 +511,6 @@ class Shard:
         self._rewind_cursor = len(rewinds)
         return reports
 
-    # -- pool migration --------------------------------------------------------
-
-    def _begin_migration(self, begin: BeginPoolMigration) -> None:
-        """Shed a pool and its volume share; seal the handoff manifest."""
-        if begin.pool_id not in self.owned_pools:
-            raise PlacementError(
-                f"shard {self.index} cannot shed pool {begin.pool_id!r} "
-                "it does not own"
-            )
-        volume_moved = self.daily_volume // len(self.owned_pools)
-        self.owned_pools.discard(begin.pool_id)
-        self.daily_volume -= volume_moved
-        self.assignment[begin.pool_id] = begin.to_shard
-        self._refresh_remote_pools()
-        self._sealed_manifests.append(
-            PoolManifest(
-                pool_id=begin.pool_id,
-                from_shard=self.index,
-                to_shard=begin.to_shard,
-                sealed_epoch=self.current_epoch,
-                volume_moved=volume_moved,
-                book_digest=self._book_digest(),
-            )
-        )
-        # Async key matches the sealed manifest so the completing shard's
-        # end event stitches to this begin across tracks.
-        trace.async_begin(
-            "migration.pool",
-            f"{begin.pool_id}@{self.current_epoch}",
-            self.system.clock.now,
-            pool=begin.pool_id,
-            from_shard=self.index,
-            to_shard=begin.to_shard,
-            volume_moved=volume_moved,
-        )
-
-    def _complete_migration(self, manifest: PoolManifest) -> None:
-        """Activate a migrated pool: gain its label and volume share."""
-        if manifest.to_shard != self.index:
-            raise PlacementError(
-                f"shard {self.index} received a migration manifest "
-                f"addressed to shard {manifest.to_shard}"
-            )
-        self.owned_pools.add(manifest.pool_id)
-        self.daily_volume += manifest.volume_moved
-        self.assignment[manifest.pool_id] = self.index
-        self._refresh_remote_pools()
-        trace.async_end(
-            "migration.pool",
-            f"{manifest.pool_id}@{manifest.sealed_epoch}",
-            self.system.clock.now,
-            pool=manifest.pool_id,
-            to_shard=self.index,
-        )
-
-    def _refresh_remote_pools(self) -> None:
-        self.remote_pools = tuple(
-            sorted(p for p, s in self.assignment.items() if s != self.index)
-        )
-
-    def _book_digest(self) -> str:
-        """Fingerprint of the AMM book, sealed into pool manifests."""
-        blob = json.dumps(
-            self.system.pool.snapshot(), sort_keys=True
-        ).encode()
-        return hashlib.sha256(blob).hexdigest()
-
     def finish(self) -> ShardFinal:
         """Close the shard's books: ``run()``'s tail plus recovery epochs.
 
@@ -705,8 +590,6 @@ class Shard:
         rollbacks: list[RollbackReport] | None = None,
     ) -> ShardEpochRecord:
         supply0, supply1 = self.supply()
-        manifests = self._sealed_manifests
-        self._sealed_manifests = []
         return ShardEpochRecord(
             shard=self.index,
             epoch=epoch,
@@ -719,7 +602,6 @@ class Shard:
             supply0=supply0,
             supply1=supply1,
             rollbacks=list(rollbacks or []),
-            manifests=manifests,
             peak_queue_depth=self.system.metrics.peak_queue_depth,
         )
 

@@ -3,12 +3,13 @@
 A :class:`ShardedSystem` partitions logical pools across ``S`` shards.
 Each shard is a complete :class:`~repro.core.system.AmmBoostSystem`
 (committee election, DKG, PBFT-timed rounds, token bank, epoch phases)
-built from a deterministic per-shard substream seed; a placement policy
-(:mod:`repro.sharding.placement`) decides which shard owns which pool; a
-cross-shard router (:mod:`repro.sharding.router`) settles escrowed
-transfers between shard banks with a two-phase commit; and the shard
-scheduler (:mod:`repro.sharding.scheduler`) fans per-shard epochs across
-worker processes with bit-identical results to a serial run.
+built from a deterministic per-shard substream seed; pool ``i`` is
+dealt to shard ``i % S`` when the deployment is built
+(:mod:`repro.sharding.placement`) and stays there; a cross-shard router
+(:mod:`repro.sharding.router`) settles escrowed transfers between shard
+banks with a two-phase commit; and the shard scheduler
+(:mod:`repro.sharding.scheduler`) fans per-shard epochs across worker
+processes with bit-identical results to a serial run.
 
 Epochs advance in lock-step: every shard runs its epoch *e*
 (parallelisable — shards only interact at boundaries), then the
@@ -21,13 +22,11 @@ running until every queue is empty and no transfer is in flight.
 The recovery layer (:mod:`repro.recovery`) threads through the same
 boundary exchange: every bank-touching delivery is recorded in a
 :class:`~repro.recovery.journal.BridgeJournal` so a shard's mainchain
-fork can be compensated deterministically at the next boundary; a
-:class:`~repro.recovery.migration.MigrationEngine` turns rebalance
-policy decisions into pool handoffs riding the settlement inboxes; and
+fork can be compensated deterministically at the next boundary, and
 the scheduler respawns crashed workers and replays them to the lost
-boundary (or fails the run with ``WorkerLostError``).  With no faults,
-no crashes, and no rebalance policy every one of these is a no-op and
-runs are byte-identical to the plain sharded engine.
+boundary (or fails the run with ``WorkerLostError``).  With no faults
+and no crashes both are no-ops and runs are byte-identical to the plain
+sharded engine.
 """
 
 from __future__ import annotations
@@ -44,18 +43,7 @@ from repro.recovery.journal import (
     RelockEscrow,
     ResyncResolve,
 )
-from repro.recovery.migration import (
-    MigrationEngine,
-    PoolManifest,
-    RebalancePolicy,
-    ScheduledMigrations,
-)
-from repro.sharding.placement import (
-    PlacementPolicy,
-    RoundRobinPlacement,
-    pools_of,
-    validate_assignment,
-)
+from repro.sharding.placement import pools_of, round_robin
 from repro.sharding.escrow import ShardInstructions
 from repro.sharding.router import CrossShardRouter, TransferRegistry
 from repro.sharding.scheduler import ShardScheduler
@@ -76,9 +64,8 @@ class ShardedConfig:
     num_shards: int = 2
     #: Logical pools partitioned across the shards (default: one each).
     num_pools: int | None = None
-    placement: PlacementPolicy = field(default_factory=RoundRobinPlacement)
     #: Per-shard chassis template; ``seed`` is re-derived per shard and
-    #: ``daily_volume`` is split according to placement and load profile.
+    #: ``daily_volume`` is split by pool count and load profile.
     base: AmmBoostConfig = field(default_factory=AmmBoostConfig)
     #: Fraction of generated swaps converted into cross-shard trades.
     cross_shard_ratio: float = 0.05
@@ -88,8 +75,6 @@ class ShardedConfig:
     #: Worker processes for the shard scheduler (1 = serial).
     jobs: int = 1
     shard_faults: tuple[ShardFault, ...] = ()
-    #: Pool-rebalancing policy (``None`` = no migrations, ever).
-    rebalance: RebalancePolicy | None = None
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -138,8 +123,6 @@ class ShardedRunReport:
     abort_codes: dict[str, int] = field(default_factory=dict)
     #: Bridge-journal counters: rollbacks compensated, relocks, resyncs.
     recovery: dict[str, int] = field(default_factory=dict)
-    #: Completed pool handoffs, in completion order.
-    migrations: list[PoolManifest] = field(default_factory=list)
     #: Always empty: a lost worker is respawned or the run raises
     #: ``WorkerLostError``, so no shard is ever left behind.  Kept only
     #: because ``bench/workloads.py`` still checks it.
@@ -159,10 +142,9 @@ class ShardedSystem:
 
     def __init__(self, config: ShardedConfig | None = None) -> None:
         self.config = config or ShardedConfig()
-        self.assignment = self.config.placement.assign(
+        self.assignment = round_robin(
             self.config.pool_ids, self.config.num_shards
         )
-        validate_assignment(self.assignment, self.config.num_shards)
         self.faults = ShardFaultBook(tuple(self.config.shard_faults))
         self.faults.validate(self.config.num_shards)
         self.router = CrossShardRouter(
@@ -170,13 +152,6 @@ class ShardedSystem:
         )
         self.registry = TransferRegistry(self.router)
         self.journal = BridgeJournal()
-        # The engine shares the router's live assignment dict, so a
-        # completed handoff flips routing and migration state together.
-        self.engine = MigrationEngine(
-            self.config.rebalance or ScheduledMigrations(),
-            self.router.assignment,
-            self.config.num_shards,
-        )
         #: Fork compensations queued for a shard's next online boundary.
         self._compensations: dict[int, list[RelockEscrow | ResyncResolve]] = {}
         self.specs = self._build_specs()
@@ -216,7 +191,6 @@ class ShardedSystem:
                     index=shard,
                     num_shards=config.num_shards,
                     chassis=chassis,
-                    pools=pools_of(self.assignment, shard),
                     assignment=dict(self.assignment),
                     cross_shard_ratio=config.cross_shard_ratio,
                     return_ratio=config.return_ratio,
@@ -266,7 +240,6 @@ class ShardedSystem:
                     not inject
                     and queue_depth == 0
                     and not self.registry.has_pending()
-                    and self.engine.idle()
                     and not self._compensations_pending()
                 ):
                     break
@@ -292,7 +265,7 @@ class ShardedSystem:
 
         Delivery order per shard: fork compensations first (a resolve
         landing in the same inbox may need its relocked escrow), then
-        migration directives, then escrow settlements.
+        escrow settlements.
         """
         inboxes: dict[int, ShardInstructions] = {}
         for shard in sorted(self._compensations):
@@ -308,14 +281,7 @@ class ShardedSystem:
                         shard, comp.transfer_id, epoch, comp.settle
                     )
                 inboxes.setdefault(shard, []).append(comp)
-        directives = self.engine.directives_for(
-            epoch, offline, self._queue_pressure()
-        )
-        for shard in sorted(directives):
-            inboxes.setdefault(shard, []).extend(directives[shard])
-        settlements = self.registry.instructions_for(
-            offline, migrating=self.engine.migrating_pools
-        )
+        settlements = self.registry.instructions_for(offline)
         for shard in sorted(settlements):
             for item in settlements[shard]:
                 if item[0] == "credit":
@@ -327,20 +293,10 @@ class ShardedSystem:
             inboxes.setdefault(shard, []).extend(settlements[shard])
         return inboxes
 
-    def _queue_pressure(self) -> dict[int, int]:
-        """Observed per-shard queue pressure for the rebalance policy."""
-        if not self.epoch_records:
-            return {}
-        previous = self.epoch_records[-1]
-        return {
-            index: record.peak_queue_depth
-            for index, record in previous.items()
-        }
-
     def _fold_records(
         self, records: dict[int, ShardEpochRecord]
     ) -> None:
-        """Registry, journal, and migration bookkeeping for one epoch."""
+        """Registry and journal bookkeeping for one epoch."""
         for index in sorted(records):
             record = records[index]
             self.registry.add_prepares(record.prepares)
@@ -357,7 +313,6 @@ class ShardedSystem:
                     self._compensations.setdefault(index, []).extend(
                         compensations
                     )
-        self.engine.collect(records)
 
     def _compensations_pending(self) -> bool:
         """Compensations left to deliver?"""
@@ -417,9 +372,8 @@ class ShardedSystem:
             conservation_ok=conserved,
             supply0=supply0,
             supply1=supply1,
-            assignment=dict(self.router.assignment),
+            assignment=dict(self.assignment),
             per_shard=finals,
             abort_codes=self.registry.abort_codes(),
             recovery=self.journal.counts(),
-            migrations=list(self.engine.history),
         )

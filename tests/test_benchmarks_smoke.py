@@ -44,7 +44,6 @@ def test_run_benchmarks_quick_writes_valid_json(tmp_path):
         "pbft_round",
         "committee_epoch",
         "sharded_epoch",
-        "migration_epoch",
     }
     assert set(report["scenarios"]) == expected
     for name, result in report["scenarios"].items():
@@ -52,7 +51,6 @@ def test_run_benchmarks_quick_writes_valid_json(tmp_path):
         assert result["seconds_per_op"] > 0, name
     # sharded_epoch is new in PR 5 and carries no seed-commit baseline;
     # its scaling trajectory lives in the shard_scaling block instead.
-    # migration_epoch (PR 6) baselines against its own introduction tree.
     assert set(report["seed_baseline_ops_per_sec"]) == expected - {
         "sharded_epoch"
     }

@@ -1,28 +1,16 @@
-"""Unit tests for the recovery layer: bridge journal, pool migration,
-scheduler healing.
+"""Unit tests for the recovery layer: bridge journal, scheduler healing.
 
-End-to-end behaviour (conservation through forks, migrations under
-faults, every worker kill point) lives in the sharding suites; these
-tests pin the recovery components' own contracts — rewound-window
-selection, handoff state machinery, respawn-or-raise — in isolation.
+End-to-end behaviour (conservation through forks under faults, every
+worker kill point) lives in the sharding suites; these tests pin the
+recovery components' own contracts — rewound-window selection,
+respawn-or-raise — in isolation.
 """
 
 import pytest
 
 from repro.core.system import AmmBoostConfig
-from repro.errors import PlacementError, ShardError, WorkerLostError
-from repro.recovery import (
-    BridgeJournal,
-    DrainHottestShard,
-    MigrationEngine,
-    RollbackReport,
-    ScheduledMigrations,
-)
-from repro.recovery.migration import (
-    AssignmentUpdate,
-    BeginPoolMigration,
-    CompletePoolMigration,
-)
+from repro.errors import ShardError, WorkerLostError
+from repro.recovery import BridgeJournal, RollbackReport
 from repro.sharding.escrow import TransferRecord
 from repro.sharding.router import RETRYABLE_ABORTS, CrossShardRouter
 from repro.sharding.scheduler import ShardScheduler
@@ -113,89 +101,6 @@ class TestBridgeJournal:
         assert comps[2].transfer_id == "x0-1-2"
 
 
-class TestMigrationEngine:
-    def assignment(self):
-        return {"pool-0": 0, "pool-1": 1, "pool-2": 0, "pool-3": 1}
-
-    def engine(self, policy):
-        return MigrationEngine(policy, self.assignment(), num_shards=2)
-
-    def test_two_boundary_handoff(self):
-        from repro.recovery.migration import PoolManifest
-
-        engine = self.engine(ScheduledMigrations(moves=((1, "pool-0", 1),)))
-        assert engine.directives_for(0, frozenset(), {}) == {}
-        first = engine.directives_for(1, frozenset(), {})
-        assert first == {0: [BeginPoolMigration("pool-0", 1)]}
-        assert engine.migrating_pools == frozenset({"pool-0"})
-        manifest = PoolManifest(
-            pool_id="pool-0",
-            from_shard=0,
-            to_shard=1,
-            sealed_epoch=1,
-            volume_moved=100,
-            book_digest="d",
-        )
-
-        class Record:
-            manifests = [manifest]
-
-        engine.collect({0: Record()})
-        second = engine.directives_for(2, frozenset(), {})
-        assert second[1] == [CompletePoolMigration(manifest)]
-        assert second[0] == [AssignmentUpdate("pool-0", 1)]
-        assert engine.assignment["pool-0"] == 1
-        assert engine.idle()
-        assert engine.counts()["migrations"] == 1
-
-    def test_offline_shards_defer_every_leg(self):
-        from repro.recovery.migration import PoolManifest
-
-        engine = self.engine(ScheduledMigrations(moves=((1, "pool-0", 1),)))
-        # Source offline: the begin waits.
-        assert engine.directives_for(1, frozenset({0}), {}) == {}
-        out = engine.directives_for(2, frozenset(), {})
-        assert out == {0: [BeginPoolMigration("pool-0", 1)]}
-        manifest = PoolManifest("pool-0", 0, 1, 2, 100, "d")
-
-        class Record:
-            manifests = [manifest]
-
-        engine.collect({0: Record()})
-        # Destination offline: the completion (and the flip) waits.
-        assert engine.directives_for(3, frozenset({1}), {}) == {}
-        assert engine.assignment["pool-0"] == 0
-        done = engine.directives_for(4, frozenset(), {})
-        assert done[1][0] == CompletePoolMigration(manifest)
-        assert engine.assignment["pool-0"] == 1
-
-    def test_unknown_pool_and_bad_destination_rejected(self):
-        engine = self.engine(ScheduledMigrations(moves=((1, "pool-9", 1),)))
-        with pytest.raises(PlacementError, match="pool-9"):
-            engine.directives_for(1, frozenset(), {})
-        engine = self.engine(ScheduledMigrations(moves=((1, "pool-0", 7),)))
-        with pytest.raises(PlacementError, match="shard"):
-            engine.directives_for(1, frozenset(), {})
-
-    def test_drain_hottest_policy_picks_hot_to_cold(self):
-        policy = DrainHottestShard(factor=2.0, min_queue=5)
-        moves = policy.decide(1, {0: 20, 1: 4}, self.assignment())
-        assert moves == (("pool-0", 1),)
-        # Below min_queue or under the factor: no move.
-        assert policy.decide(1, {0: 4, 1: 3}, self.assignment()) == ()
-        assert policy.decide(1, {0: 10, 1: 9}, self.assignment()) == ()
-
-    def test_max_moves_and_cooldown_enforced(self):
-        policy = ScheduledMigrations(
-            moves=((1, "pool-0", 1), (2, "pool-2", 1))
-        )
-        engine = MigrationEngine(policy, self.assignment(), num_shards=2)
-        object.__setattr__(policy, "max_moves", 1)
-        engine.directives_for(1, frozenset(), {})
-        engine.directives_for(2, frozenset(), {})
-        assert engine.migrating_pools == frozenset({"pool-0"})
-
-
 def small_specs(num_shards=2):
     assignment = {f"pool-{i}": i for i in range(num_shards)}
     base = AmmBoostConfig(
@@ -211,7 +116,6 @@ def small_specs(num_shards=2):
             index=i,
             num_shards=num_shards,
             chassis=base,
-            pools=(f"pool-{i}",),
             assignment=dict(assignment),
             cross_shard_ratio=0.0,
             return_ratio=0.0,
@@ -264,10 +168,6 @@ class TestRouterAbortCodes:
         assert router.classify(t, frozenset()) == (True, "", "")
         _, _, code = router.classify(t, frozenset({1}))
         assert code == "dest_partitioned"
-        _, _, code = router.classify(
-            t, frozenset(), migrating=frozenset({"pool-1"})
-        )
-        assert code == "pool_migrating"
         stale = make_transfer(dest=0)  # pool-1 lives on shard 1
         _, _, code = router.classify(stale, frozenset())
         assert code == "stale_route"
@@ -276,8 +176,5 @@ class TestRouterAbortCodes:
         assert code == "unknown_shard"
 
     def test_retryable_set(self):
-        assert RETRYABLE_ABORTS == {
-            "dest_partitioned",
-            "pool_migrating",
-            "stale_route",
-        }
+        # A misroute never clears under a fixed assignment: not retryable.
+        assert RETRYABLE_ABORTS == {"dest_partitioned"}

@@ -91,11 +91,11 @@ def test_baseline_cli(tmp_path, monkeypatch, capsys):
 
 
 #: Extra scenarios whose fixtures ride the nightly golden grid alongside
-#: the paper set (PR 5: the shard engine's regression net; PR 6: the
-#: recovery engine's — forks, migrations; PR 8: the serving gateway's
-#: typed-overload behaviour; PR 16: its closed-loop latency log; the
-#: epoch-level interruption scenarios, pinned before the fault phases
-#: folded into the default pipeline).
+#: the paper set: the shard engine's regression net, the recovery
+#: engine's forks, the serving gateway's typed-overload behaviour and
+#: its closed-loop latency log, and the epoch-level interruption
+#: scenarios, pinned before the fault phases folded into the default
+#: pipeline.
 EXTRA_GOLDEN = {
     "interrupted_recovery",
     "adversarial",
@@ -103,7 +103,6 @@ EXTRA_GOLDEN = {
     "hot_shard",
     "cross_shard_ratio",
     "fork_recovery",
-    "shard_rebalance",
     "serving_overload",
     "serving_latency",
 }

@@ -15,9 +15,8 @@ Cases are derived deterministically from their index (the fault-suite
 convention), so a failing case index pinpoints its configuration.
 Cases 0–23 are the original (pre-recovery) grid and must stay
 byte-identical; cases 24–59 exercise the recovery layer — every
-combination of per-shard mainchain ``Rollback`` forks, scheduled pool
-migrations, and offline windows, interleaved with the cross-shard
-traffic of the original grid.
+combination of per-shard mainchain ``Rollback`` forks and offline
+windows, interleaved with the cross-shard traffic of the original grid.
 """
 
 import pytest
@@ -30,7 +29,6 @@ from repro.faults import (
     SyncWithhold,
     ViewChangeBurst,
 )
-from repro.recovery.migration import ScheduledMigrations
 from repro.sharding import ShardedConfig, ShardedSystem
 from repro.sharding.escrow import TransferRecord
 
@@ -92,14 +90,15 @@ def case_config(case: int) -> ShardedConfig:
 
 
 def recovery_case_config(i: int) -> ShardedConfig:
-    """Cases 24–59: rollback × migration × offline interleavings.
+    """Cases 24–59: rollback × offline interleavings.
 
-    The three low bits of ``i`` switch each recovery dimension on or
-    off independently (so all eight combinations occur), and the high
-    bits vary seed, traffic shape, and event timing.
+    Bit 0 of ``i`` switches rollback forks on, bit 2 offline windows (so
+    all four combinations occur), and the high bits vary traffic shape
+    and event timing.  Bit 1 switches nothing: cases that differ only
+    there still run distinct trajectories, because every case seeds its
+    chassis with ``2000 + i``.
     """
     rollback_on = bool(i & 1)
-    migration_on = bool(i & 2)
     offline_on = bool(i & 4)
     variant = i >> 3  # 0..4 over the 36-case grid
     num_shards = (2, 3)[i % 2]
@@ -133,17 +132,6 @@ def recovery_case_config(i: int) -> ShardedConfig:
                 offline_epochs=frozenset({1 + variant % 2}),
             )
         )
-    rebalance = None
-    if migration_on:
-        # Move a pool off its round-robin owner one or two boundaries
-        # in, so the handoff window overlaps the fault events above.
-        pool = variant % num_pools
-        owner = pool % num_shards
-        rebalance = ScheduledMigrations(
-            moves=(
-                (1 + variant % 2, f"pool-{pool}", (owner + 1) % num_shards),
-            )
-        )
     return ShardedConfig(
         num_shards=num_shards,
         num_pools=num_pools,
@@ -151,7 +139,6 @@ def recovery_case_config(i: int) -> ShardedConfig:
         cross_shard_ratio=(0.15, 0.4, 0.7)[i % 3],
         return_ratio=(0.0, 0.5)[i % 2],
         shard_faults=tuple(faults),
-        rebalance=rebalance,
     )
 
 

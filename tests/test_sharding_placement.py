@@ -1,82 +1,18 @@
-"""Placement policies: deterministic, complete, validated."""
+"""Placement: pool ``i`` goes to shard ``i % S``, listed in pool-id order."""
 
-import pytest
-
-from repro.errors import PlacementError
-from repro.sharding.placement import (
-    ExplicitPlacement,
-    HashPlacement,
-    RoundRobinPlacement,
-    pools_of,
-    validate_assignment,
-)
+from repro.sharding.placement import pools_of, round_robin
 
 POOLS = tuple(f"pool-{i}" for i in range(8))
 
 
-class TestHashPlacement:
-    def test_deterministic_across_instances(self):
-        a = HashPlacement().assign(POOLS, 4)
-        b = HashPlacement().assign(POOLS, 4)
-        assert a == b
-
-    def test_covers_every_pool_in_range(self):
-        assignment = HashPlacement().assign(POOLS, 4)
-        assert set(assignment) == set(POOLS)
-        assert all(0 <= s < 4 for s in assignment.values())
-
-    def test_salt_changes_layout(self):
-        plain = HashPlacement().assign(POOLS, 4)
-        salted = HashPlacement(salt="b").assign(POOLS, 4)
-        assert plain != salted
-
-    def test_independent_of_python_hash_randomisation(self):
-        # sha256-based, so values are stable constants across processes.
-        assignment = HashPlacement().assign(("pool-0",), 4)
-        assert assignment == {"pool-0": 0}
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(PlacementError):
-            HashPlacement().assign(POOLS, 0)
-
-
 class TestRoundRobin:
     def test_balanced(self):
-        assignment = RoundRobinPlacement().assign(POOLS, 4)
+        assignment = round_robin(POOLS, 4)
         counts = [len(pools_of(assignment, s)) for s in range(4)]
         assert counts == [2, 2, 2, 2]
-
-
-class TestExplicitPlacement:
-    def test_roundtrip(self):
-        mapping = {p: i % 2 for i, p in enumerate(POOLS)}
-        assignment = ExplicitPlacement(mapping).assign(POOLS, 2)
-        assert assignment == mapping
-
-    def test_missing_pool_rejected(self):
-        with pytest.raises(PlacementError, match="misses"):
-            ExplicitPlacement({"pool-0": 0}).assign(POOLS, 2)
-
-    def test_unknown_pool_rejected(self):
-        mapping = {p: 0 for p in POOLS} | {"ghost": 1}
-        with pytest.raises(PlacementError, match="unknown"):
-            ExplicitPlacement(mapping).assign(POOLS, 2)
-
-    def test_out_of_range_shard_rejected(self):
-        mapping = {p: 0 for p in POOLS} | {"pool-0": 5}
-        with pytest.raises(PlacementError, match="only 2 shards"):
-            ExplicitPlacement(mapping).assign(POOLS, 2)
 
 
 class TestValidation:
     def test_pools_of_sorted(self):
         assignment = {"pool-2": 0, "pool-0": 0, "pool-1": 1}
         assert pools_of(assignment, 0) == ("pool-0", "pool-2")
-
-    def test_validate_empty_rejected(self):
-        with pytest.raises(PlacementError):
-            validate_assignment({}, 2)
-
-    def test_validate_range(self):
-        with pytest.raises(PlacementError):
-            validate_assignment({"pool-0": 7}, 2)

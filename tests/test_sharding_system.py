@@ -5,11 +5,7 @@ import pytest
 from repro import constants
 from repro.core.system import AmmBoostConfig
 from repro.errors import ConfigurationError
-from repro.sharding import (
-    ExplicitPlacement,
-    ShardedConfig,
-    ShardedSystem,
-)
+from repro.sharding import ShardedConfig, ShardedSystem, round_robin
 from repro.sharding.escrow import TransferRecord
 from repro.sharding.router import CrossShardRouter, TransferRegistry
 from repro.workload.shard_mix import HotShardLoad
@@ -40,7 +36,8 @@ def run_sharded(**overrides):
 
 class TestEndToEnd:
     def test_two_shards_settle_and_finalize(self):
-        _, report = run_sharded()
+        system, report = run_sharded()
+        assert report.assignment == round_robin(system.config.pool_ids, 2)
         assert report.aggregate_processed > 0
         assert report.transfers["settled"] > 0
         assert report.transfers["aborted"] == 0
@@ -66,11 +63,6 @@ class TestEndToEnd:
             f.metrics["throughput_tps"] for f in report.per_shard.values()
         )
         assert report.aggregate_throughput == pytest.approx(total, abs=0.02)
-
-    def test_explicit_placement_respected(self):
-        mapping = {"pool-0": 1, "pool-1": 1, "pool-2": 0, "pool-3": 0}
-        system, report = run_sharded(placement=ExplicitPlacement(mapping))
-        assert report.assignment == mapping
 
     def test_hot_shard_skews_processing(self):
         _, hot = run_sharded(

@@ -23,11 +23,6 @@ from repro.core.system import AmmBoostConfig
 from repro.errors import EscrowError
 from repro.faults import FaultPlan, Rollback, ShardFault
 from repro.recovery.journal import RelockEscrow, ResyncResolve
-from repro.recovery.migration import (
-    AssignmentUpdate,
-    BeginPoolMigration,
-    CompletePoolMigration,
-)
 from repro.sharding import ShardedConfig, ShardedSystem
 from repro.sharding.escrow import TransferRecord
 from repro.sharding.router import CrossShardRouter, TransferRegistry
@@ -37,13 +32,7 @@ HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 #: The exact field types of a ``TransferRow``, in order.
 ROW_TYPES = (str, str, int, int, str, int, int, int, bool, bool, int, bool)
 #: Boundary directives that stay dataclasses: rare, not per-transfer.
-DIRECTIVES = (
-    RelockEscrow,
-    ResyncResolve,
-    BeginPoolMigration,
-    CompletePoolMigration,
-    AssignmentUpdate,
-)
+DIRECTIVES = (RelockEscrow, ResyncResolve)
 
 OFFLINE_DEST = (ShardFault(shard=1, offline_epochs=frozenset({1, 2})),)
 FORK = (ShardFault(shard=0, plan=FaultPlan((Rollback(epoch=2, depth=2),))),)
