@@ -317,7 +317,7 @@ def make_committee_epoch_op():
         auth = TsqcAuthenticator(
             threshold=threshold,
             group_vk=dkg.group_vk,
-            shares=dict(zip(committee.members, dkg.shares)),
+            shares=dkg.member_shares(committee.members),
         )
         signers = committee.members[:threshold]
         cert = auth.certify_handover(epoch + 1, dkg.group_vk, signers)

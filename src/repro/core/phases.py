@@ -109,7 +109,10 @@ def elect_and_key(system, epoch: int):
     """Elect a committee by sortition and run its (fast-path) DKG.
 
     Also records the result as the system's "next" committee, which the
-    boundary rotation installs.
+    boundary rotation installs.  Neither step does work for members that
+    never act: sortition proves only the winners, and the authenticator
+    maps each member to its share on demand, so an epoch computes the
+    shares of the quorum that signs and no others.
     """
     seed = keccak256(b"epoch-seed", system.config.seed, epoch)
     committee = elect_committee(
@@ -126,7 +129,7 @@ def elect_and_key(system, epoch: int):
     auth = TsqcAuthenticator(
         threshold=threshold,
         group_vk=dkg.group_vk,
-        shares={member: dkg.shares[i] for i, member in enumerate(committee.members)},
+        shares=dkg.member_shares(committee.members),
     )
     system._next_committee, system._next_auth = committee, auth
     return committee, auth
@@ -135,27 +138,15 @@ def elect_and_key(system, epoch: int):
 class CommitteeHandoverPhase(EpochPhase):
     """Elect + key epoch ``e + 1`` and certify the hand-over (IV-C).
 
-    With ``committee_reuse_epochs`` > 1 the election/DKG output is
-    amortized: the sitting committee is carried into epoch ``e + 1``
-    (same members, same group key, so no hand-over certificate is needed
-    — the TokenBank's chain-of-custody verification starts from its
-    stored key and an unchanged key verifies with an empty chain) and a
-    fresh election + DKG + certified hand-over happens only at window
-    boundaries.  The default window of 1 re-keys every epoch, which is
-    byte-identical to the original pipeline: ``elect_and_key`` draws the
-    DKG randomness from the ``dkg{epoch}`` named substream, so skipped
-    epochs do not shift any other consumer of the system RNG.
+    Every boundary re-keys: ``elect_and_key`` draws the DKG randomness
+    from the ``dkg{epoch}`` named substream, so the committee's keys shift
+    no other consumer of the system RNG.
     """
 
     def run(self, system, ctx: EpochContext) -> None:
         committee, auth = system._committee, system._auth
         assert committee is not None and auth is not None
-        if (ctx.epoch + 1) % system.config.committee_reuse_epochs != 0:
-            # Inside the reuse window: carry the committee and its keys
-            # forward; the boundary rotation then installs them as-is.
-            system._next_committee, system._next_auth = committee, auth
-            return
-        next_committee, next_auth = elect_and_key(system, ctx.epoch + 1)
+        _, next_auth = elect_and_key(system, ctx.epoch + 1)
         signers = committee.members[: auth.threshold]
         system._handover_certs[ctx.epoch + 1] = auth.certify_handover(
             ctx.epoch + 1, next_auth.group_vk, signers

@@ -100,13 +100,6 @@ class AmmBoostConfig:
     bootstrap_amount: int = 10**22
     #: Remark-3 extension: wrap synced positions in transferable NFTs.
     enable_nft_positions: bool = False
-    #: Reuse the elected committee and its DKG keys for this many epochs
-    #: before re-keying.  1 (the default) re-keys at every boundary —
-    #: byte-identical to the original per-epoch election/DKG pipeline.
-    #: Larger windows amortize the sortition + DKG cost across the
-    #: window; the TokenBank still verifies every sync because a sync
-    #: signed under an unchanged group key needs no hand-over chain.
-    committee_reuse_epochs: int = 1
     #: Seed for the user population only (default: ``seed``).  A sharded
     #: deployment gives every shard its own ``seed`` (independent
     #: committees, DKG and traffic streams) while sharing one
@@ -134,8 +127,6 @@ class AmmBoostConfig:
             self.miner_population = max(2 * self.committee_size, 16)
         if self.miner_population < self.committee_size:
             raise ConfigurationError("miner population smaller than committee")
-        if self.committee_reuse_epochs < 1:
-            raise ConfigurationError("committee_reuse_epochs must be >= 1")
 
 
 @dataclass

@@ -10,6 +10,7 @@ the exponent) of the contributions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.crypto.groups import G2Element, PairingGroup
@@ -22,19 +23,45 @@ class DkgResult:
     """Outcome of a DKG run.
 
     ``group_vk`` is the committee verification key recorded on TokenBank;
-    ``shares[i]`` is member ``i``'s signing share (1-indexed x coordinates).
-    The underlying group secret is never materialised by honest parties;
-    ``_group_sk`` is retained only so tests can assert correctness.
+    ``shares[i]`` is member ``i``'s signing share (1-indexed x coordinates)
+    — from :func:`simulate_dkg` a lazy sequence that computes a share when
+    it is first read.  The underlying group secret is never materialised
+    by honest parties; ``_group_sk`` is retained only so tests can assert
+    correctness.
     """
 
     group_vk: G2Element
-    shares: list[Share]
+    shares: Sequence[Share]
     threshold: int
     _group_sk: int
 
     @property
     def num_members(self) -> int:
         return len(self.shares)
+
+    def member_shares(self, members: Sequence[str]) -> Mapping[str, Share]:
+        """``{members[i]: shares[i]}``, each share read only when its
+        member's is: a quorum's signatures never force the others."""
+        return _MemberShares(members, self.shares)
+
+
+class _MemberShares(Mapping[str, Share]):
+    """Member → index → share, resolved on every read."""
+
+    __slots__ = ("_index", "_shares")
+
+    def __init__(self, members: Sequence[str], shares: Sequence[Share]) -> None:
+        self._index = {member: i for i, member in enumerate(members)}
+        self._shares = shares
+
+    def __getitem__(self, member: str) -> Share:
+        return self._shares[self._index[member]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 def run_dkg(num_members: int, threshold: int, rng) -> DkgResult:
@@ -74,6 +101,11 @@ def simulate_dkg(num_members: int, threshold: int, rng) -> DkgResult:
     uniformly random secret shared with a degree-``t-1`` polynomial — so we
     sample the secret and deal one sharing directly.  Tests assert the two
     paths produce interchangeable results.
+
+    Costs the ``t`` draws and ``t`` multiplies: ``shares`` is the lazy
+    :class:`~repro.crypto.shamir.DealtShares`, so a share past the draws
+    is interpolated by whoever first reads it (the signing quorum reads
+    exactly one, ``x = t``).
     """
     if not (1 <= threshold <= num_members):
         raise ThresholdError(

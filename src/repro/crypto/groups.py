@@ -149,6 +149,16 @@ class PairingGroup:
         return G1Element(sum(map(mul, logs, scalars)) % cls.ORDER)
 
     @classmethod
+    def encode_g1_multiples(
+        cls, point: G1Element, scalars: Iterable[int]
+    ) -> list[bytes]:
+        """``[(s · point).encode() for s in scalars]`` without a point
+        object per scalar: a population that is ranked by a hash of its
+        signatures on one point needs their bytes, not their points."""
+        log, order, size = point.log, cls.ORDER, G1Element.SIZE_BYTES
+        return [(log * scalar % order).to_bytes(size, "big") for scalar in scalars]
+
+    @classmethod
     def pairing_check(
         cls, a1: G1Element, a2: G2Element, b1: G1Element, b2: G2Element
     ) -> bool:

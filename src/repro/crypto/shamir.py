@@ -12,9 +12,11 @@ product with the one vector :func:`lagrange_at_zero` returns.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import overload
 
 from repro.errors import ThresholdError
 
@@ -80,9 +82,59 @@ def _dealing_tables(
     return tuple(weights), tuple(inverses), tuple(ell)
 
 
+class DealtShares(Sequence[Share]):
+    """The ``num_shares`` shares of one value-form dealing, each built on
+    first read and then kept.
+
+    Shares ``1..t-1`` are the draws themselves; share ``x >= t`` is the
+    barycentric interpolation ``ell(x) · Σ_j y_j w_j / (x - j)`` over the
+    nodes ``0..t-1`` — ``t`` multiplies and two reductions, paid only by
+    the shares somebody reads.  A committee signs with its first ``t``
+    members, so an epoch interpolates one share instead of ``n - t + 1``.
+    Slices return lists.
+    """
+
+    __slots__ = ("_values", "_weighted", "_shares", "_modulus")
+
+    def __init__(self, values: list[int], num_shares: int, modulus: int) -> None:
+        threshold = len(values)
+        weights, _, _ = _dealing_tables(threshold, num_shares, modulus)
+        self._values = values
+        self._weighted = [y * w % modulus for y, w in zip(reversed(values), weights)]
+        self._shares: list[Share | None] = [None] * num_shares
+        self._modulus = modulus
+
+    def __len__(self) -> int:
+        return len(self._shares)
+
+    @overload
+    def __getitem__(self, index: int) -> Share: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Share]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._shares)))]
+        share = self._shares[index]
+        if share is None:
+            x = index % len(self._shares) + 1
+            share = self._shares[x - 1] = Share(
+                x=x, y=self._values[x] if x < len(self._values) else self._interpolate(x)
+            )
+        return share
+
+    def _interpolate(self, x: int) -> int:
+        """``f(x)`` for ``x >= t``; ``j`` descending is ``x - j`` ascending."""
+        threshold, modulus = len(self._values), self._modulus
+        _, inverses, ell = _dealing_tables(threshold, len(self._shares), modulus)
+        total = sum(map(mul, self._weighted, inverses[x - threshold + 1 : x + 1]))
+        return total % modulus * ell[x - threshold] % modulus
+
+
 def split_secret(
     secret: int, threshold: int, num_shares: int, modulus: int, rng
-) -> list[Share]:
+) -> DealtShares:
     """Split ``secret`` into ``num_shares`` shares, any ``threshold`` of
     which reconstruct it.
 
@@ -93,6 +145,9 @@ def split_secret(
     ``threshold..num_shares`` are its barycentric interpolation over the
     nodes ``0..threshold-1``.  Same distribution as drawing coefficients,
     one multiply per (share, node) instead of a Horner step.
+
+    Every draw happens here, in order; the interpolation does not: the
+    returned :class:`DealtShares` computes a share when it is first read.
     """
     if not (1 <= threshold <= num_shares < modulus):
         raise ThresholdError(
@@ -101,14 +156,7 @@ def split_secret(
     if not (0 <= secret < modulus):
         raise ThresholdError("secret must lie in the field")
     values = [secret] + [rng.randint(0, modulus - 1) for _ in range(threshold - 1)]
-    weights, inverses, ell = _dealing_tables(threshold, num_shares, modulus)
-    weighted = [y * w % modulus for y, w in zip(reversed(values), weights)]
-    shares = [Share(x=x, y=values[x]) for x in range(1, threshold)]
-    for x in range(threshold, num_shares + 1):
-        # f(x) = ell(x) · Σ_j y_j w_j / (x - j); j descending is x - j ascending.
-        total = sum(map(mul, weighted, inverses[x - threshold + 1 : x + 1]))
-        shares.append(Share(x=x, y=total % modulus * ell[x - threshold] % modulus))
-    return shares
+    return DealtShares(values, num_shares, modulus)
 
 
 @lru_cache(maxsize=8)

@@ -11,6 +11,7 @@ uses in practice).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.crypto.bls import (
@@ -34,7 +35,12 @@ class VrfOutput:
 
     def as_unit_float(self) -> float:
         """Map the output into [0, 1) for sortition threshold tests."""
-        return int.from_bytes(self.value[:8], "big") / 2**64
+        return unit_float(self.value)
+
+
+def unit_float(value: bytes) -> float:
+    """A VRF output value mapped into [0, 1)."""
+    return int.from_bytes(value[:8], "big") / 2**64
 
 
 def vrf_input_point(*alpha) -> G1Element:
@@ -52,15 +58,27 @@ class VrfKeyPair:
     def vk(self) -> G2Element:
         return self.keypair.vk
 
+    def prove_hashed(self, h: G1Element) -> BlsSignature:
+        """The proof of the evaluation on ``h``: this key's signature on it."""
+        return bls_sign_hashed(self.keypair.sk, h)
+
     def evaluate_hashed(self, h: G1Element) -> VrfOutput:
         """Evaluate on ``h = vrf_input_point(alpha)`` — a whole population
         drawing on one input (sortition) hashes it to the curve once."""
-        proof = bls_sign_hashed(self.keypair.sk, h)
+        proof = self.prove_hashed(h)
         return VrfOutput(value=keccak256(proof.encode()), proof=proof)
 
     def evaluate(self, *alpha) -> VrfOutput:
         """Evaluate the VRF on input ``alpha``."""
         return self.evaluate_hashed(vrf_input_point(*alpha))
+
+
+def vrf_values_hashed(keypairs: Iterable[VrfKeyPair], h: G1Element) -> list[bytes]:
+    """``[kp.evaluate_hashed(h).value for kp in keypairs]`` from one batch
+    of proof encodings, with no proof or output object per keypair —
+    sortition ranks a population on the values and proves the winners."""
+    encodings = PairingGroup.encode_g1_multiples(h, [kp.keypair.sk for kp in keypairs])
+    return list(map(keccak256, encodings))
 
 
 def vrf_keygen(seed) -> VrfKeyPair:

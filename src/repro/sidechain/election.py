@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.groups import G2Element
-from repro.crypto.vrf import VrfKeyPair, VrfOutput, vrf_input_point, vrf_verify
+from repro.crypto.vrf import (
+    VrfKeyPair,
+    VrfOutput,
+    unit_float,
+    vrf_input_point,
+    vrf_values_hashed,
+    vrf_verify,
+)
 from repro.errors import ElectionError
 
 
@@ -61,6 +68,10 @@ def elect_committee(
     Every miner's VRF output is scaled by its stake share to produce a
     priority; the lowest priorities win seats.  This is the lottery form
     of sortition used when a fixed committee size is required.
+
+    A priority needs only the output value (the hash of the proof's
+    encoding), so the population is ranked on one batch of values and
+    the proof objects are built for the ``committee_size`` winners alone.
     """
     if committee_size > len(miners):
         raise ElectionError(
@@ -71,17 +82,14 @@ def elect_committee(
         raise ElectionError("total stake must be positive")
     # Every miner evaluates its VRF on the same input: hash it once.
     input_point = vrf_input_point(*election_input(seed, epoch))
-    priorities: list[tuple[float, str, VrfOutput]] = []
-    for miner_id, keypair in miners.items():
-        stake_share = stakes.get(miner_id, 0.0) / total_stake
-        if stake_share <= 0:
-            continue
-        output = keypair.evaluate_hashed(input_point)
-        # Lower is better; dividing by stake share makes seats
-        # proportional to stake in expectation.
-        priority = output.as_unit_float() / stake_share
-        priorities.append((priority, miner_id, output))
-    priorities.sort()
+    values = vrf_values_hashed(miners.values(), input_point)
+    # Lower is better; dividing by stake share makes seats proportional
+    # to stake in expectation.  Miner ids are unique, so they break ties.
+    priorities = sorted(
+        (unit_float(value) / stake_share, miner_id, value)
+        for miner_id, value in zip(miners, values)
+        if (stake_share := stakes.get(miner_id, 0.0) / total_stake) > 0
+    )
     winners = priorities[:committee_size]
     if len(winners) < committee_size:
         raise ElectionError("not enough staked miners to fill the committee")
@@ -89,10 +97,12 @@ def elect_committee(
         miner_id: ElectionProof(
             miner_id=miner_id,
             epoch=epoch,
-            vrf_output=output,
+            vrf_output=VrfOutput(
+                value=value, proof=miners[miner_id].prove_hashed(input_point)
+            ),
             vrf_vk=miners[miner_id].vk,
         )
-        for _, miner_id, output in winners
+        for _, miner_id, value in winners
     }
     members = [miner_id for _, miner_id, _ in winners]
     return Committee(epoch=epoch, members=members, proofs=proofs, seed=seed)

@@ -11,6 +11,7 @@ must change no signature (σ = f(0)·H(m) whatever the polynomial).
 from repro.core.sync import TsqcAuthenticator
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.crypto import shamir
+from repro.crypto.bls import bls_verify
 from repro.crypto.groups import PairingGroup
 
 #: Low 32 bytes (the high 32 of a G1 encoding are zero) of every threshold
@@ -70,6 +71,36 @@ def test_one_epoch_hashes_to_the_curve_a_handful_of_times(count_calls):
     # one each, independent of the 1 000 miners and 334 signers.
     assert 1 <= len(hashed) <= 12
     assert shamir.lagrange_at_zero.cache_info().misses == misses
+
+
+def test_one_epoch_interpolates_only_the_share_its_quorum_reads(monkeypatch):
+    """Shares ``1..t-1`` are draws and a committee signs with its first
+    ``t`` members, so an epoch interpolates share ``t`` and nothing else
+    (dealing all 500 shares up front interpolated 167)."""
+    system = paper_committee_system()
+    system.run(1)
+
+    interpolated = []
+    interpolate = shamir.DealtShares._interpolate
+
+    def counting(self, x):
+        interpolated.append(x)
+        return interpolate(self, x)
+
+    monkeypatch.setattr(shamir.DealtShares, "_interpolate", counting)
+    system.run(1)
+    assert interpolated == [334]
+
+
+def test_the_last_quorum_signs_what_the_first_quorum_signs():
+    system = paper_committee_system()
+    auth, members = system._auth, system._committee.members
+    assert auth.threshold == 334 and len(members) == 500
+    message = (b"handover", 1)
+    first = auth.threshold_sign(members[:334], *message)
+    last = auth.threshold_sign(members[-334:], *message)
+    assert last.encode() == first.encode()
+    assert bls_verify(auth.group_vk, last, *message)
 
 
 def test_lagrange_cache_is_bounded():

@@ -36,10 +36,8 @@ ALLOWED_UNASSIGNED = {
     "MainchainConfig.block_gas_limit",
     "MainchainConfig.max_rollback_depth",
     "ServingConfig.background_traffic",
-    # "Options nothing runs": Remark 3's NFT positions, and the knob
-    # aim-3 (d) asks to bound or delete.
+    # "Options nothing runs": Remark 3's NFT positions.
     "AmmBoostConfig.enable_nft_positions",
-    "AmmBoostConfig.committee_reuse_epochs",
     # "The epoch-deposit mechanism, under load".
     "AmmBoostConfig.initial_deposit",
     "AmmBoostConfig.bootstrap_amount",

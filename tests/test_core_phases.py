@@ -1,7 +1,5 @@
 """Tests for the composable epoch-phase pipeline (repro.core.phases)."""
 
-import pytest
-
 from repro.core.phases import (
     CommitteeHandoverPhase,
     DepositMergePhase,
@@ -125,71 +123,14 @@ def test_workload_ingest_respects_custom_arrivals():
     assert doubled_metrics.processed_txs > 1.5 * base_metrics.processed_txs
 
 
-# -- committee reuse window (amortized election/DKG) --------------------------
+# -- committee hand-over -------------------------------------------------------
 
 
 def test_committee_reuse_default_rekeys_every_epoch():
-    """Window of 1 (the default) is the original pipeline: one election,
-    DKG and certified hand-over at every epoch boundary.  Byte-level
-    equivalence with the pre-window output is additionally pinned by the
-    golden fixtures (`baseline check` recomputes them on every CI run).
+    """One election, DKG and certified hand-over at every epoch boundary.
+    Byte-level equivalence with earlier trees is additionally pinned by
+    the golden fixtures (`baseline check` recomputes them on every CI run).
     """
     system = small_system()
-    assert system.config.committee_reuse_epochs == 1
     system.run(num_epochs=4)
     assert sorted(system._handover_certs) == [1, 2, 3, 4]
-
-
-def test_committee_reuse_explicit_window_one_is_identical():
-    default = small_system(seed=23)
-    explicit = small_system(seed=23, committee_reuse_epochs=1)
-    m_default = default.run(num_epochs=3)
-    m_explicit = explicit.run(num_epochs=3)
-    assert m_default.processed_txs == m_explicit.processed_txs
-    assert m_default.total_gas == m_explicit.total_gas
-    assert sorted(default._handover_certs) == sorted(explicit._handover_certs)
-
-
-def test_committee_reuse_window_amortizes_rekeying():
-    """W=3: hand-over certificates only at window boundaries, the sitting
-    committee (same members, same group key) carried in between.
-    """
-    system = small_system(seed=23, committee_reuse_epochs=3)
-    system.run(num_epochs=6)
-    assert sorted(system._handover_certs) == [3, 6]
-
-
-def test_committee_reuse_does_not_perturb_traffic():
-    """The DKG draws from `dkg{epoch}` named substreams, so skipping
-    re-keying inside the window must not shift any other RNG consumer:
-    the simulated workload is identical whatever the window.
-    """
-    rekey_every = small_system(seed=23)
-    reuse = small_system(seed=23, committee_reuse_epochs=3)
-    m1 = rekey_every.run(num_epochs=6)
-    m3 = reuse.run(num_epochs=6)
-    assert m1.processed_txs == m3.processed_txs
-    assert m1.total_gas == m3.total_gas
-
-
-def test_committee_reuse_window_carries_group_key():
-    system = small_system(seed=23, committee_reuse_epochs=3)
-    system.setup()
-    keys = []
-    for epoch in range(4):
-        system.run_epoch(epoch, inject=True)
-        keys.append(system._auth.group_vk)
-    # keys[i] is the auth installed at epoch i's end, i.e. the one epoch
-    # i+1 runs under.  With a window of 3 the genesis key serves epochs
-    # 0-2 (carried at the ends of epochs 0 and 1), the re-key happens
-    # during epoch 2 for epoch 3, and that new key is then carried again.
-    assert keys[0] == keys[1]
-    assert keys[1] != keys[2]
-    assert keys[2] == keys[3]
-
-
-def test_committee_reuse_window_must_be_positive():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        small_system(committee_reuse_epochs=0)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.groups import PairingGroup
 from repro.crypto.shamir import (
+    DealtShares,
     Share,
     lagrange_at_zero,
     reconstruct_secret,
@@ -15,6 +16,7 @@ from repro.simulation.rng import DeterministicRng
 from tests.shamir_reference import (
     interpolate_at,
     lagrange_coefficient,
+    split_secret_eager,
     split_secret_horner,
 )
 
@@ -156,6 +158,79 @@ def test_dealing_leaves_the_rng_where_coefficient_form_did(threshold):
     # Different polynomials for the same draws, the same secret under both.
     assert reconstruct_secret(dealt[-threshold:], ORDER) == 5
     assert reconstruct_secret(reference[-threshold:], ORDER) == 5
+
+
+# -- lazy dealing ---------------------------------------------------------------
+
+
+def _read_orders(count: int, seed: int) -> list[list[int]]:
+    """Ascending, reverse, random and repeated (with negative) indices."""
+    shuffled = list(range(count))
+    DeterministicRng(seed).shuffle(shuffled)
+    repeated = [i for i in shuffled[: count // 2 + 1] for _ in range(2)]
+    return [
+        list(range(count)),
+        list(range(count - 1, -1, -1)),
+        shuffled,
+        repeated + [i - count for i in shuffled],
+    ]
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_lazy_dealing_equals_the_eager_reference_at_paper_scale(order):
+    lazy_rng, eager_rng = DeterministicRng(31), DeterministicRng(31)
+    dealt = split_secret(5, 334, 500, ORDER, lazy_rng)
+    reference = split_secret_eager(5, 334, 500, ORDER, eager_rng)
+    # Every draw happens at dealing time, before any share is read.
+    assert lazy_rng._random.getstate() == eager_rng._random.getstate()
+    assert len(dealt) == 500
+    for index in _read_orders(500, order)[order]:
+        assert dealt[index] == reference[index]
+    assert list(dealt) == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    secret=st.integers(min_value=0, max_value=SMALL_PRIME - 1),
+    threshold=st.integers(min_value=1, max_value=12),
+    extra=st.integers(min_value=0, max_value=20),
+    modulus=st.sampled_from([ORDER, PRIME, SMALL_PRIME]),
+    seed=st.integers(min_value=0, max_value=10**6),
+    order=st.integers(min_value=0, max_value=3),
+)
+def test_lazy_dealing_equals_the_eager_reference(secret, threshold, extra, modulus, seed, order):
+    num_shares = threshold + extra
+    dealt = split_secret(secret, threshold, num_shares, modulus, DeterministicRng(seed))
+    reference = split_secret_eager(secret, threshold, num_shares, modulus, DeterministicRng(seed))
+    for index in _read_orders(num_shares, seed)[order]:
+        assert dealt[index] == reference[index]
+    assert dealt[::-1] == reference[::-1]
+    assert dealt[1:-1:2] == reference[1:-1:2]
+
+
+def test_a_share_is_interpolated_once_and_only_when_read(monkeypatch):
+    interpolated = []
+    interpolate = DealtShares._interpolate
+
+    def counting(self, x):
+        interpolated.append(x)
+        return interpolate(self, x)
+
+    monkeypatch.setattr(DealtShares, "_interpolate", counting)
+    dealt = split_secret(5, 334, 500, ORDER, DeterministicRng(2))
+    assert interpolated == []
+    first_quorum = dealt[:334]
+    assert interpolated == [334]
+    assert dealt[:334] == first_quorum and dealt[333] is first_quorum[-1]
+    assert dealt[-1].x == 500
+    assert interpolated == [334, 500]
+
+
+def test_out_of_range_share_index_raises():
+    dealt = split_secret(5, 3, 5, PRIME, DeterministicRng(0))
+    for index in (5, -6):
+        with pytest.raises(IndexError):
+            dealt[index]
 
 
 def test_more_shares_than_field_elements_rejected():

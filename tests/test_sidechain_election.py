@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.crypto.vrf import vrf_keygen
+from repro.crypto.groups import PairingGroup
+from repro.crypto.hashing import keccak256
+from repro.crypto.vrf import vrf_input_point, vrf_keygen, vrf_values_hashed
 from repro.errors import ElectionError
 from repro.sidechain.election import (
     Committee,
@@ -10,6 +12,7 @@ from repro.sidechain.election import (
     require_valid_committee,
     verify_election_proof,
 )
+from tests.election_reference import elect_committee_reference
 
 
 @pytest.fixture
@@ -125,3 +128,42 @@ def test_one_hash_election_matches_per_miner_evaluation(miners, stakes):
         assert committee.proofs[member].vrf_output == outputs[member]
         assert committee.proofs[member].vrf_vk == miners[member].vk
     require_valid_committee(committee)
+
+
+# -- winner-only sortition against the per-miner reference ---------------------
+
+
+@pytest.fixture(scope="module")
+def population():
+    """1 000 miners with uneven stakes, a few of them zero."""
+    miners = {f"miner{i}": vrf_keygen(i) for i in range(1000)}
+    stakes = {
+        m: (0.4, 1.0, 2.5, 7.0)[i % 4] if i % 97 else 0.0
+        for i, m in enumerate(miners)
+    }
+    return miners, stakes
+
+
+@pytest.mark.parametrize("seed", [b"seed-a", b"seed-b", b"seed-c"])
+@pytest.mark.parametrize("size", [8, 32, 500])
+def test_winner_only_sortition_equals_the_reference(population, seed, size):
+    miners, stakes = population
+    committee = elect_committee(miners, stakes, 7, seed, size)
+    reference = elect_committee_reference(miners, stakes, 7, seed, size)
+    assert committee.members == reference.members
+    assert committee.proofs == reference.proofs
+    assert list(committee.proofs) == list(reference.proofs)
+    require_valid_committee(committee)
+
+
+def test_batch_vrf_values_equal_each_miners_evaluation(population):
+    """Ranked values are the hashes each miner's own evaluation produces
+    — with ``keccak256`` as the active backend resolves it."""
+    miners, _ = population
+    point = vrf_input_point(b"batch", 3)
+    keypairs = list(miners.values())[:64]
+    encodings = PairingGroup.encode_g1_multiples(point, [kp.keypair.sk for kp in keypairs])
+    evaluations = [kp.evaluate_hashed(point) for kp in keypairs]
+    assert encodings == [e.proof.encode() for e in evaluations]
+    assert vrf_values_hashed(keypairs, point) == [e.value for e in evaluations]
+    assert vrf_values_hashed(keypairs, point) == [keccak256(e) for e in encodings]
