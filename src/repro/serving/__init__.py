@@ -20,12 +20,8 @@ from repro.serving.gateway import (
     GatewayConfig,
     GatewayStats,
     QuoteGateway,
-    QuoteRequest,
-    QuoteResponse,
-    Reply,
-    SwapReceipt,
-    SwapSubmission,
-    TokenBucket,
+    QuoteTicket,
+    SwapTicket,
 )
 from repro.serving.phases import (
     GatewayBoundaryPhase,
@@ -46,15 +42,11 @@ __all__ = [
     "GatewayIngestPhase",
     "GatewayStats",
     "QuoteGateway",
-    "QuoteRequest",
-    "QuoteResponse",
-    "Reply",
+    "QuoteTicket",
     "ServingConfig",
     "ServingReport",
     "ServingRun",
-    "SwapReceipt",
-    "SwapSubmission",
-    "TokenBucket",
+    "SwapTicket",
     "latency_summary",
     "percentile",
     "serving_epoch_phases",

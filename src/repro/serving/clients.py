@@ -8,14 +8,21 @@ nothing new until it resolves, so offered load self-throttles exactly
 like real users behind latency.
 
 A client is a generator that yields whenever it blocks — the
-:class:`~repro.serving.gateway.Reply` it waits for, or ``None`` at the
-tick gate — and the fleet is the one place that decides who runs when:
+:class:`~repro.serving.gateway.QuoteTicket` or
+:class:`~repro.serving.gateway.SwapTicket` it waits for, or ``None`` at
+the tick gate — and the fleet is the one place that decides who runs
+when:
 
 * when a tick opens, every client runs until it blocks again; then the
   gateway decides the tick (in sorted ``(client, seq)`` order, never in
   the order the fleet happened to resume clients);
-* between ticks only clients whose reply resolved run; a client waiting
-  at the gate stays there until the next tick opens.
+* between ticks only clients whose ticket was decided run; a client
+  waiting at the gate stays there until the next tick opens.
+
+Each time a client reaches the gate it asks its arrival process how many
+requests the tick carries: one burst coin per client and tick, drawn by
+:func:`~repro.simulation.rng.first_random` from a fresh per-round seed,
+so no draw depends on when or how often it is asked.
 
 Virtual time therefore advances in lock-step and the merged request log
 is a pure function of the seed.
@@ -26,10 +33,9 @@ from __future__ import annotations
 import time
 from collections.abc import Generator
 from dataclasses import dataclass
-from typing import Any
 
 from repro.errors import AMMError
-from repro.serving.gateway import QuoteGateway, Reply
+from repro.serving.gateway import QuoteGateway, QuoteTicket, SwapTicket
 from repro.simulation.rng import DeterministicRng
 from repro.workload.arrivals import BurstyArrivals
 
@@ -49,9 +55,9 @@ class FleetConfig:
     amount_hi: int = 10**18
 
 
-#: What a blocked client yields: the reply it waits for, or ``None`` at
+#: What a blocked client yields: the ticket it waits for, or ``None`` at
 #: the tick gate.
-_Blocked = Reply[Any] | None
+_Blocked = QuoteTicket | SwapTicket | None
 
 
 class _Client:
@@ -102,24 +108,31 @@ class ClientFleet:
     def _client_loop(self, client: _Client) -> Generator[_Blocked, None, None]:
         gateway = self.gateway
         cfg = self.config
+        # Bound once per client: the loop below runs once per request.
+        quote, submit = gateway.quote, gateway.submit
+        draw, randint = client.rng.stream.random, client.rng.stream.randint
+        log, wall = client.log.append, self.wall_quote_seconds.append
+        clock = time.perf_counter
+        rate_for_round = client.arrivals.rate_for_round
+        index, user = client.index, client.user
+        lo, hi, submit_fraction = cfg.amount_lo, cfg.amount_hi, cfg.submit_fraction
         while True:
             tick = gateway.now_tick
-            count = client.arrivals.rate_for_round(1, tick, float(tick))
-            for _ in range(count):
+            for _ in range(rate_for_round(1, tick, float(tick))):
                 seq = client.seq
-                client.seq += 1
-                zero_for_one = client.rng.random() < 0.5
-                amount = client.rng.randint(cfg.amount_lo, cfg.amount_hi)
-                started = time.perf_counter()
-                quoted = gateway.quote(client.index, seq, zero_for_one, amount)
+                client.seq = seq + 1
+                zero_for_one = draw() < 0.5
+                amount = randint(lo, hi)
+                started = clock()
+                quoted = quote(index, seq, zero_for_one, amount)
                 yield quoted
                 try:
-                    response = quoted.result()
+                    quoted.result()
                 except AMMError as exc:
-                    client.log.append(
+                    log(
                         {
                             "kind": "quote",
-                            "client": client.index,
+                            "client": index,
                             "seq": seq,
                             "tick": tick,
                             "accepted": False,
@@ -127,43 +140,38 @@ class ClientFleet:
                         }
                     )
                     continue
-                self.wall_quote_seconds.append(time.perf_counter() - started)
-                client.log.append(
+                wall(clock() - started)
+                log(
                     {
                         "kind": "quote",
-                        "client": client.index,
+                        "client": index,
                         "seq": seq,
-                        "tick": response.submitted_tick,
-                        "served_tick": response.served_tick,
-                        "accepted": response.accepted,
-                        "reason": response.reason,
-                        "amount_in": response.amount_in,
-                        "amount_out": response.amount_out,
-                        "snapshot_epoch": response.snapshot_epoch,
+                        "tick": quoted.submitted_tick,
+                        "served_tick": quoted.served_tick,
+                        "accepted": quoted.accepted,
+                        "reason": quoted.reason,
+                        "amount_in": quoted.amount_in,
+                        "amount_out": quoted.amount_out,
+                        "snapshot_epoch": quoted.snapshot_epoch,
                     }
                 )
-                if response.accepted and client.rng.random() < cfg.submit_fraction:
+                if quoted.accepted and draw() < submit_fraction:
                     swap_seq = client.seq
-                    client.seq += 1
-                    submitted = gateway.submit(
-                        client.index,
-                        swap_seq,
-                        client.user,
-                        zero_for_one,
-                        amount,
-                        response.snapshot_epoch,
+                    client.seq = swap_seq + 1
+                    submitted = submit(
+                        index, swap_seq, user, zero_for_one, amount, quoted.snapshot_epoch
                     )
                     yield submitted
-                    receipt = submitted.result()
-                    client.log.append(
+                    submitted.result()
+                    log(
                         {
                             "kind": "swap",
-                            "client": client.index,
+                            "client": index,
                             "seq": swap_seq,
-                            "tick": receipt.submitted_tick,
-                            "decided_tick": receipt.decided_tick,
-                            "accepted": receipt.accepted,
-                            "reason": receipt.reason,
+                            "tick": submitted.submitted_tick,
+                            "decided_tick": submitted.decided_tick,
+                            "accepted": submitted.accepted,
+                            "reason": submitted.reason,
                         }
                     )
             yield None

@@ -5,7 +5,7 @@ the shape of an always-on deployment where the committee applies writes
 epoch-serially while the gateway keeps answering reads off the frozen
 boundary snapshot:
 
-1. a warm-up epoch bootstraps liquidity (and optional background load);
+1. a warm-up epoch bootstraps liquidity;
 2. each serving epoch runs ``ticks_per_epoch`` virtual-time ticks of
    client traffic, then one epoch of the pipeline, which drains the
    admission queue, syncs, settles finality and publishes a fresh
@@ -41,14 +41,14 @@ class ServingConfig:
     #: Serving epochs (a liquidity warm-up epoch runs before them).
     epochs: int = 3
     ticks_per_epoch: int = 8
-    seed: int | str = 0
+    #: Seeds the system and the fleet alike; an int, so that two configs
+    #: with different seeds never share a pool, traffic or committee.
+    seed: int = 0
     submit_fraction: float = 0.4
     burst_factor: float = 3.0
     burst_fraction: float = 0.2
     amount_lo: int = 10**15
     amount_hi: int = 10**18
-    #: Also inject the generated workload during serving epochs.
-    background_traffic: bool = False
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     # System shape (kept small: serving load comes from the fleet).
     num_users: int = 32
@@ -56,6 +56,12 @@ class ServingConfig:
     rounds_per_epoch: int = 6
     committee_size: int = 8
     miner_population: int = 16
+
+    def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigurationError(
+                f"ServingConfig.seed must be an int, got {self.seed!r}"
+            )
 
 
 @dataclass
@@ -120,7 +126,7 @@ class ServingRun:
                 num_users=cfg.num_users,
                 daily_volume=cfg.daily_volume,
                 rounds_per_epoch=cfg.rounds_per_epoch,
-                seed=cfg.seed if isinstance(cfg.seed, int) else 0,
+                seed=cfg.seed,
             )
         )
         self.gateway = QuoteGateway(self.system.pool, self.system.ids, cfg.gateway)
@@ -153,7 +159,7 @@ class ServingRun:
         for _ in range(cfg.epochs):
             self.fleet.run_window(cfg.ticks_per_epoch)
             epoch += 1
-            system.run_epoch(epoch, inject=cfg.background_traffic)
+            system.run_epoch(epoch, inject=False)
 
         gateway.shutdown(between_ticks=self.fleet.deliver_replies)
         self.fleet.close()

@@ -19,14 +19,21 @@ Admission control is explicit and fully typed:
 Every request is therefore *exactly* accepted or rejected-with-reason —
 the gateway never drops work silently and never hangs a caller.
 
-Determinism: :meth:`QuoteGateway.quote` and :meth:`QuoteGateway.submit`
-only enqueue — they hand back a :class:`Reply` slot and the request lands
-in a per-tick inbox.  Requests are *decided* in
+One ticket per request: :meth:`QuoteGateway.quote` and
+:meth:`QuoteGateway.submit` build a :class:`QuoteTicket` or
+:class:`SwapTicket` and hand it back.  The ticket is the request, the
+slot its answer lands in (``done``) and the answer itself, read through
+``ticket.result()``: the same object from enqueue to log line.
+
+Determinism: ``quote`` and ``submit`` only enqueue the ticket in a
+per-tick inbox.  Requests are *decided* in
 :meth:`QuoteGateway.process_tick`, which sorts the inbox by
 ``(client, seq)`` before touching any shared state, so outcomes are a
 pure function of the request set, not of the order callers enqueued in.
-The gateway decides ticks and nothing else: who runs between two ticks
-is the caller's business (:mod:`repro.serving.clients`).
+Each client's token bucket is a ``[tokens, tick]`` pair, refilled and
+charged in that order.  The gateway decides ticks and nothing else: who
+runs between two ticks is the caller's business
+(:mod:`repro.serving.clients`).
 """
 
 from __future__ import annotations
@@ -34,14 +41,13 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any, Generic, TypeVar, cast
+from operator import attrgetter
+from typing import Self
 
 from repro.amm.pool import Pool, PoolSnapshot
 from repro.core.transactions import IdSpace, SwapTx
 from repro.errors import AMMError
 from repro.telemetry import trace
-
-T = TypeVar("T")
 
 REASON_QUEUE_FULL = "queue_full"
 REASON_STALE_SNAPSHOT = "stale_snapshot"
@@ -70,113 +76,95 @@ class GatewayConfig:
     publish_every: int = 1
 
 
-class TokenBucket:
-    """Per-client admission budget refilled in virtual ticks."""
+class _Ticket:
+    """What the two ticket kinds share: who asked, when, and the outcome.
 
-    __slots__ = ("rate", "burst", "_tokens", "_tick")
+    The answer fields (``accepted``, ``reason`` and the kind's own) are
+    set by the tick that decides the ticket; read them through
+    :meth:`result`.
+    """
 
-    def __init__(self, rate: float, burst: float) -> None:
-        self.rate = rate
-        self.burst = burst
-        self._tokens = burst
-        self._tick = 0
+    __slots__ = (
+        "client", "seq", "zero_for_one", "amount", "submitted_tick",
+        "done", "error", "accepted", "reason",
+    )
 
-    def try_take(self, now_tick: int) -> bool:
-        if now_tick > self._tick:
-            self._tokens = min(
-                self.burst, self._tokens + (now_tick - self._tick) * self.rate
-            )
-            self._tick = now_tick
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
-
-
-@dataclass(frozen=True, slots=True)
-class QuoteRequest:
     client: int
     seq: int
     zero_for_one: bool
     amount: int
     submitted_tick: int
-
-
-@dataclass(frozen=True, slots=True)
-class QuoteResponse:
-    client: int
-    seq: int
+    done: bool
+    error: AMMError | None
     accepted: bool
     reason: str | None
+
+    def result(self) -> Self:
+        """The decided ticket; raises the pool's own error if it failed."""
+        if self.error is not None:
+            raise self.error
+        if not self.done:
+            raise RuntimeError("ticket read before a tick decided it")
+        return self
+
+
+class QuoteTicket(_Ticket):
+    """One quote: the request, its reply slot and its answer."""
+
+    __slots__ = ("amount_in", "amount_out", "fee_paid", "snapshot_epoch", "served_tick")
+
     amount_in: int
     amount_out: int
     fee_paid: int
+    #: Epoch of the snapshot that answered (-1 when refused).
     snapshot_epoch: int
-    submitted_tick: int
     served_tick: int
 
-    @property
-    def latency_ticks(self) -> int:
-        return self.served_tick - self.submitted_tick
+    def __init__(
+        self, client: int, seq: int, zero_for_one: bool, amount: int, submitted_tick: int
+    ) -> None:
+        self.client = client
+        self.seq = seq
+        self.zero_for_one = zero_for_one
+        self.amount = amount
+        self.submitted_tick = submitted_tick
+        self.done = False
+        self.error = None
 
 
-@dataclass(frozen=True, slots=True)
-class SwapSubmission:
-    client: int
-    seq: int
+class SwapTicket(_Ticket):
+    """One quoted swap: the submission, its reply slot and its verdict."""
+
+    __slots__ = ("user", "snapshot_epoch", "decided_tick")
+
     user: str
-    zero_for_one: bool
-    amount: int
     #: Epoch of the snapshot the client quoted against (staleness check).
     snapshot_epoch: int
-    submitted_tick: int
-
-
-@dataclass(frozen=True, slots=True)
-class SwapReceipt:
-    client: int
-    seq: int
-    accepted: bool
-    reason: str | None
-    submitted_tick: int
     decided_tick: int
 
-
-class Reply(Generic[T]):
-    """Where one request's answer lands once a tick has decided it."""
-
-    __slots__ = ("done", "_value", "_error")
-
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        client: int,
+        seq: int,
+        user: str,
+        zero_for_one: bool,
+        amount: int,
+        snapshot_epoch: int,
+        submitted_tick: int,
+    ) -> None:
+        self.client = client
+        self.seq = seq
+        self.user = user
+        self.zero_for_one = zero_for_one
+        self.amount = amount
+        self.snapshot_epoch = snapshot_epoch
+        self.submitted_tick = submitted_tick
         self.done = False
-        self._value: T | None = None
-        self._error: AMMError | None = None
-
-    def resolve(self, value: T) -> None:
-        self._value = value
-        self.done = True
-
-    def fail(self, error: AMMError) -> None:
-        self._error = error
-        self.done = True
-
-    def result(self) -> T:
-        """The answer; raises the pool's own error if the quote failed."""
-        if self._error is not None:
-            raise self._error
-        if not self.done:
-            raise RuntimeError("reply read before a tick decided it")
-        return cast(T, self._value)
+        self.error = None
 
 
-@dataclass
-class _InflightSwap:
-    """An admitted swap awaiting inclusion + sync (finality tracking)."""
-
-    tx: SwapTx
-    submit_epoch: int
-    client: int
-    seq: int
+#: The inbox's sort key: ``(client, seq)``, built once per ticket.
+_BY_CLIENT_SEQ = attrgetter("client", "seq")
 
 
 @dataclass
@@ -222,15 +210,13 @@ class QuoteGateway:
         self.now_tick = 0
         self.draining = False
         self.stats = GatewayStats()
-        #: A request's kind fixes its reply's type; the pair is re-typed
-        #: where ``process_tick`` dispatches on the request.
-        self._inbox: list[tuple[QuoteRequest | SwapSubmission, Reply[Any]]] = []
-        self._pending_quotes: deque[tuple[QuoteRequest, Reply[QuoteResponse]]] = (
-            deque()
-        )
+        self._inbox: list[QuoteTicket | SwapTicket] = []
+        self._pending_quotes: deque[QuoteTicket] = deque()
         self._admitted: deque[SwapTx] = deque()
-        self._inflight: list[_InflightSwap] = []
-        self._buckets: dict[int, TokenBucket] = {}
+        #: ``(tx, submit_epoch)`` per admitted swap awaiting finality.
+        self._inflight: list[tuple[SwapTx, int]] = []
+        #: ``client -> [tokens, last refill tick]``: the token bucket.
+        self._buckets: dict[int, list[float]] = {}
 
     # -- snapshot lifecycle ---------------------------------------------------
 
@@ -248,22 +234,19 @@ class QuoteGateway:
 
     # -- request entry points -------------------------------------------------
 
-    def quote(
-        self, client: int, seq: int, zero_for_one: bool, amount: int
-    ) -> Reply[QuoteResponse]:
-        """Enqueue a quote request; a later tick resolves the reply.
+    def quote(self, client: int, seq: int, zero_for_one: bool, amount: int) -> QuoteTicket:
+        """Enqueue a quote request; a later tick decides the ticket.
 
         A failed quote resolves with the frozen pool's own error
-        (``NoLiquidityError`` et al.), which :meth:`Reply.result` raises
-        exactly as the direct quoter would.
+        (``NoLiquidityError`` et al.), which :meth:`QuoteTicket.result`
+        raises exactly as the direct quoter would.
         """
-        reply: Reply[QuoteResponse] = Reply()
-        request = QuoteRequest(client, seq, zero_for_one, amount, self.now_tick)
+        ticket = QuoteTicket(client, seq, zero_for_one, amount, self.now_tick)
         if self.draining:
-            reply.resolve(self._quote_reject(request, REASON_SHUTTING_DOWN))
+            self._reject(ticket, REASON_SHUTTING_DOWN)
         else:
-            self._inbox.append((request, reply))
-        return reply
+            self._inbox.append(ticket)
+        return ticket
 
     def submit(
         self,
@@ -273,17 +256,16 @@ class QuoteGateway:
         zero_for_one: bool,
         amount: int,
         snapshot_epoch: int,
-    ) -> Reply[SwapReceipt]:
-        """Enqueue a quoted swap; resolves with a typed accept/reject."""
-        reply: Reply[SwapReceipt] = Reply()
-        submission = SwapSubmission(
+    ) -> SwapTicket:
+        """Enqueue a quoted swap; a later tick accepts or rejects it."""
+        ticket = SwapTicket(
             client, seq, user, zero_for_one, amount, snapshot_epoch, self.now_tick
         )
         if self.draining:
-            reply.resolve(self._submit_reject(submission, REASON_SHUTTING_DOWN))
+            self._reject(ticket, REASON_SHUTTING_DOWN)
         else:
-            self._inbox.append((submission, reply))
-        return reply
+            self._inbox.append(ticket)
+        return ticket
 
     # -- the deterministic decision pass --------------------------------------
 
@@ -296,194 +278,161 @@ class QuoteGateway:
         traced = trace.enabled()
         prev_track = trace.set_track("gateway") if traced else ""
         try:
-            self._process_tick_inner()
+            self._admit(traced)
+            self._serve_quotes(traced)
+            self.now_tick += 1
         finally:
             if traced:
                 trace.set_track(prev_track)
 
-    def _process_tick_inner(self) -> None:
-        inbox = sorted(self._inbox, key=lambda entry: (entry[0].client, entry[0].seq))
-        self._inbox.clear()
+    def _admit(self, traced: bool) -> None:
+        """Charge each ticket to its client's bucket, then queue a quote
+        or decide a swap."""
+        inbox = self._inbox
+        self._inbox = []
+        inbox.sort(key=_BY_CLIENT_SEQ)
         config = self.config
-        for request, reply in inbox:
-            bucket = self._buckets.get(request.client)
-            if bucket is None:
-                bucket = TokenBucket(config.bucket_rate, config.bucket_burst)
-                self._buckets[request.client] = bucket
-            if not bucket.try_take(self.now_tick):
-                self._resolve_reject(request, reply, REASON_RATE_LIMITED)
-            elif isinstance(request, QuoteRequest):
-                if len(self._pending_quotes) >= config.pending_quote_bound:
-                    self._resolve_reject(request, reply, REASON_QUEUE_FULL)
-                else:
-                    self._pending_quotes.append((request, reply))
-                    depth = len(self._pending_quotes)
-                    if depth > self.stats.peak_pending_quotes:
-                        self.stats.peak_pending_quotes = depth
-            else:
-                self._decide_submission(request, reply)
-        self._serve_quotes()
-        self.now_tick += 1
-
-    def _decide_submission(
-        self, submission: SwapSubmission, reply: Reply[SwapReceipt]
-    ) -> None:
+        now = self.now_tick
+        rate, burst = config.bucket_rate, config.bucket_burst
+        buckets = self._buckets
+        pending, pending_bound = self._pending_quotes, config.pending_quote_bound
+        admitted, capacity = self._admitted, config.queue_capacity
+        inflight = self._inflight
+        epoch = self.epoch
+        oldest = epoch - config.max_snapshot_age
         snap = self.snapshot
-        if (
-            snap is None
-            or self.epoch - submission.snapshot_epoch > self.config.max_snapshot_age
-            or self.epoch - snap.epoch > self.config.max_snapshot_age
-        ):
-            self._resolve_reject(submission, reply, REASON_STALE_SNAPSHOT)
-            return
-        if len(self._admitted) >= self.config.queue_capacity:
-            self._resolve_reject(submission, reply, REASON_QUEUE_FULL)
-            return
-        tx = SwapTx(
-            user=submission.user,
-            zero_for_one=submission.zero_for_one,
-            exact_input=True,
-            amount=submission.amount,
-            tx_id=self.ids(),
-        )
-        self._admitted.append(tx)
-        depth = len(self._admitted)
-        if depth > self.stats.peak_admission_queue:
-            self.stats.peak_admission_queue = depth
-        self._inflight.append(
-            _InflightSwap(tx, self.epoch, submission.client, submission.seq)
-        )
-        self.stats.submits_accepted += 1
-        trace.complete(
-            "gateway.submit",
-            submission.submitted_tick,
-            self.now_tick,
-            client=submission.client,
-            seq=submission.seq,
-        )
-        reply.resolve(
-            SwapReceipt(
-                client=submission.client,
-                seq=submission.seq,
-                accepted=True,
-                reason=None,
-                submitted_tick=submission.submitted_tick,
-                decided_tick=self.now_tick,
-            )
-        )
+        view_stale = snap is None or snap.epoch < oldest
+        accepted = 0
+        for ticket in inbox:
+            bucket = buckets.get(ticket.client)
+            if bucket is None:
+                bucket = buckets[ticket.client] = [burst, 0]
+            if now > bucket[1]:
+                bucket[0] = min(burst, bucket[0] + (now - bucket[1]) * rate)
+                bucket[1] = now
+            if bucket[0] < 1.0:
+                reason = REASON_RATE_LIMITED
+            else:
+                bucket[0] -= 1.0
+                if isinstance(ticket, QuoteTicket):
+                    if len(pending) < pending_bound:
+                        pending.append(ticket)
+                        continue
+                    reason = REASON_QUEUE_FULL
+                elif view_stale or ticket.snapshot_epoch < oldest:
+                    reason = REASON_STALE_SNAPSHOT
+                elif len(admitted) >= capacity:
+                    reason = REASON_QUEUE_FULL
+                else:
+                    tx = SwapTx(
+                        user=ticket.user,
+                        zero_for_one=ticket.zero_for_one,
+                        exact_input=True,
+                        amount=ticket.amount,
+                        tx_id=self.ids(),
+                    )
+                    admitted.append(tx)
+                    inflight.append((tx, epoch))
+                    accepted += 1
+                    if traced:
+                        trace.complete(
+                            "gateway.submit",
+                            ticket.submitted_tick,
+                            now,
+                            client=ticket.client,
+                            seq=ticket.seq,
+                        )
+                    ticket.accepted = True
+                    ticket.reason = None
+                    ticket.decided_tick = now
+                    ticket.done = True
+                    continue
+            self._reject(ticket, reason)
+        # Both queues only grow while admitting, so their peaks are here.
+        stats = self.stats
+        stats.submits_accepted += accepted
+        if len(pending) > stats.peak_pending_quotes:
+            stats.peak_pending_quotes = len(pending)
+        if len(admitted) > stats.peak_admission_queue:
+            stats.peak_admission_queue = len(admitted)
 
-    def _serve_quotes(self) -> None:
+    def _serve_quotes(self, traced: bool) -> None:
+        pending = self._pending_quotes
+        count = min(len(pending), self.config.quote_capacity_per_tick)
+        snap = self.snapshot
+        if snap is None:
+            for _ in range(count):
+                self._reject(pending.popleft(), REASON_STALE_SNAPSHOT)
+            return
+        now = self.now_tick
+        stats = self.stats
+        errors = stats.quote_errors
+        latencies = stats.quote_latency_ticks
+        quote = snap.quote
+        snapshot_epoch = snap.epoch
         served = 0
-        while self._pending_quotes and served < self.config.quote_capacity_per_tick:
-            request, reply = self._pending_quotes.popleft()
-            served += 1
-            snap = self.snapshot
-            if snap is None:
-                self._resolve_reject(request, reply, REASON_STALE_SNAPSHOT)
-                continue
+        for _ in range(count):
+            ticket = pending.popleft()
             try:
-                quote = snap.quote(request.zero_for_one, request.amount)
+                answer = quote(ticket.zero_for_one, ticket.amount)
             except AMMError as exc:
                 name = type(exc).__name__
-                self.stats.quote_errors[name] = (
-                    self.stats.quote_errors.get(name, 0) + 1
-                )
-                reply.fail(exc)
+                errors[name] = errors.get(name, 0) + 1
+                ticket.error = exc
+                ticket.done = True
                 continue
-            amount_in, amount_out = quote.trader_amounts(request.zero_for_one)
-            self.stats.quotes_served += 1
-            self.stats.quote_latency_ticks.append(
-                self.now_tick - request.submitted_tick
-            )
-            trace.complete(
-                "gateway.quote",
-                request.submitted_tick,
-                self.now_tick,
-                client=request.client,
-                seq=request.seq,
-                snapshot_epoch=snap.epoch,
-            )
-            reply.resolve(
-                QuoteResponse(
-                    client=request.client,
-                    seq=request.seq,
-                    accepted=True,
-                    reason=None,
-                    amount_in=amount_in,
-                    amount_out=amount_out,
-                    fee_paid=quote.fee_paid,
-                    snapshot_epoch=snap.epoch,
-                    submitted_tick=request.submitted_tick,
-                    served_tick=self.now_tick,
+            served += 1
+            latencies.append(now - ticket.submitted_tick)
+            if traced:
+                trace.complete(
+                    "gateway.quote",
+                    ticket.submitted_tick,
+                    now,
+                    client=ticket.client,
+                    seq=ticket.seq,
+                    snapshot_epoch=snapshot_epoch,
                 )
+            ticket.amount_in, ticket.amount_out = answer.trader_amounts(
+                ticket.zero_for_one
             )
+            ticket.fee_paid = answer.fee_paid
+            ticket.snapshot_epoch = snapshot_epoch
+            ticket.served_tick = now
+            ticket.accepted = True
+            ticket.reason = None
+            ticket.done = True
+        stats.quotes_served += served
 
     # -- rejection plumbing ----------------------------------------------------
 
-    def _quote_reject(self, request: QuoteRequest, reason: str) -> QuoteResponse:
-        self.stats.quote_rejections[reason] = (
-            self.stats.quote_rejections.get(reason, 0) + 1
-        )
+    def _reject(self, ticket: QuoteTicket | SwapTicket, reason: str) -> None:
+        """Decide ``ticket`` as refused for ``reason``, counted and traced."""
+        now = self.now_tick
+        if isinstance(ticket, QuoteTicket):
+            kind, counts = "quote", self.stats.quote_rejections
+            ticket.amount_in = ticket.amount_out = ticket.fee_paid = 0
+            ticket.snapshot_epoch = -1
+            ticket.served_tick = now
+        else:
+            kind, counts = "submit", self.stats.submit_rejections
+            ticket.decided_tick = now
+        counts[reason] = counts.get(reason, 0) + 1
         if trace.enabled():
             # Drain-path rejects fire straight from quote()/submit(), outside
             # the process_tick track scope — pin them to the gateway track.
             prev_track = trace.set_track("gateway")
             trace.instant(
                 "gateway.reject",
-                self.now_tick,
-                kind="quote",
+                now,
+                kind=kind,
                 reason=reason,
-                client=request.client,
-                seq=request.seq,
+                client=ticket.client,
+                seq=ticket.seq,
             )
             trace.set_track(prev_track)
-        return QuoteResponse(
-            client=request.client,
-            seq=request.seq,
-            accepted=False,
-            reason=reason,
-            amount_in=0,
-            amount_out=0,
-            fee_paid=0,
-            snapshot_epoch=-1,
-            submitted_tick=request.submitted_tick,
-            served_tick=self.now_tick,
-        )
-
-    def _submit_reject(self, submission: SwapSubmission, reason: str) -> SwapReceipt:
-        self.stats.submit_rejections[reason] = (
-            self.stats.submit_rejections.get(reason, 0) + 1
-        )
-        if trace.enabled():
-            prev_track = trace.set_track("gateway")
-            trace.instant(
-                "gateway.reject",
-                self.now_tick,
-                kind="submit",
-                reason=reason,
-                client=submission.client,
-                seq=submission.seq,
-            )
-            trace.set_track(prev_track)
-        return SwapReceipt(
-            client=submission.client,
-            seq=submission.seq,
-            accepted=False,
-            reason=reason,
-            submitted_tick=submission.submitted_tick,
-            decided_tick=self.now_tick,
-        )
-
-    def _resolve_reject(
-        self,
-        request: QuoteRequest | SwapSubmission,
-        reply: Reply[Any],
-        reason: str,
-    ) -> None:
-        if isinstance(request, QuoteRequest):
-            reply.resolve(self._quote_reject(request, reason))
-        else:
-            reply.resolve(self._submit_reject(request, reason))
+        ticket.accepted = False
+        ticket.reason = reason
+        ticket.done = True
 
     # -- epoch-pipeline bridge -------------------------------------------------
 
@@ -511,17 +460,15 @@ class QuoteGateway:
         during epoch ``e``'s serving window whose inclusion synced by the
         boundary closing epoch ``b`` scores ``b - e``.
         """
-        remaining: list[_InflightSwap] = []
+        remaining: list[tuple[SwapTx, int]] = []
         for record in self._inflight:
-            tx = record.tx
+            tx, submit_epoch = record
             if tx.reject_reason:
                 self.stats.executor_rejected += 1
             elif tx.included_epoch is not None and system.ledger.is_synced(
                 tx.included_epoch
             ):
-                self.stats.finality_epochs.append(
-                    boundary_epoch - record.submit_epoch
-                )
+                self.stats.finality_epochs.append(boundary_epoch - submit_epoch)
             else:
                 remaining.append(record)
         self._inflight = remaining

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from _random import Random as _CRandom
 
 
 class DeterministicRng:
@@ -71,3 +72,21 @@ class DeterministicRng:
 
     def gauss(self, mu: float, sigma: float) -> float:
         return self._random.gauss(mu, sigma)
+
+
+#: The one generator :func:`first_random` reseeds on every call.
+_SCRATCH = random.Random(0)
+
+
+def first_random(seed: int | str) -> float:
+    """``DeterministicRng(seed).random()`` without building the wrapper.
+
+    For one-draw coins on hot paths.  It reseeds one module-level scratch
+    generator with the same :meth:`DeterministicRng._mix` through the
+    C-level ``seed``: for an int, :class:`random.Random`'s Python-level
+    ``seed`` adds nothing that ``random()`` reads.  Every call reseeds,
+    so no value depends on call order.  The scratch state is shared, so
+    do not call this from concurrent threads.
+    """
+    _CRandom.seed(_SCRATCH, DeterministicRng._mix(seed))
+    return _SCRATCH.random()

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.simulation.rng import DeterministicRng
+from repro.simulation.rng import first_random
 
 
 class ArrivalProcess:
@@ -73,8 +73,7 @@ class BurstyArrivals(ArrivalProcess):
         return max(0.0, spare / (1.0 - self.burst_fraction))
 
     def is_burst_round(self, round_index: int) -> bool:
-        coin = DeterministicRng(f"{self.seed}/burst/{round_index}").random()
-        return coin < self.burst_fraction
+        return first_random(f"{self.seed}/burst/{round_index}") < self.burst_fraction
 
     def rate_for_round(self, base_rate: int, round_index: int, now: float) -> int:
         if base_rate <= 0:

@@ -35,7 +35,6 @@ ALLOWED_UNASSIGNED = {
     "MainchainConfig.block_interval",
     "MainchainConfig.block_gas_limit",
     "MainchainConfig.max_rollback_depth",
-    "ServingConfig.background_traffic",
     # "Options nothing runs": Remark 3's NFT positions.
     "AmmBoostConfig.enable_nft_positions",
     # "The epoch-deposit mechanism, under load".

@@ -8,6 +8,7 @@ The headline guarantees under test:
 * under overload every request resolves exactly once — accepted or
   rejected with a typed reason — and the admission queue never exceeds
   its configured bound;
+* the pinned bench-shaped run keeps its request-log digest;
 * gateway unit behaviour: token-bucket refill, ``stale_snapshot`` and
   ``queue_full`` rejections, and graceful shutdown that serves queued
   quotes while refusing new work with ``shutting_down`` — each refusal
@@ -32,7 +33,6 @@ from repro.serving.gateway import (
     REASON_STALE_SNAPSHOT,
     GatewayConfig,
     QuoteGateway,
-    TokenBucket,
 )
 from tests.conftest import EndlessBacklog
 
@@ -83,6 +83,34 @@ def test_different_seeds_diverge():
         ServingConfig(**{**SMALL_RUN, "seed": 8})
     ).execute()
     assert other.digest() != base.digest()
+
+
+@pytest.mark.parametrize("seed", ["a", "7", 7.0, True, None])
+def test_serving_seed_must_be_an_int(seed):
+    # A str seed used to reach the system as seed 0, so "a" and "b" ran
+    # the same pool, traffic and committee.
+    with pytest.raises(ConfigurationError, match="seed must be an int"):
+        ServingConfig(**{**SMALL_RUN, "seed": seed})
+
+
+def test_pinned_serving_run_digest():
+    # The bench-shaped run ROADMAP pins: 800 clients, 12 ticks an epoch.
+    report = ServingRun(
+        ServingConfig(
+            epochs=6,
+            seed=3,
+            num_clients=800,
+            ticks_per_epoch=12,
+            gateway=GatewayConfig(
+                queue_capacity=2048, quote_capacity_per_tick=1024, pending_quote_bound=4096
+            ),
+        )
+    ).execute()
+    assert report.digest() == (
+        "2849013e3d85e9d6906922b0f2248d7a99949260062c5dd7863f98122d743601"
+    )
+    assert report.stats.quotes_served == 19007
+    assert report.stats.submits_accepted == 7578
 
 
 # -- overload -----------------------------------------------------------------
@@ -148,13 +176,37 @@ def test_overload_runs_are_deterministic_too():
 
 
 def test_token_bucket_burst_then_refill():
-    bucket = TokenBucket(rate=1.0, burst=2.0)
-    assert bucket.try_take(0)
-    assert bucket.try_take(0)
-    assert not bucket.try_take(0)  # burst exhausted within the tick
-    assert bucket.try_take(1)      # one token refilled next tick
-    assert not bucket.try_take(1)
-    assert bucket.try_take(3)      # refill caps at burst, still takeable
+    gateway = QuoteGateway(
+        small_pool(), IdSpace(), GatewayConfig(bucket_rate=1.0, bucket_burst=2.0)
+    )
+    gateway.publish_snapshot(0)
+    seqs = iter(range(100))
+
+    def tick(requests: int) -> list[str | None]:
+        tickets = [gateway.quote(0, next(seqs), True, 10**15) for _ in range(requests)]
+        gateway.process_tick()
+        return [ticket.result().reason for ticket in tickets]
+
+    # Burst exhausted within tick 0, one token refilled by tick 1.
+    assert tick(3) == [None, None, REASON_RATE_LIMITED]
+    assert tick(2) == [None, REASON_RATE_LIMITED]
+    assert tick(0) == []
+    # Two ticks' refill caps at the burst, still takeable.
+    assert tick(1) == [None]
+
+
+def test_ticket_is_its_own_answer():
+    gateway = QuoteGateway(small_pool(), IdSpace())
+    gateway.publish_snapshot(0)
+    ticket = gateway.quote(0, 0, True, 10**15)
+    assert not ticket.done
+    with pytest.raises(RuntimeError, match="before a tick decided it"):
+        ticket.result()
+    gateway.process_tick()
+    assert ticket.result() is ticket
+    assert ticket.accepted and ticket.reason is None
+    assert (ticket.submitted_tick, ticket.served_tick, ticket.snapshot_epoch) == (0, 0, 0)
+    assert ticket.amount_in > 0 and ticket.amount_out > 0 and ticket.fee_paid > 0
 
 
 def test_stale_snapshot_rejects_submission():

@@ -1,6 +1,9 @@
 """Tests for deterministic randomness."""
 
-from repro.simulation.rng import DeterministicRng
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.simulation.rng import DeterministicRng, first_random
 
 
 def test_same_seed_same_sequence():
@@ -61,3 +64,9 @@ def test_shuffle_is_permutation():
     shuffled = list(items)
     rng.shuffle(shuffled)
     assert sorted(shuffled) == items
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.one_of(st.integers(), st.text()))
+def test_first_random_is_the_first_draw_of_a_fresh_rng(seed):
+    assert first_random(seed) == DeterministicRng(seed).random()

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.simulation.rng import DeterministicRng
 from repro.workload.arrivals import BurstyArrivals, ConstantArrivals, DiurnalArrivals
 from tests.conftest import small_system
 
@@ -31,6 +32,29 @@ def test_bursty_conserves_mean_rate():
     assert sum(rates) / len(rates) == pytest.approx(100, rel=0.05)
     assert max(rates) == 400
     assert min(rates) < 100
+
+
+def test_burst_coin_matches_a_fresh_rng_in_any_call_order():
+    rounds = range(10_000)
+    processes = [
+        BurstyArrivals(burst_fraction=0.2, seed=seed) for seed in (0, "3/client/17", 11)
+    ]
+    # The coin's definition: the first draw of a fresh per-round RNG.
+    want = {
+        (p.seed, r): DeterministicRng(f"{p.seed}/burst/{r}").random() < p.burst_fraction
+        for p in processes
+        for r in rounds
+    }
+    assert 0 < sum(want.values()) < len(want)
+    orders = {
+        "ascending": list(rounds),
+        "reverse": list(reversed(rounds)),
+        "repeated": [r for r in rounds for _ in range(2)],
+    }
+    for order in orders.values():
+        # The processes take turns, so no coin follows its own previous one.
+        got = [(p.seed, r, p.is_burst_round(r)) for r in order for p in processes]
+        assert all(coin == want[seed, r] for seed, r, coin in got)
 
 
 def test_bursty_validation():
