@@ -25,7 +25,7 @@ from repro.amm.backend import (
     mul_div,
     mul_div_rounding_up,
 )
-from repro.amm.pool import Pool, PoolConfig, PoolSnapshot, SwapResult
+from repro.amm.pool import Pool, PoolConfig, PoolSnapshot, Quote, SwapResult
 from repro.amm.position import PositionKey
 from repro.amm.router import Router, SwapQuote
 
@@ -43,6 +43,7 @@ __all__ = [
     "Pool",
     "PoolConfig",
     "PoolSnapshot",
+    "Quote",
     "SwapResult",
     "PositionKey",
     "Router",

@@ -119,6 +119,36 @@ class PendingSwap:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class Quote:
+    """Predicted outcome of a swap (amounts signed from pool perspective).
+
+    Defined here, beside :class:`PendingSwap`, so
+    :meth:`PoolSnapshot.quote` builds one without an import per call;
+    :mod:`repro.amm.quoter` re-exports it.
+    """
+
+    amount0: int
+    amount1: int
+    sqrt_price_after_x96: int
+    fee_paid: int
+
+    def trader_amounts(self, zero_for_one: bool) -> tuple[int, int]:
+        """(amount_in, amount_out) from the trader's perspective."""
+        if zero_for_one:
+            return self.amount0, -self.amount1
+        return self.amount1, -self.amount0
+
+    @classmethod
+    def from_pending(cls, pending: PendingSwap) -> "Quote":
+        return cls(
+            amount0=pending.amount0,
+            amount1=pending.amount1,
+            sqrt_price_after_x96=pending.sqrt_price_after_x96,
+            fee_paid=pending.fee_paid,
+        )
+
+
 class SwapBatch:
     """The swap walker: one amortized tick walk for any number of swaps.
 
@@ -450,7 +480,10 @@ class Pool:
         self.fee_growth_global0_x128 = 0
         self.fee_growth_global1_x128 = 0
         self.ticks = TickTable(config.tick_spacing)
-        self.positions: dict[PositionKey, PositionInfo] = {}
+        #: ``(owner, tick_lower, tick_upper)`` -> position.  Plain tuples:
+        #: the collector untracks them, and a :class:`PositionKey` (built
+        #: only for error messages) equals its plain tuple.
+        self.positions: dict[tuple[str, int, int], PositionInfo] = {}
         #: Pool token reserves tracked for conservation checks.
         self.balance0 = 0
         self.balance1 = 0
@@ -520,10 +553,10 @@ class Pool:
     ) -> tuple[int, int]:
         """Withdraw owed tokens (fees + burned principal) from a position."""
         self._require_initialized()
-        key = PositionKey(owner, tick_lower, tick_upper)
+        key = (owner, tick_lower, tick_upper)
         position = self.positions.get(key)
         if position is None:
-            raise PositionError(f"no position {key}")
+            raise PositionError(f"no position {PositionKey(*key)}")
         amount0 = min(max(amount0_requested, 0), position.tokens_owed0)
         amount1 = min(max(amount1_requested, 0), position.tokens_owed1)
         position.tokens_owed0 -= amount0
@@ -542,7 +575,7 @@ class Pool:
     def position(
         self, owner: str, tick_lower: int, tick_upper: int
     ) -> PositionInfo | None:
-        return self.positions.get(PositionKey(owner, tick_lower, tick_upper))
+        return self.positions.get((owner, tick_lower, tick_upper))
 
     def poke(self, owner: str, tick_lower: int, tick_upper: int) -> PositionInfo:
         """Refresh a position's fee accounting without changing liquidity.
@@ -593,11 +626,11 @@ class Pool:
     def _update_position(
         self, owner: str, tick_lower: int, tick_upper: int, liquidity_delta: int
     ) -> PositionInfo:
-        key = PositionKey(owner, tick_lower, tick_upper)
+        key = (owner, tick_lower, tick_upper)
         position = self.positions.get(key)
         if position is None:
             if liquidity_delta <= 0:
-                raise PositionError(f"no position {key}")
+                raise PositionError(f"no position {PositionKey(*key)}")
             position = PositionInfo()
             self.positions[key] = position
         if liquidity_delta < 0 and position.liquidity + liquidity_delta < 0:
@@ -827,16 +860,14 @@ class PoolSnapshot:
         zero_for_one: bool,
         amount_specified: int,
         sqrt_price_limit_x96: int | None = None,
-    ):
+    ) -> Quote:
         """Quote a swap against the frozen state; never mutates anything.
 
-        Returns a :class:`repro.amm.quoter.Quote` and raises exactly what
+        Returns a :class:`Quote` and raises exactly what
         the live pool's walk would have raised at freeze time
         (``AMMError``, ``SlippageError``, ``NoLiquidityError`` — same
         types, same messages).
         """
-        from repro.amm.quoter import Quote
-
         walker = self._walker
         amount0, amount1 = walker.quote(
             zero_for_one, amount_specified, sqrt_price_limit_x96

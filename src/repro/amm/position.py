@@ -17,8 +17,12 @@ from repro.errors import LiquidityError, PositionError
 class PositionKey(NamedTuple):
     """Identifies a position by owner and price range.
 
-    A ``NamedTuple`` rather than a frozen dataclass: position lookups are
-    on the executor's hot path and tuple hashing/equality run in C.
+    :attr:`Pool.positions <repro.amm.pool.Pool.positions>` is keyed by the
+    plain ``(owner, tick_lower, tick_upper)`` tuple, which the cyclic
+    collector untracks; the pool builds a ``PositionKey`` only to name a
+    missing position in an error message.  Being a ``NamedTuple``, it
+    hashes and compares equal to that plain tuple, so a lookup by
+    ``PositionKey`` still finds its position.
     """
 
     owner: str

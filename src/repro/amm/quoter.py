@@ -13,34 +13,9 @@ only these for which issuing users own tokens on the mainchain").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.amm.pool import Pool, Quote
 
-from repro.amm.pool import PendingSwap, Pool
-
-
-@dataclass(frozen=True, slots=True)
-class Quote:
-    """Predicted outcome of a swap (amounts signed from pool perspective)."""
-
-    amount0: int
-    amount1: int
-    sqrt_price_after_x96: int
-    fee_paid: int
-
-    def trader_amounts(self, zero_for_one: bool) -> tuple[int, int]:
-        """(amount_in, amount_out) from the trader's perspective."""
-        if zero_for_one:
-            return self.amount0, -self.amount1
-        return self.amount1, -self.amount0
-
-    @classmethod
-    def from_pending(cls, pending: PendingSwap) -> "Quote":
-        return cls(
-            amount0=pending.amount0,
-            amount1=pending.amount1,
-            sqrt_price_after_x96=pending.sqrt_price_after_x96,
-            fee_paid=pending.fee_paid,
-        )
+__all__ = ["Quote", "quote_swap"]
 
 
 def quote_swap(

@@ -19,7 +19,7 @@ from repro.core.transactions import (
 )
 from repro.core.token_bank import TokenBank, PositionEntry
 from repro.core.executor import SidechainExecutor
-from repro.core.summary import EpochSummary, PayoutEntry, PositionDelta, summarize_epoch
+from repro.core.summary import EpochSummary, summarize_epoch
 from repro.core.sync import SyncPayload, TsqcAuthenticator
 from repro.core.snapshot import SnapshotBank
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
@@ -36,8 +36,6 @@ __all__ = [
     "PositionEntry",
     "SidechainExecutor",
     "EpochSummary",
-    "PayoutEntry",
-    "PositionDelta",
     "summarize_epoch",
     "SyncPayload",
     "TsqcAuthenticator",

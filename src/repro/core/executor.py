@@ -38,7 +38,7 @@ from repro.errors import AMMError, DepositError, PositionError
 _POSITION_TAG = encode_part(b"position")
 
 
-@dataclass
+@dataclass(slots=True)
 class PositionRecord:
     """Executor-side view of a liquidity position."""
 

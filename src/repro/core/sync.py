@@ -5,6 +5,11 @@ mass-syncing after an interruption) into a :class:`SyncPayload`.  The
 epoch committee authenticates the payload with a threshold BLS signature
 over its digest; TokenBank verifies the signature against the committee
 verification key ``vk_c`` recorded by the *previous* epoch's sync.
+
+A payload shares its summaries' row lists (payout and position rows,
+exact tuples — see :mod:`repro.core.summary`) rather than copying them,
+so the pending and confirmed Sync records a deployment keeps add list
+slots, not objects, for the collector to scan.
 """
 
 from __future__ import annotations
@@ -95,13 +100,14 @@ class SyncPayload:
         The part hash ``keccak256(b"sync", ...)`` over, per summary, its
         epoch and pool balances, each payout's user and balances, and
         each position's id, owner, liquidity delta, liquidity after and
-        owed fees; then ``vkc_next`` and each hand-over's epoch and key.
-        That layout is unchanged; it is streamed: every part goes through
-        :func:`encode_part` (ints below 2**256 on its word fast path,
-        user names encoded once per call) and one SHA3 is fed a chunk of
-        at most :data:`_DIGEST_CHUNK` entries at a time.  Nothing is
-        cached — the payload is mutable, so the signer and TokenBank
-        each recompute it from what they hold.
+        owed fees (unpacked from the summary's rows, see
+        :mod:`repro.core.summary`); then ``vkc_next`` and each hand-over's
+        epoch and key.  That layout is unchanged; it is streamed: every
+        part goes through :func:`encode_part` (ints below 2**256 on its
+        word fast path, user names encoded once per call) and one SHA3 is
+        fed a chunk of at most :data:`_DIGEST_CHUNK` entries at a time.
+        Nothing is cached — the payload is mutable, so the signer and
+        TokenBank each recompute it from what they hold.
         """
         word_head, bound = WORD_PART_HEAD, WORD_BOUND
         h = hashlib.sha3_256(_SYNC_TAG)
@@ -113,11 +119,10 @@ class SyncPayload:
                 encode_part(summary.pool_balance0),
                 encode_part(summary.pool_balance1),
             )
-            for i, p in enumerate(summary.payouts, 1):
-                user = names.get(p.user)
+            for i, (name, b0, b1) in enumerate(summary.payouts, 1):
+                user = names.get(name)
                 if user is None:
-                    user = names[p.user] = encode_part(p.user)
-                b0, b1 = p.balance0, p.balance1
+                    user = names[name] = encode_part(name)
                 chunk += (
                     user,
                     word_head + b0.to_bytes(32, "big")
@@ -130,14 +135,13 @@ class SyncPayload:
                 if not i % _DIGEST_CHUNK:
                     h.update(b"".join(chunk))
                     chunk.clear()
-            for i, pos in enumerate(summary.positions, 1):
-                owner = names.get(pos.owner)
+            for i, row in enumerate(summary.positions, 1):
+                position_id, name, _, _, delta, after, fees0, fees1, _ = row
+                owner = names.get(name)
                 if owner is None:
-                    owner = names[pos.owner] = encode_part(pos.owner)
-                delta, after = pos.liquidity_delta, pos.liquidity_after
-                fees0, fees1 = pos.fees_owed0, pos.fees_owed1
+                    owner = names[name] = encode_part(name)
                 chunk += (
-                    encode_part(pos.position_id),
+                    encode_part(position_id),
                     owner,
                     word_head + delta.to_bytes(32, "big")
                     if 0 <= delta < bound

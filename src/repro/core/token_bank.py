@@ -75,9 +75,14 @@ class EscrowRecord:
     REFUNDED = "refunded"
 
 
-@dataclass
+@dataclass(slots=True)
 class PositionEntry:
-    """A liquidity position as stored by TokenBank."""
+    """A liquidity position as stored by TokenBank.
+
+    An object, not a row: :meth:`PositionNftRegistry.transfer
+    <repro.core.nft.PositionNftRegistry.transfer>` edits ``owner`` in
+    place (see :meth:`TokenBank.state_snapshot`).
+    """
 
     position_id: str
     owner: str
@@ -237,30 +242,31 @@ class TokenBank(Contract):
             raise SyncAuthError("TSQC verification failed: wrong committee")
 
     def _apply_summary(self, ctx: CallContext, summary: EpochSummary) -> None:
-        for payout in summary.payouts:
+        for user, balance0, balance1 in summary.payouts:
             # Payout entries are absolute updated deposit balances.
-            self.deposits[payout.user] = [payout.balance0, payout.balance1]
+            self.deposits[user] = [balance0, balance1]
             ctx.gas.charge(constants.GAS_PAYOUT_ENTRY, "payout")
-        for delta in summary.positions:
-            existing = self.positions.get(delta.position_id)
+        for row in summary.positions:
+            position_id, owner, tick_lower, tick_upper, _, liquidity, fees0, fees1, _ = row
+            existing = self.positions.get(position_id)
             # Only the signed liquidity decides a deletion: ``deleted`` is
             # not part of the digest, so a relayer could flip it.
-            if delta.liquidity_after == 0:
+            if liquidity == 0:
                 if existing is not None:
-                    del self.positions[delta.position_id]
+                    del self.positions[position_id]
                     self._release(POSITION_STORAGE_BYTES)
                     ctx.gas.charge(5_000, "position-delete")
                     if self.nft_registry is not None:
-                        self.nft_registry.on_position_deleted(delta.position_id)
+                        self.nft_registry.on_position_deleted(position_id)
                 continue
-            self.positions[delta.position_id] = PositionEntry(
-                position_id=delta.position_id,
-                owner=delta.owner,
-                tick_lower=delta.tick_lower,
-                tick_upper=delta.tick_upper,
-                liquidity=delta.liquidity_after,
-                fees_owed0=delta.fees_owed0,
-                fees_owed1=delta.fees_owed1,
+            self.positions[position_id] = PositionEntry(
+                position_id=position_id,
+                owner=owner,
+                tick_lower=tick_lower,
+                tick_upper=tick_upper,
+                liquidity=liquidity,
+                fees_owed0=fees0,
+                fees_owed1=fees1,
             )
             if existing is None:
                 self._store(ctx, POSITION_STORAGE_BYTES, "position-storage")
@@ -270,7 +276,7 @@ class TokenBank(Contract):
             if self.nft_registry is not None:
                 # Remark 3: the wrapping NFT is created at the epoch
                 # boundary, when the position first reaches the mainchain.
-                self.nft_registry.on_position_synced(ctx, delta.position_id)
+                self.nft_registry.on_position_synced(ctx, position_id)
         self.pool_balance0 = summary.pool_balance0
         self.pool_balance1 = summary.pool_balance1
         # Pool-balance slots are overwritten in place: gas is charged per
@@ -408,10 +414,15 @@ class TokenBank(Contract):
         and restores it if that sync's block is abandoned, reproducing
         real rollback semantics for the recovery experiments.
 
-        Only containers are copied.  Escrow records are immutable and
-        positions are replaced, never edited, on sync, so the snapshot
-        shares those objects with the live state; deposit balances are
-        mutable lists and are copied one by one.
+        Only containers are copied.  Escrow records are immutable and a
+        sync replaces a position's entry rather than editing it, so the
+        snapshot shares those objects with the live state; deposit
+        balances are mutable lists and are copied one by one.  One edit
+        does reach shared entries: an NFT transfer
+        (:meth:`repro.core.nft.PositionNftRegistry.transfer`) sets
+        ``entry.owner`` in place, so every retained snapshot sees the new
+        owner and a restore keeps it — as does the NFT registry, which a
+        rollback does not rewind either.
         """
         return {
             "deposits": {u: list(b) for u, b in self.deposits.items()},

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.amm.fixed_point import encode_price_sqrt
 from repro.amm.pool import Pool, PoolConfig
 from repro.core.executor import SidechainExecutor
-from repro.core.summary import PositionDelta
+from repro.core.summary import position_row
 from repro.core.transactions import BurnTx, CollectTx, MintTx, SidechainTx, SwapTx
 from repro.errors import AMMError, DepositError
 from repro.multipool.summary import (
@@ -136,7 +136,7 @@ class MultiPoolExecutor:
         for pool_id in sorted(self.executors):
             for position_id, record in sorted(self.executors[pool_id].positions.items()):
                 positions.append(
-                    PositionDelta(
+                    position_row(
                         position_id=position_id,
                         owner=record.owner,
                         tick_lower=record.tick_lower,

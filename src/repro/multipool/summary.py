@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import constants
-from repro.core.summary import PositionDelta
+from repro.core.summary import PositionRow
 
 
 @dataclass
@@ -46,13 +46,13 @@ class MultiPoolEpochSummary:
 
     epoch: int
     payouts: list[TokenBalanceEntry] = field(default_factory=list)
-    positions: list[PositionDelta] = field(default_factory=list)
+    positions: list[PositionRow] = field(default_factory=list)
     pools: list[PoolStateEntry] = field(default_factory=list)
 
     @property
     def mainchain_size_bytes(self) -> int:
         return (
             len(self.payouts) * TokenBalanceEntry.SIZE_MAINCHAIN
-            + len(self.positions) * PositionDelta.SIZE_MAINCHAIN
+            + len(self.positions) * constants.SIZE_POSITION_ENTRY_MAINCHAIN
             + len(self.pools) * PoolStateEntry.SIZE_MAINCHAIN
         )

@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro import constants
 from repro.baselines.ammop import AmmOpConfig, AmmOpRollup
 from repro.baselines.uniswap_l1 import UniswapL1Baseline, UniswapL1Config
-from repro.core.summary import PayoutEntry, PositionDelta
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
 from repro.core.transactions import IdSpace
 from repro.mainchain.gas import keccak_gas
@@ -190,8 +189,16 @@ def table3_spec(seed: int = 0) -> ScenarioSpec:
 def table4_point(params) -> dict:
     sepolia = constants.SIZE_UNISWAP_SEPOLIA
     rows = [
-        ["Payout entry", PayoutEntry.SIZE_MAINCHAIN, PayoutEntry.SIZE_SIDECHAIN],
-        ["Position entry", PositionDelta.SIZE_MAINCHAIN, PositionDelta.SIZE_SIDECHAIN],
+        [
+            "Payout entry",
+            constants.SIZE_PAYOUT_ENTRY_MAINCHAIN,
+            constants.SIZE_PAYOUT_ENTRY_SIDECHAIN,
+        ],
+        [
+            "Position entry",
+            constants.SIZE_POSITION_ENTRY_MAINCHAIN,
+            constants.SIZE_POSITION_ENTRY_SIDECHAIN,
+        ],
         ["vk_c", constants.SIZE_VKC, "-"],
         ["Signature", constants.SIZE_BLS_SIGNATURE, "-"],
         ["Uniswap swap", round(sepolia["swap"], 2), "-"],

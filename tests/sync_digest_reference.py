@@ -40,19 +40,14 @@ def reference_sync_digest(payload) -> bytes:
         parts.append(summary.epoch)
         parts.append(summary.pool_balance0)
         parts.append(summary.pool_balance1)
-        for p in summary.payouts:
-            parts.extend((p.user, p.balance0, p.balance1))
-        for pos in summary.positions:
-            parts.extend(
-                (
-                    pos.position_id,
-                    pos.owner,
-                    pos.liquidity_delta,
-                    pos.liquidity_after,
-                    pos.fees_owed0,
-                    pos.fees_owed1,
-                )
-            )
+        # A payout row is (user, balance0, balance1); a position row is
+        # (position_id, owner, tick_lower, tick_upper, liquidity_delta,
+        # liquidity_after, fees_owed0, fees_owed1, deleted), of which the
+        # ticks and the deletion mark are not signed.
+        for user, balance0, balance1 in summary.payouts:
+            parts.extend((user, balance0, balance1))
+        for position_id, owner, _, _, delta, after, fees0, fees1, _ in summary.positions:
+            parts.extend((position_id, owner, delta, after, fees0, fees1))
     parts.append(payload.vkc_next.encode())
     for handover in payload.handovers:
         parts.extend((handover.epoch, handover.vkc.encode()))

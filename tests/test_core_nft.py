@@ -62,6 +62,24 @@ def test_nft_transfer_moves_ownership(ran):
     assert ran.token_bank.positions[position_id].owner == "new-owner"
 
 
+def test_restore_keeps_an_owner_transferred_after_the_snapshot():
+    """Bank snapshots share position entries and a transfer edits the
+    entry's owner in place: the snapshot sees the new owner and a restore
+    keeps it, in step with the registry, which a rollback does not
+    rewind."""
+    system = nft_system()
+    system.run(num_epochs=2)
+    bank = system.token_bank
+    position_id, entry = next(iter(bank.positions.items()))
+    token_id = system.nft_registry.token_of(position_id)
+    snapshot = bank.state_snapshot()
+    system.nft_registry.transfer(ctx(system, entry.owner), token_id, "new-owner")
+    assert snapshot["positions"][position_id].owner == "new-owner"
+    bank.restore_state(snapshot)
+    assert bank.positions[position_id].owner == "new-owner"
+    assert system.nft_registry.owner_of(token_id) == "new-owner"
+
+
 def test_transfer_requires_ownership(ran):
     position_id = next(iter(ran.token_bank.positions))
     token_id = ran.nft_registry.token_of(position_id)

@@ -42,7 +42,7 @@ def test_summary_payouts_match_executor_state():
     summary = summarize_epoch(
         0, blocks, INITIAL, executor.pool.balance0, executor.pool.balance1
     )
-    payouts = {p.user: (p.balance0, p.balance1) for p in summary.payouts}
+    payouts = {user: (b0, b1) for user, b0, b1 in summary.payouts}
     for user, balance in executor.deposits.items():
         assert payouts[user] == (balance[0], balance[1]), user
 
@@ -53,11 +53,11 @@ def test_summary_positions_reflect_net_changes():
     executor, blocks = build_epoch([[mint]])
     summary = summarize_epoch(0, blocks, INITIAL, 0, 0)
     assert len(summary.positions) == 1
-    entry = summary.positions[0]
-    assert entry.owner == "lp"
-    assert entry.liquidity_delta == mint.effects["liquidity_delta"]
-    assert entry.liquidity_after == mint.effects["liquidity_delta"]
-    assert not entry.deleted
+    _, owner, _, _, delta, after, _, _, deleted = summary.positions[0]
+    assert owner == "lp"
+    assert delta == mint.effects["liquidity_delta"]
+    assert after == mint.effects["liquidity_delta"]
+    assert not deleted
 
 
 def test_mint_then_full_burn_marks_deleted():
@@ -71,9 +71,9 @@ def test_mint_then_full_burn_marks_deleted():
     block.transactions.append(burn)
     blocks.append(block)
     summary = summarize_epoch(0, blocks, INITIAL, 0, 0)
-    entry = summary.positions[0]
-    assert entry.deleted
-    assert entry.liquidity_after == 0
+    _, _, _, _, _, after, _, _, deleted = summary.positions[0]
+    assert deleted
+    assert after == 0
 
 
 def test_swaps_of_one_user_combine_into_one_payout():
@@ -84,9 +84,9 @@ def test_swaps_of_one_user_combine_into_one_payout():
                   amount0_desired=10**19, amount1_desired=10**19)
     executor, blocks = build_epoch([[mint], swaps[:3], swaps[3:]])
     summary = summarize_epoch(0, blocks, INITIAL, 0, 0)
-    trader_entries = [p for p in summary.payouts if p.user == "trader"]
+    trader_entries = [p for p in summary.payouts if p[0] == "trader"]
     assert len(trader_entries) == 1
-    assert trader_entries[0].balance0 == executor.deposits["trader"][0]
+    assert trader_entries[0][1] == executor.deposits["trader"][0]
 
 
 def test_conservation_of_summary():
@@ -106,8 +106,8 @@ def test_conservation_of_summary():
     summary = summarize_epoch(
         0, blocks, INITIAL, executor.pool.balance0, executor.pool.balance1
     )
-    total0 = sum(p.balance0 for p in summary.payouts) + summary.pool_balance0
-    total1 = sum(p.balance1 for p in summary.payouts) + summary.pool_balance1
+    total0 = sum(b0 for _, b0, _ in summary.payouts) + summary.pool_balance0
+    total1 = sum(b1 for _, _, b1 in summary.payouts) + summary.pool_balance1
     assert total0 == 2 * DEPOSIT
     assert total1 == 2 * DEPOSIT
 
@@ -120,14 +120,14 @@ def test_rejected_transactions_excluded():
     executor, blocks = build_epoch([[mint], [bad]])
     assert blocks[1].transactions == []  # never included
     summary = summarize_epoch(0, blocks, INITIAL, 0, 0)
-    payouts = {p.user: p for p in summary.payouts}
-    assert payouts["trader"].balance0 == DEPOSIT
+    payouts = {user: (b0, b1) for user, b0, b1 in summary.payouts}
+    assert payouts["trader"][0] == DEPOSIT
 
 
 def test_inactive_users_keep_initial_balances():
     executor, blocks = build_epoch([[]])
     summary = summarize_epoch(0, blocks, INITIAL, 0, 0)
-    assert {p.user for p in summary.payouts} == {"lp", "trader"}
+    assert {user for user, _, _ in summary.payouts} == {"lp", "trader"}
 
 
 def test_wrong_epoch_meta_block_rejected():
@@ -149,5 +149,5 @@ def test_summary_sizes_follow_table_iv():
 def test_payouts_sorted_by_user():
     executor, blocks = build_epoch([[]])
     summary = summarize_epoch(0, blocks, INITIAL, 0, 0)
-    users = [p.user for p in summary.payouts]
+    users = [user for user, _, _ in summary.payouts]
     assert users == sorted(users)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.summary import EpochSummary, PayoutEntry
+from repro.core.summary import EpochSummary, payout_row
 from repro.core.sync import (
     KeyHandover,
     SyncPayload,
@@ -25,7 +25,7 @@ def make_auth(num=7, threshold=5, seed=0):
 def summary(epoch=0):
     return EpochSummary(
         epoch=epoch,
-        payouts=[PayoutEntry(user="u", balance0=10, balance1=20)],
+        payouts=[payout_row(user="u", balance0=10, balance1=20)],
         pool_balance0=100,
         pool_balance1=200,
     )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import constants
-from repro.core.summary import EpochSummary, PayoutEntry, PositionDelta
+from repro.core.summary import EpochSummary, payout_row, position_row
 from repro.core.sync import TsqcAuthenticator, create_tx_sync
 from repro.core.token_bank import TokenBank
 from repro.crypto.dkg import simulate_dkg
@@ -141,9 +141,9 @@ def test_sync_applies_payouts_and_positions(bank_setup):
     bank, _, _, auth = bank_setup
     summary = EpochSummary(
         epoch=0,
-        payouts=[PayoutEntry(user="alice", balance0=123, balance1=456)],
+        payouts=[payout_row(user="alice", balance0=123, balance1=456)],
         positions=[
-            PositionDelta(
+            position_row(
                 position_id="pos1", owner="alice", tick_lower=-60, tick_upper=60,
                 liquidity_delta=10**18, liquidity_after=10**18,
             )
@@ -236,14 +236,14 @@ def test_sync_is_idempotent_via_mass_sync(bank_setup):
     bank, _, _, auth = bank_setup
     s0 = EpochSummary(
         epoch=0,
-        payouts=[PayoutEntry(user="alice", balance0=5, balance1=6)],
+        payouts=[payout_row(user="alice", balance0=5, balance1=6)],
         pool_balance0=10,
         pool_balance1=20,
     )
     bank.sync(ctx("leader"), _signed_payload(auth, [s0], auth.group_vk))
     s1 = EpochSummary(
         epoch=1,
-        payouts=[PayoutEntry(user="alice", balance0=7, balance1=8)],
+        payouts=[payout_row(user="alice", balance0=7, balance1=8)],
         pool_balance0=11,
         pool_balance1=21,
     )
@@ -254,7 +254,7 @@ def test_sync_is_idempotent_via_mass_sync(bank_setup):
 
 def test_sync_deletes_withdrawn_positions(bank_setup):
     bank, _, _, auth = bank_setup
-    create = PositionDelta(
+    create = position_row(
         position_id="p", owner="alice", tick_lower=-60, tick_upper=60,
         liquidity_delta=100, liquidity_after=100,
     )
@@ -262,7 +262,7 @@ def test_sync_deletes_withdrawn_positions(bank_setup):
         auth, [EpochSummary(epoch=0, positions=[create])], auth.group_vk))
     assert "p" in bank.positions
     storage_before = bank.storage_bytes
-    delete = PositionDelta(
+    delete = position_row(
         position_id="p", owner="alice", tick_lower=-60, tick_upper=60,
         liquidity_delta=-100, liquidity_after=0, deleted=True,
     )
@@ -275,20 +275,20 @@ def test_sync_deletes_withdrawn_positions(bank_setup):
 def test_unsigned_deleted_flag_cannot_delete_a_live_position(bank_setup):
     """Only the signed ``liquidity_after`` decides a deletion."""
     bank, _, _, auth = bank_setup
-    create = PositionDelta(
+    create = position_row(
         position_id="p", owner="alice", tick_lower=-60, tick_upper=60,
         liquidity_delta=100, liquidity_after=100,
     )
     bank.sync(ctx("leader"), _signed_payload(
         auth, [EpochSummary(epoch=0, positions=[create])], auth.group_vk))
-    topped_up = PositionDelta(
+    topped_up = position_row(
         position_id="p", owner="alice", tick_lower=-60, tick_upper=60,
         liquidity_delta=50, liquidity_after=150,
     )
     payload = _signed_payload(
         auth, [EpochSummary(epoch=1, positions=[topped_up])], auth.group_vk)
     # A relayer flips the flag after signing; the TSQC still verifies.
-    topped_up.deleted = True
+    payload.summaries[0].positions[0] = topped_up[:-1] + (True,)
     bank.sync(ctx("leader"), payload)
     assert bank.positions["p"].liquidity == 150
 
@@ -296,9 +296,9 @@ def test_sync_gas_itemisation(bank_setup):
     bank, _, _, auth = bank_setup
     summary = EpochSummary(
         epoch=0,
-        payouts=[PayoutEntry(user=f"u{i}", balance0=1, balance1=1) for i in range(10)],
+        payouts=[payout_row(user=f"u{i}", balance0=1, balance1=1) for i in range(10)],
         positions=[
-            PositionDelta(
+            position_row(
                 position_id=f"p{i}", owner="a", tick_lower=-60, tick_upper=60,
                 liquidity_delta=1, liquidity_after=1,
             )
@@ -370,7 +370,7 @@ def test_state_snapshot_restore_roundtrip(bank_setup):
     snapshot = bank.state_snapshot()
     bank.sync(ctx("leader"), _signed_payload(
         auth,
-        [EpochSummary(epoch=0, payouts=[PayoutEntry("alice", 1, 2)])],
+        [EpochSummary(epoch=0, payouts=[payout_row("alice", 1, 2)])],
     ))
     assert bank.deposit_of("alice") == (1, 2)
     bank.restore_state(snapshot)

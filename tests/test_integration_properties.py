@@ -92,13 +92,13 @@ def test_executor_invariants_under_random_traffic(seed):
 
     # (iii) the independent summariser agrees with the executor
     summary = summarize_epoch(0, blocks, initial, pool.balance0, pool.balance1)
-    payouts = {p.user: (p.balance0, p.balance1) for p in summary.payouts}
+    payouts = {user: (b0, b1) for user, b0, b1 in summary.payouts}
     for user, balance in executor.deposits.items():
         assert payouts[user] == (balance[0], balance[1])
     live_positions = {
-        p.position_id: p.liquidity_after
-        for p in summary.positions
-        if not p.deleted
+        position_id: after
+        for position_id, _, _, _, _, after, _, _, deleted in summary.positions
+        if not deleted
     }
     assert live_positions == {
         pid: record.liquidity for pid, record in executor.positions.items()

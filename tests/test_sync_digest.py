@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.executor import SidechainExecutor
-from repro.core.summary import EpochSummary, PayoutEntry, PositionDelta
+from repro.core.summary import EpochSummary, payout_row, position_row
 from repro.core.sync import KeyHandover, SyncPayload, TsqcAuthenticator
 from repro.core.token_bank import TokenBank
 from repro.core.transactions import MintTx
@@ -43,9 +43,9 @@ _names = st.one_of(
     st.sampled_from(("", "0xabc", "bootstrap-lp", "ünïcødé", "用户", "🦄-lp")),
     st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40),
 )
-_payouts = st.builds(PayoutEntry, user=_names, balance0=_ints, balance1=_ints)
+_payouts = st.builds(payout_row, user=_names, balance0=_ints, balance1=_ints)
 _positions = st.builds(
-    PositionDelta,
+    position_row,
     position_id=_names,
     owner=_names,
     tick_lower=st.integers(-887272, 887272),
@@ -84,9 +84,9 @@ def test_digest_equals_the_reference(payload):
 def test_edge_payloads_equal_the_reference():
     """Empty lists and entry counts around the streaming chunk."""
     for n in (0, 1, 255, 256, 257, 512, 513):
-        payouts = [PayoutEntry(f"u{i % 7}é", i, -i) for i in range(n)]
+        payouts = [payout_row(f"u{i % 7}é", i, -i) for i in range(n)]
         positions = [
-            PositionDelta(f"p{i}", f"u{i % 5}", -10, 10, -i, i, 2**256 + i, i)
+            position_row(f"p{i}", f"u{i % 5}", -10, 10, -i, i, 2**256 + i, i)
             for i in range(n)
         ]
         for summaries in (
@@ -103,12 +103,12 @@ def _fixed_payload() -> SyncPayload:
         EpochSummary(
             epoch=epoch,
             payouts=[
-                PayoutEntry("alice", 10**18 + epoch, 2**255),
-                PayoutEntry("bøb", 0, 7),
+                payout_row("alice", 10**18 + epoch, 2**255),
+                payout_row("bøb", 0, 7),
             ],
             positions=[
-                PositionDelta("p1", "alice", -60, 60, -(10**12), 5 * 10**12, 3, 4),
-                PositionDelta("p2", "bøb", 0, 120, 2**256, 2**256, 0, 0),
+                position_row("p1", "alice", -60, 60, -(10**12), 5 * 10**12, 3, 4),
+                position_row("p2", "bøb", 0, 120, 2**256, 2**256, 0, 0),
             ],
             pool_balance0=10**21,
             pool_balance1=2 * 10**21,
@@ -194,10 +194,23 @@ def _bump(value):
     return value + "x" if isinstance(value, str) else value + 1
 
 
+#: Field names of a payout row and of a position row, in row order.
+_ROW_FIELDS = {
+    "payouts": ("user", "balance0", "balance1"),
+    "positions": (
+        "position_id", "owner", "tick_lower", "tick_upper", "liquidity_delta",
+        "liquidity_after", "fees_owed0", "fees_owed1", "deleted",
+    ),
+}
+
+
 def _tamper_entry(kind: str, index: int, name: str):
+    at = _ROW_FIELDS[kind].index(name)
+
     def tamper(payload: SyncPayload) -> None:
-        entries = getattr(payload.summaries[1], kind)
-        setattr(entries[index], name, _bump(getattr(entries[index], name)))
+        rows = getattr(payload.summaries[1], kind)
+        row = rows[index]
+        rows[index] = row[:at] + (_bump(row[at]),) + row[at + 1 :]
 
     return tamper
 
