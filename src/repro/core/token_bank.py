@@ -20,7 +20,7 @@ Two calibration notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro import constants
@@ -47,32 +47,21 @@ POOL_BALANCE_STORAGE_BYTES = 64
 GAS_DEPOSIT_CALL = constants.GAS_DEPOSIT_TWO_TOKENS - 2 * GAS_APPROVE
 
 
-@dataclass(frozen=True)
-class EscrowRecord:
-    """One cross-shard transfer's mainchain-side two-phase-commit state.
-
-    ``prepared`` value has left the owner's balance (via the epoch
-    summary that carried the prepare) and is held in the bank until the
-    coordinator either releases it (settle: the value re-materialises on
-    the destination shard's bank) or refunds it (abort: the value returns
-    to the owner's deposit, and the sidechain re-credits it through the
-    ordinary deposit-merge pipeline).
-
-    Records are immutable: a transition stores ``replace(record,
-    status=...)`` back into :attr:`TokenBank.escrows`, so a rollback
-    snapshot can share the record objects instead of copying them.
-    """
-
-    transfer_id: str
-    user: str
-    amount0: int
-    amount1: int
-    status: str = "prepared"
-    abort_reason: str = ""
-
-    PREPARED = "prepared"
-    SETTLED = "settled"
-    REFUNDED = "refunded"
+#: One cross-shard transfer's mainchain-side two-phase-commit state:
+#: ``(transfer_id, user, amount0, amount1, status, abort_reason)``.
+#:
+#: ``prepared`` value has left the owner's balance (via the epoch
+#: summary that carried the prepare) and is held in the bank until the
+#: coordinator either releases it (settle: the value re-materialises on
+#: the destination shard's bank) or refunds it (abort: the value returns
+#: to the owner's deposit, and the sidechain re-credits it through the
+#: ordinary deposit-merge pipeline).  A transition stores a new row
+#: (the first four fields plus the new status) back into
+#: :attr:`TokenBank.escrows`.
+EscrowRow = tuple[str, str, int, int, str, str]
+ESCROW_PREPARED = "prepared"
+ESCROW_SETTLED = "settled"
+ESCROW_REFUNDED = "refunded"
 
 
 @dataclass(slots=True)
@@ -126,10 +115,10 @@ class TokenBank(Contract):
         #: the sidechain merges entries newer than its last snapshot so
         #: mid-epoch deposits are credited without waiting for a sync.
         self.deposit_events: list[tuple[float, str, int, int]] = []
-        #: Cross-shard escrow records by transfer id (see
-        #: :class:`EscrowRecord`).  Settled/refunded records are kept for
-        #: auditability; only ``prepared`` ones hold value.
-        self.escrows: dict[str, EscrowRecord] = {}
+        #: Cross-shard escrows by transfer id (see :data:`EscrowRow`).
+        #: Settled/refunded rows are kept for auditability; only
+        #: ``prepared`` ones hold value.
+        self.escrows: dict[str, EscrowRow] = {}
 
     # -- setup ------------------------------------------------------------------
 
@@ -319,17 +308,17 @@ class TokenBank(Contract):
 
     # -- cross-shard escrow (two-phase commit, mainchain side) --------------------------
     #
-    # Escrow records track value crossing between shard banks.  Like Sync
+    # Escrow rows track value crossing between shard banks.  Like Sync
     # payouts, amounts are committee-attested sidechain facts (the prepare
     # is carried in the source shard's epoch summary), so these methods
     # take no CallContext: they are coordinator-driven state transitions,
     # not user transactions.  The owner's balance delta itself flows
     # through the summary's absolute payouts; locking therefore does NOT
-    # touch ``deposits`` — the record *is* the escrowed value.
+    # touch ``deposits`` — the escrow row *is* the escrowed value.
 
     def escrow_lock(
         self, transfer_id: str, user: str, amount0: int, amount1: int
-    ) -> EscrowRecord:
+    ) -> EscrowRow:
         """Prepare: park an outbound cross-shard transfer in the bank."""
         if amount0 < 0 or amount1 < 0:
             raise EscrowError("escrow amounts must be non-negative")
@@ -337,17 +326,15 @@ class TokenBank(Contract):
             raise EscrowError("empty escrow")
         if transfer_id in self.escrows:
             raise EscrowError(f"transfer {transfer_id} already escrowed")
-        record = EscrowRecord(
-            transfer_id=transfer_id, user=user, amount0=amount0, amount1=amount1
-        )
-        self.escrows[transfer_id] = record
-        return record
+        row = (transfer_id, user, amount0, amount1, ESCROW_PREPARED, "")
+        self.escrows[transfer_id] = row
+        return row
 
     def escrow_release(self, transfer_id: str) -> tuple[int, int]:
         """Settle: the escrowed value bridges out to the destination bank."""
-        record = self._active_escrow(transfer_id)
-        self.escrows[transfer_id] = replace(record, status=EscrowRecord.SETTLED)
-        return record.amount0, record.amount1
+        row = self._active_escrow(transfer_id)
+        self.escrows[transfer_id] = row[:4] + (ESCROW_SETTLED, "")
+        return row[2], row[3]
 
     def escrow_refund(
         self, transfer_id: str, timestamp: float, reason: str = ""
@@ -358,14 +345,11 @@ class TokenBank(Contract):
         re-credits the owner's working balance at the next epoch boundary
         through the ordinary deposit-merge pipeline.
         """
-        record = self._active_escrow(transfer_id)
-        self.escrows[transfer_id] = replace(
-            record, status=EscrowRecord.REFUNDED, abort_reason=reason
-        )
-        self.credit_external(
-            record.user, record.amount0, record.amount1, timestamp
-        )
-        return record.amount0, record.amount1
+        row = self._active_escrow(transfer_id)
+        self.escrows[transfer_id] = row[:4] + (ESCROW_REFUNDED, reason)
+        _, user, amount0, amount1, _, _ = row
+        self.credit_external(user, amount0, amount1, timestamp)
+        return amount0, amount1
 
     def credit_external(
         self, user: str, amount0: int, amount1: int, timestamp: float
@@ -384,23 +368,21 @@ class TokenBank(Contract):
         balance[1] += amount1
         self.deposit_events.append((timestamp, user, amount0, amount1))
 
-    def _active_escrow(self, transfer_id: str) -> EscrowRecord:
-        record = self.escrows.get(transfer_id)
-        if record is None:
+    def _active_escrow(self, transfer_id: str) -> EscrowRow:
+        row = self.escrows.get(transfer_id)
+        if row is None:
             raise EscrowError(f"unknown transfer {transfer_id}")
-        if record.status != EscrowRecord.PREPARED:
-            raise EscrowError(
-                f"transfer {transfer_id} already {record.status}"
-            )
-        return record
+        if row[4] != ESCROW_PREPARED:
+            raise EscrowError(f"transfer {transfer_id} already {row[4]}")
+        return row
 
     def escrow_balance(self) -> tuple[int, int]:
         """Value currently held in prepared escrows (conservation term)."""
         total0 = total1 = 0
-        for record in self.escrows.values():
-            if record.status == EscrowRecord.PREPARED:
-                total0 += record.amount0
-                total1 += record.amount1
+        for _, _, amount0, amount1, status, _ in self.escrows.values():
+            if status == ESCROW_PREPARED:
+                total0 += amount0
+                total1 += amount1
         return total0, total1
 
     # -- rollback support ---------------------------------------------------------------
@@ -414,9 +396,10 @@ class TokenBank(Contract):
         and restores it if that sync's block is abandoned, reproducing
         real rollback semantics for the recovery experiments.
 
-        Only containers are copied.  Escrow records are immutable and a
-        sync replaces a position's entry rather than editing it, so the
-        snapshot shares those objects with the live state; deposit
+        Only containers are copied.  An escrow is an immutable
+        :data:`EscrowRow` (a transition stores a new row) and a sync
+        replaces a position's entry rather than editing it, so the
+        snapshot shares those rows and entries with the live state; deposit
         balances are mutable lists and are copied one by one.  One edit
         does reach shared entries: an NFT transfer
         (:meth:`repro.core.nft.PositionNftRegistry.transfer`) sets
@@ -441,8 +424,8 @@ class TokenBank(Contract):
     def restore_state(self, snapshot: dict) -> None:
         """Rewind to a previously captured snapshot (rollback recovery).
 
-        Copies the snapshot's containers, never its records, so the
-        snapshot stays intact for a second restore.
+        Copies the snapshot's containers, never the rows and entries they
+        hold, so the snapshot stays intact for a second restore.
         """
         self.deposits = {u: list(b) for u, b in snapshot["deposits"].items()}
         self.positions = dict(snapshot["positions"])

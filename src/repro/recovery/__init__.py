@@ -19,7 +19,6 @@ deployment without the recovery layer.
 
 from repro.recovery.journal import (
     BridgeJournal,
-    JournalEntry,
     RelockEscrow,
     ResyncResolve,
     RollbackReport,
@@ -27,7 +26,6 @@ from repro.recovery.journal import (
 
 __all__ = [
     "BridgeJournal",
-    "JournalEntry",
     "RelockEscrow",
     "ResyncResolve",
     "RollbackReport",

@@ -21,12 +21,15 @@ erased writes fall into exactly three classes:
   in ``inject_mainchain_rollback`` itself).
 
 The journal records every bank-touching bridge action as it is
-delivered, keyed by shard and epoch, as one plain :data:`JournalEntry`
-tuple each: a transfer journals up to three entries, so a long run keeps
-tens of thousands, and tuples of atomics leave the cyclic GC's working
-set.  When a shard reports a rollback,
-:meth:`BridgeJournal.compensations_for` replays the journal over the
-rewound window and emits compensating entries for the next boundary:
+delivered.  It keeps no entry per write: each shard has one index from
+``(kind, epoch, at_boundary)`` to the transfer ids written under that
+key, in write order.  A transfer journals up to three writes, so a long
+run writes tens of thousands, and what the index adds per write is one
+list slot referencing a transfer-id string the registry already holds.
+When a shard reports a rollback,
+:meth:`BridgeJournal.compensations_for` walks that shard's keys over
+the rewound window and emits compensating entries for the next
+boundary:
 
 * :class:`RelockEscrow` — recreate an erased escrow lock (idempotent:
   applied only if the bank has no record for the transfer);
@@ -47,21 +50,16 @@ snapshot of the same epoch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Protocol
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the packages acyclic
     from repro.sharding.escrow import TransferRow
+    from repro.sharding.router import OutcomeRow
 
-#: One bank-touching bridge action on one shard: ``(kind, shard,
-#: transfer_id, epoch, at_boundary)``.  ``kind`` is one of :data:`LOCK`
-#: (escrow lock for an outbound transfer), :data:`RELEASE` /
-#: :data:`REFUND` (source-side resolve), or :data:`CREDIT`
-#: (``credit_external`` on the destination).  ``at_boundary`` marks
-#: writes applied at a boundary, *before* the epoch's bank snapshot —
-#: end-of-epoch locks carry ``False`` and sit *after* it, which shifts
-#: their rewound window by one epoch.
-JournalEntry = tuple[str, int, str, int, bool]
+#: Kinds of bank-touching bridge write: :data:`LOCK` (escrow lock for an
+#: outbound transfer), :data:`RELEASE` / :data:`REFUND` (source-side
+#: resolve), :data:`CREDIT` (``credit_external`` on the destination).
 LOCK = "lock"
 RELEASE = "release"
 REFUND = "refund"
@@ -111,27 +109,43 @@ class ResyncResolve:
     reason: str = ""
 
 
-class _EntryView(Protocol):
-    """The slice of the registry's in-flight entry the journal reads."""
-
-    @property
-    def transfer(self) -> TransferRow: ...
-
-    @property
-    def settle(self) -> bool: ...
-
-    @property
-    def reason(self) -> str: ...
-
-
-@dataclass
 class BridgeJournal:
-    """Per-run log of bridge writes, replayed to compensate forks."""
+    """Per-run log of bridge writes, replayed to compensate forks.
 
-    entries: list[JournalEntry] = field(default_factory=list)
-    rollbacks: list[RollbackReport] = field(default_factory=list)
-    relocks_issued: int = 0
-    resyncs_issued: int = 0
+    ``len(journal)`` is the number of writes recorded.
+    """
+
+    def __init__(self) -> None:
+        self.rollbacks: list[RollbackReport] = []
+        self.relocks_issued = 0
+        self.resyncs_issued = 0
+        #: shard -> ``(kind, epoch, at_boundary)`` -> transfer ids.
+        #: ``at_boundary`` marks writes applied at a boundary, *before*
+        #: the epoch's bank snapshot — end-of-epoch locks carry
+        #: ``False`` and sit *after* it, which shifts their rewound
+        #: window by one epoch.
+        self._ids: dict[int, dict[tuple[str, int, bool], list[str]]] = {}
+
+    def __len__(self) -> int:
+        return sum(
+            len(ids) for keys in self._ids.values() for ids in keys.values()
+        )
+
+    def _record(
+        self,
+        kind: str,
+        shard: int,
+        transfer_id: str,
+        epoch: int,
+        at_boundary: bool,
+    ) -> None:
+        keys = self._ids.setdefault(shard, {})
+        key = (kind, epoch, at_boundary)
+        ids = keys.get(key)
+        if ids is None:
+            keys[key] = [transfer_id]
+        else:
+            ids.append(transfer_id)
 
     def record_lock(
         self,
@@ -140,32 +154,33 @@ class BridgeJournal:
         epoch: int,
         at_boundary: bool = False,
     ) -> None:
-        self.entries.append((LOCK, shard, transfer_id, epoch, at_boundary))
+        self._record(LOCK, shard, transfer_id, epoch, at_boundary)
 
     def record_resolve(
         self, shard: int, transfer_id: str, epoch: int, settle: bool
     ) -> None:
         kind = RELEASE if settle else REFUND
-        self.entries.append((kind, shard, transfer_id, epoch, True))
+        self._record(kind, shard, transfer_id, epoch, True)
 
     def record_credit(
         self, shard: int, transfer_id: str, epoch: int
     ) -> None:
-        self.entries.append((CREDIT, shard, transfer_id, epoch, True))
+        self._record(CREDIT, shard, transfer_id, epoch, True)
 
     def compensations_for(
         self,
         report: RollbackReport,
-        registry_entries: Mapping[str, _EntryView],
+        outcome_of: Callable[[str], OutcomeRow | None],
     ) -> list[RelockEscrow | ResyncResolve]:
         """Replay the journal over the fork's rewound window.
 
         Returns the forked shard's compensations for the next boundary,
         relocks first (a resync for the same transfer must find its
         record), each group in transfer-id order for determinism.
-        ``registry_entries`` is the registry's full transfer map
-        (active and completed) — the durable coordinator-side record a
-        fork cannot erase.
+        ``outcome_of`` looks a transfer up in the registry (active or
+        completed) — the durable coordinator-side record a fork cannot
+        erase — and returns ``(transfer, settle, reason, code)``, or
+        ``None`` for an id it never registered.
         """
         from repro.sharding.escrow import transfer_sort_key
 
@@ -173,35 +188,35 @@ class BridgeJournal:
         relock_ids: set[str] = set()
         resync_ids: set[str] = set()
         restored = report.restored_epoch
-        for kind, shard, transfer_id, epoch, at_boundary in self.entries:
-            if shard != report.shard:
-                continue
+        for (kind, epoch, at_boundary), ids in self._ids.get(
+            report.shard, {}
+        ).items():
             if kind == LOCK:
                 rewound = (
                     epoch > restored if at_boundary else epoch >= restored
                 )
                 if rewound:
-                    relock_ids.add(transfer_id)
+                    relock_ids.update(ids)
             elif kind in (RELEASE, REFUND):
                 if epoch > restored:
-                    resync_ids.add(transfer_id)
-            # CREDIT entries need no compensation: the credit merged
+                    resync_ids.update(ids)
+            # CREDIT writes need no compensation: the credit merged
             # into the executor before the fork; the rollback hook
             # repairs the merge cursor over the truncated event log.
 
         out: list[RelockEscrow | ResyncResolve] = []
         for tid in sorted(relock_ids, key=transfer_sort_key):
-            entry_view = registry_entries.get(tid)
-            if entry_view is not None:
-                out.append(RelockEscrow(transfer=entry_view.transfer))
+            outcome = outcome_of(tid)
+            if outcome is not None:
+                out.append(RelockEscrow(transfer=outcome[0]))
         for tid in sorted(resync_ids, key=transfer_sort_key):
-            entry_view = registry_entries.get(tid)
-            if entry_view is not None:
+            outcome = outcome_of(tid)
+            if outcome is not None:
                 out.append(
                     ResyncResolve(
                         transfer_id=tid,
-                        settle=entry_view.settle,
-                        reason=entry_view.reason,
+                        settle=outcome[1],
+                        reason=outcome[2],
                     )
                 )
         self.relocks_issued += len(relock_ids)

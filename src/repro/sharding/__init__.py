@@ -18,8 +18,8 @@ from repro.sharding.escrow import (
     CrossShardTransferTx,
     EscrowLedger,
     Instruction,
-    TransferRecord,
     TransferRow,
+    transfer_row,
 )
 from repro.sharding.placement import pools_of, round_robin
 from repro.sharding.router import CrossShardRouter, TransferRegistry
@@ -55,10 +55,10 @@ __all__ = [
     "ShardedConfig",
     "ShardedRunReport",
     "ShardedSystem",
-    "TransferRecord",
     "TransferRegistry",
     "TransferRow",
     "pools_of",
     "round_robin",
     "shard_substream_seed",
+    "transfer_row",
 ]

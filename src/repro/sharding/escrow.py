@@ -6,9 +6,9 @@ The two-phase commit, end to end:
 1. **Prepare** (source shard, epoch *e*, in-round): a
    :class:`CrossShardTransferTx` is mined into a meta-block like any
    sidechain transaction.  The shard executor debits the sender's working
-   balance and records a ``prepared`` :class:`TransferRecord` in the
-   shard's :class:`EscrowLedger`; at the end of the epoch the shard locks
-   the same value in its mainchain TokenBank
+   balance and records the transfer's :data:`TransferRow` as
+   ``prepared`` in the shard's :class:`EscrowLedger`; at the end of the
+   epoch the shard locks the same value in its mainchain TokenBank
    (:meth:`~repro.core.token_bank.TokenBank.escrow_lock`) — the prepare
    is carried to the mainchain by the epoch summary whose payouts already
    reflect the debit.
@@ -24,22 +24,23 @@ The two-phase commit, end to end:
    executor — and the continuation leg (a :class:`CrossShardSwapTx`) is
    enqueued for the destination's first round.
 4. **Abort** (epoch *e+1*): the source bank refunds the escrow to the
-   sender (again through ``credit_external`` + deposit merge) and the
-   record carries the typed abort reason
-   (``TransferRecord.abort_reason`` / ``EscrowRecord.abort_reason``).
+   sender (again through ``credit_external`` + deposit merge), and both
+   the ledger's :data:`LedgerRow` and the bank's
+   :data:`~repro.core.token_bank.EscrowRow` carry the typed abort reason
+   as their last field.
 
 Every identifier is deterministic (per-shard, per-epoch counters), so the
 whole protocol is bit-identical under any scheduler job count.
 
-**Wire format.**  Per-transfer data crosses the scheduler pipes and lives
-in the coordinator as exact tuples of ``str``/``int``/``bool``, not
-as dataclasses: a prepare is a :data:`TransferRow` (the twelve immutable
-:class:`TransferRecord` fields in declaration order, so
-``TransferRecord(*row)`` rebuilds a prepared record), and a settlement
-item is an :data:`Instruction` — ``("credit", row)`` to the destination
-or ``("resolve", transfer_id, settle, reason, code)`` to the source.
-Plain tuples pickle in C and drop out of the cyclic GC once it has seen
-them; see ``sharding/README.md`` for the measured cost of the
+**Wire format.**  Per-transfer data crosses the scheduler pipes, and is
+kept on both sides of them, as exact tuples of ``str``/``int``/``bool``,
+not as dataclasses: a prepare is a :data:`TransferRow` (built by
+:func:`transfer_row`, which names its fields), and a settlement item is
+an :data:`Instruction` — ``("credit", row)`` to the destination or
+``("resolve", transfer_id, settle, reason, code)`` to the source.  The
+ledger's row for a transfer wraps the very ``TransferRow`` the shard
+ships.  Plain tuples pickle in C and drop out of the cyclic GC once it
+has seen them; see ``sharding/README.md`` for the measured cost of the
 alternatives.
 """
 
@@ -52,57 +53,56 @@ from repro.core.transactions import SwapTx
 from repro.errors import EscrowError
 
 
-@dataclass
-class TransferRecord:
-    """One cross-shard transfer's sidechain-side state."""
-
-    transfer_id: str
-    user: str
-    source_shard: int
-    dest_shard: int
-    dest_pool: str
-    #: Escrowed value (canonical pair, non-negative).
-    amount0: int
-    amount1: int
-    #: Epoch the prepare was mined in (source shard's epoch numbering).
-    epoch: int
-    #: Continuation swap parameters for the destination leg.
-    zero_for_one: bool = True
-    exact_input: bool = True
-    swap_amount: int = 0
-    #: Whether the continuation swap's output is escrowed straight back
-    #: to the source shard (the multi-hop round trip).
-    return_output: bool = False
-    status: str = "prepared"
-    abort_reason: str = ""
-
-    PREPARED = "prepared"
-    SETTLED = "settled"
-    ABORTED = "aborted"
-
-    def row(self) -> TransferRow:
-        """The record's wire form: every field but the shard-side
-        ``status`` and ``abort_reason``, in declaration order."""
-        return (
-            self.transfer_id,
-            self.user,
-            self.source_shard,
-            self.dest_shard,
-            self.dest_pool,
-            self.amount0,
-            self.amount1,
-            self.epoch,
-            self.zero_for_one,
-            self.exact_input,
-            self.swap_amount,
-            self.return_output,
-        )
-
-
-#: A prepared transfer on the wire: ``(transfer_id, user, source_shard,
-#: dest_shard, dest_pool, amount0, amount1, epoch, zero_for_one,
-#: exact_input, swap_amount, return_output)``.
+#: A prepared transfer, on the wire and in every process that keeps it:
+#: ``(transfer_id, user, source_shard, dest_shard, dest_pool, amount0,
+#: amount1, epoch, zero_for_one, exact_input, swap_amount,
+#: return_output)``.  ``amount0``/``amount1`` are the escrowed value
+#: (canonical pair, non-negative); ``epoch`` is the source shard's epoch
+#: the prepare was mined in; the last four fields are the continuation
+#: swap for the destination leg, ``return_output`` escrowing its output
+#: straight back to the source shard (the multi-hop round trip).
 TransferRow = tuple[str, str, int, int, str, int, int, int, bool, bool, int, bool]
+
+#: A transfer in a shard's :class:`EscrowLedger`: ``(row, status,
+#: abort_reason)``, ``row`` being the :data:`TransferRow` the shard
+#: ships and ``status`` one of :data:`PREPARED`, :data:`SETTLED`,
+#: :data:`ABORTED`.
+LedgerRow = tuple[TransferRow, str, str]
+PREPARED = "prepared"
+SETTLED = "settled"
+ABORTED = "aborted"
+
+
+def transfer_row(
+    transfer_id: str,
+    user: str,
+    source_shard: int,
+    dest_shard: int,
+    dest_pool: str,
+    amount0: int,
+    amount1: int,
+    epoch: int,
+    zero_for_one: bool = True,
+    exact_input: bool = True,
+    swap_amount: int = 0,
+    return_output: bool = False,
+) -> TransferRow:
+    """A :data:`TransferRow` from its fields."""
+    return (
+        transfer_id,
+        user,
+        source_shard,
+        dest_shard,
+        dest_pool,
+        amount0,
+        amount1,
+        epoch,
+        zero_for_one,
+        exact_input,
+        swap_amount,
+        return_output,
+    )
+
 
 #: One escrow settlement item, tagged by its first element:
 #: ``("credit", row)`` delivers value arriving from an escrow to the
@@ -144,13 +144,17 @@ def transfer_sort_key(transfer_id: str) -> tuple:
 
 
 class EscrowLedger:
-    """Per-shard registry of cross-shard transfers (sidechain side)."""
+    """Per-shard registry of cross-shard transfers (sidechain side).
+
+    ``records`` maps a transfer id to its :data:`LedgerRow`; a
+    transition stores a new row around the same :data:`TransferRow`.
+    """
 
     def __init__(self, shard_index: int) -> None:
         self.shard_index = shard_index
-        self.records: dict[str, TransferRecord] = {}
+        self.records: dict[str, LedgerRow] = {}
         #: This shard's own prepares, by the epoch they were mined in.
-        self._prepared_by_epoch: dict[int, list[TransferRecord]] = {}
+        self._prepared_by_epoch: dict[int, list[TransferRow]] = {}
         self._epoch_counters: dict[int, int] = {}
 
     def next_transfer_id(self, epoch: int) -> str:
@@ -159,42 +163,33 @@ class EscrowLedger:
         self._epoch_counters[epoch] = count + 1
         return f"x{self.shard_index}-{epoch}-{count}"
 
-    def prepare(self, record: TransferRecord) -> TransferRecord:
-        if record.transfer_id in self.records:
-            raise EscrowError(
-                f"transfer {record.transfer_id} already prepared"
-            )
-        if record.status != TransferRecord.PREPARED:
-            raise EscrowError(
-                f"cannot prepare a record in state {record.status!r}"
-            )
-        self.records[record.transfer_id] = record
-        if record.source_shard == self.shard_index:
-            self._prepared_by_epoch.setdefault(record.epoch, []).append(record)
-        return record
+    def prepare(self, row: TransferRow) -> None:
+        transfer_id = row[0]
+        if transfer_id in self.records:
+            raise EscrowError(f"transfer {transfer_id} already prepared")
+        self.records[transfer_id] = (row, PREPARED, "")
+        if row[2] == self.shard_index:
+            self._prepared_by_epoch.setdefault(row[7], []).append(row)
 
-    def mark_settled(self, transfer_id: str) -> TransferRecord:
-        record = self._prepared(transfer_id)
-        record.status = TransferRecord.SETTLED
-        return record
+    def mark_settled(self, transfer_id: str) -> None:
+        self.records[transfer_id] = (self._prepared(transfer_id), SETTLED, "")
 
-    def mark_aborted(self, transfer_id: str, reason: str) -> TransferRecord:
-        record = self._prepared(transfer_id)
-        record.status = TransferRecord.ABORTED
-        record.abort_reason = reason
-        return record
+    def mark_aborted(self, transfer_id: str, reason: str) -> None:
+        self.records[transfer_id] = (
+            self._prepared(transfer_id), ABORTED, reason
+        )
 
-    def _prepared(self, transfer_id: str) -> TransferRecord:
+    def _prepared(self, transfer_id: str) -> TransferRow:
+        """The row of a transfer still ``prepared``, or raise."""
         record = self.records.get(transfer_id)
         if record is None:
             raise EscrowError(f"unknown transfer {transfer_id}")
-        if record.status != TransferRecord.PREPARED:
-            raise EscrowError(
-                f"transfer {transfer_id} already {record.status}"
-            )
-        return record
+        row, status, _ = record
+        if status != PREPARED:
+            raise EscrowError(f"transfer {transfer_id} already {status}")
+        return row
 
-    def prepared_in(self, epoch: int) -> list[TransferRecord]:
+    def prepared_in(self, epoch: int) -> list[TransferRow]:
         """Transfers this shard prepared during ``epoch``, in id order.
 
         Reads the epoch's own index entry, so the cost scales with that
@@ -202,17 +197,13 @@ class EscrowLedger:
         """
         return sorted(
             self._prepared_by_epoch.get(epoch, ()),
-            key=lambda r: transfer_sort_key(r.transfer_id),
+            key=lambda row: transfer_sort_key(row[0]),
         )
 
     def counts(self) -> dict[str, int]:
-        out = {
-            TransferRecord.PREPARED: 0,
-            TransferRecord.SETTLED: 0,
-            TransferRecord.ABORTED: 0,
-        }
-        for record in self.records.values():
-            out[record.status] += 1
+        out = {PREPARED: 0, SETTLED: 0, ABORTED: 0}
+        for _, status, _ in self.records.values():
+            out[status] += 1
         return out
 
 

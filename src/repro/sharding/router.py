@@ -33,7 +33,9 @@ shard (destination credit for settles, source refund for aborts).
 The registry holds transfers as the shards report them, in their wire
 form (:data:`~repro.sharding.escrow.TransferRow` tuples), and emits the
 tagged :data:`~repro.sharding.escrow.Instruction` tuples the shards
-apply; neither is ever unpacked into a dataclass on this side.
+apply; neither is ever unpacked into a dataclass on this side.  Only a
+transfer with work left has an :class:`InFlightTransfer`; a completed
+one is kept as an :data:`OutcomeRow`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ from repro.sharding.escrow import Instruction, TransferRow, transfer_sort_key
 #: the same trade and expect it to go through once the condition clears.
 #: A misroute (``stale_route``, ``unknown_shard``) never clears.
 RETRYABLE_ABORTS = frozenset({"dest_partitioned"})
+
+#: A registered transfer and how it resolved: ``(transfer, settle,
+#: reason, code)`` — its :data:`~repro.sharding.escrow.TransferRow`, the
+#: settle/abort decision, the prose abort reason and the abort code
+#: (both "" for settles).  The registry's ``completed`` map holds these.
+OutcomeRow = tuple[TransferRow, bool, str, str]
 
 
 @dataclass
@@ -126,14 +134,21 @@ class TransferRegistry:
     """Coordinator-side 2PC state for every cross-shard transfer.
 
     ``entries`` holds only transfers with work left (undecided, or with
-    undelivered resolutions); completed ones move to ``completed``, so
-    the per-boundary sort/scan cost is proportional to what is actually
-    in flight, not to the deployment's whole transfer history.
+    undelivered resolutions); completed ones move to ``completed`` as
+    :data:`OutcomeRow` tuples, so the per-boundary sort/scan cost is
+    proportional to what is actually in flight, not to the deployment's
+    whole transfer history, and the history holds nothing the cyclic GC
+    must scan.  Decisions are tallied as they are made, so
+    :meth:`counts` and :meth:`abort_codes` never read the history.
     """
 
     router: CrossShardRouter
     entries: dict[str, InFlightTransfer] = field(default_factory=dict)
-    completed: dict[str, InFlightTransfer] = field(default_factory=dict)
+    completed: dict[str, OutcomeRow] = field(default_factory=dict)
+    #: Transfers decided so far: settles, and aborts by machine-readable
+    #: code ("other" for none).
+    settled: int = 0
+    aborts_by_code: dict[str, int] = field(default_factory=dict)
 
     def add_prepares(self, prepares: Iterable[TransferRow]) -> None:
         for transfer in prepares:
@@ -142,9 +157,20 @@ class TransferRegistry:
                 raise EscrowError(f"transfer {transfer_id} prepared twice")
             self.entries[transfer_id] = InFlightTransfer(transfer)
 
-    def all_entries(self) -> dict[str, InFlightTransfer]:
-        """Every transfer ever registered (tests, reports, audits)."""
-        return {**self.completed, **self.entries}
+    def outcome(self, transfer_id: str) -> OutcomeRow | None:
+        """A registered transfer's row and resolution, looked up by id.
+
+        An active entry answers with the same fields (an undecided one
+        reads as an abort with no reason).  ``None`` if the id was never
+        registered.
+        """
+        row = self.completed.get(transfer_id)
+        if row is not None:
+            return row
+        entry = self.entries.get(transfer_id)
+        if entry is None:
+            return None
+        return (entry.transfer, entry.settle, entry.reason, entry.code)
 
     def instructions_for(
         self, offline: frozenset[int]
@@ -169,9 +195,15 @@ class TransferRegistry:
                 entry.reason = reason
                 entry.code = code
                 if settle:
+                    self.settled += 1
                     # Destination is online by construction of classify.
                     deliver(transfer[3], ("credit", transfer))
                     entry.credit_delivered = True
+                else:
+                    key = code or "other"
+                    self.aborts_by_code[key] = (
+                        self.aborts_by_code.get(key, 0) + 1
+                    )
             source_shard = transfer[2]
             if not entry.resolve_delivered and source_shard not in offline:
                 deliver(
@@ -186,7 +218,13 @@ class TransferRegistry:
                 )
                 entry.resolve_delivered = True
             if entry.complete:
-                self.completed[transfer_id] = self.entries.pop(transfer_id)
+                del self.entries[transfer_id]
+                self.completed[transfer_id] = (
+                    transfer,
+                    entry.settle,
+                    entry.reason,
+                    entry.code,
+                )
         return instructions
 
     # -- accounting ------------------------------------------------------------
@@ -209,21 +247,15 @@ class TransferRegistry:
         return bool(self.entries)
 
     def counts(self) -> dict[str, int]:
-        out = {"prepared": 0, "settled": 0, "aborted": 0}
-        for entry in self.all_entries().values():
-            if not entry.decided:
-                out["prepared"] += 1
-            elif entry.settle:
-                out["settled"] += 1
-            else:
-                out["aborted"] += 1
-        return out
+        undecided = sum(
+            1 for entry in self.entries.values() if not entry.decided
+        )
+        return {
+            "prepared": undecided,
+            "settled": self.settled,
+            "aborted": sum(self.aborts_by_code.values()),
+        }
 
     def abort_codes(self) -> dict[str, int]:
         """Aborted-transfer totals bucketed by machine-readable code."""
-        out: dict[str, int] = {}
-        for entry in self.all_entries().values():
-            if entry.decided and not entry.settle:
-                key = entry.code or "other"
-                out[key] = out.get(key, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(self.aborts_by_code.items()))

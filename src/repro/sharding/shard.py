@@ -40,12 +40,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.executor import SidechainExecutor
 from repro.core.phases import WorkloadIngestPhase, default_epoch_phases
 from repro.core.system import AmmBoostConfig, AmmBoostSystem
+from repro.core.token_bank import (
+    ESCROW_PREPARED,
+    ESCROW_REFUNDED,
+    ESCROW_SETTLED,
+)
 from repro.core.transactions import SwapTx
 from repro.errors import DepositError, EscrowError
 from repro.faults.plan import FaultPlan
@@ -59,8 +64,8 @@ from repro.sharding.escrow import (
     CrossShardTransferTx,
     EscrowLedger,
     ShardInstructions,
-    TransferRecord,
     TransferRow,
+    transfer_row,
 )
 from repro.simulation.rng import DeterministicRng
 from repro.telemetry import trace
@@ -181,7 +186,7 @@ class ShardExecutor(SidechainExecutor):
         # id) — it must run before the debit so a rejection leaves all
         # state untouched, like every other executor rejection.
         self.shard.ledger.prepare(
-            TransferRecord(
+            transfer_row(
                 transfer_id=tx.transfer_id,
                 user=tx.user,
                 source_shard=self.shard.index,
@@ -225,7 +230,7 @@ class ShardExecutor(SidechainExecutor):
         shard = self.shard
         return_id = shard.ledger.next_transfer_id(shard.current_epoch)
         shard.ledger.prepare(
-            TransferRecord(
+            transfer_row(
                 transfer_id=return_id,
                 user=tx.user,
                 source_shard=shard.index,
@@ -360,25 +365,20 @@ class Shard:
             self.epochs_run += 1
             rollbacks = self._drain_rewinds(epoch)
             prepared = self.ledger.prepared_in(epoch)
-            for record in prepared:
+            for row in prepared:
+                transfer_id = row[0]
                 self.system.token_bank.escrow_lock(
-                    record.transfer_id,
-                    record.user,
-                    record.amount0,
-                    record.amount1,
+                    transfer_id, row[1], row[5], row[6]
                 )
                 trace.async_instant(
                     "xfer.lock",
-                    record.transfer_id,
+                    transfer_id,
                     self.system.clock.now,
                     shard=self.index,
                     epoch=epoch,
                 )
             return self._record(
-                epoch,
-                online=True,
-                prepares=[record.row() for record in prepared],
-                rollbacks=rollbacks,
+                epoch, online=True, prepares=prepared, rollbacks=rollbacks
             )
         finally:
             if traced:
@@ -482,18 +482,19 @@ class Shard:
         The resolve's value movement (a refund's bridge credit) merged
         into the executor before the fork and survived it; re-running
         ``escrow_refund`` would mint the refund a second time, so only
-        the record's terminal status is restored.  Idempotent: a record
-        that is already terminal is left alone.
+        the escrow row's terminal status is restored.  Idempotent: an
+        escrow that is already terminal is left alone.
         """
         escrows = self.system.token_bank.escrows
-        record = escrows.get(resync.transfer_id)
-        if record is None or record.status != record.PREPARED:
+        row = escrows.get(resync.transfer_id)
+        if row is None or row[4] != ESCROW_PREPARED:
             return
         if resync.settle:
-            escrows[resync.transfer_id] = replace(record, status=record.SETTLED)
+            escrows[resync.transfer_id] = row[:4] + (ESCROW_SETTLED, "")
         else:
-            escrows[resync.transfer_id] = replace(
-                record, status=record.REFUNDED, abort_reason=resync.reason
+            escrows[resync.transfer_id] = row[:4] + (
+                ESCROW_REFUNDED,
+                resync.reason,
             )
 
     def _drain_rewinds(self, epoch: int) -> list[RollbackReport]:
@@ -619,12 +620,12 @@ class Shard:
                 for user, balance in system.token_bank.deposits.items()
             ),
             "escrows": sorted(
-                (r.transfer_id, r.status, r.amount0, r.amount1)
-                for r in system.token_bank.escrows.values()
+                (row[0], row[4], row[2], row[3])
+                for row in system.token_bank.escrows.values()
             ),
             "ledger": sorted(
-                (r.transfer_id, r.status, r.amount0, r.amount1)
-                for r in self.ledger.records.values()
+                (row[0], status, row[5], row[6])
+                for row, status, _ in self.ledger.records.values()
             ),
             "processed": system.metrics.processed_txs,
             "rejected": system.metrics.rejected_txs,

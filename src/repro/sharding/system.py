@@ -307,7 +307,7 @@ class ShardedSystem:
         for index in sorted(records):
             for rollback in records[index].rollbacks:
                 compensations = self.journal.compensations_for(
-                    rollback, self.registry.all_entries()
+                    rollback, self.registry.outcome
                 )
                 if compensations:
                     self._compensations.setdefault(index, []).extend(

@@ -30,7 +30,7 @@ from repro.faults import (
     ViewChangeBurst,
 )
 from repro.sharding import ShardedConfig, ShardedSystem
-from repro.sharding.escrow import TransferRecord
+from repro.sharding.escrow import SETTLED
 
 NUM_CASES = 60
 
@@ -163,14 +163,14 @@ def test_supply_invariant_and_full_resolution(case):
         assert counts["prepared"] == 0
         bank = shard.system.token_bank
         assert bank.escrow_balance() == (0, 0)
-        for record in shard.ledger.records.values():
-            if record.source_shard != index:
+        for row, status, _ in shard.ledger.records.values():
+            if row[2] != index:
                 continue
-            bank_record = bank.escrows[record.transfer_id]
-            if record.status == TransferRecord.SETTLED:
-                assert bank_record.status == "settled"
+            bank_status = bank.escrows[row[0]][4]
+            if status == SETTLED:
+                assert bank_status == "settled"
             else:
-                assert bank_record.status == "refunded"
+                assert bank_status == "refunded"
 
 
 @pytest.mark.parametrize("case", [1, 5, 9])
@@ -178,13 +178,15 @@ def test_aborted_transfers_are_refunded_to_sender(case):
     """For offline-shard cases: every abort's value returns to its user."""
     system = ShardedSystem(case_config(case))
     system.run(num_epochs=3)
+    assert not system.registry.entries
     aborted = [
-        TransferRecord(*entry.transfer)
-        for entry in system.registry.all_entries().values()
-        if entry.decided and not entry.settle
+        transfer
+        for transfer, settle, _, _ in system.registry.completed.values()
+        if not settle
     ]
     for transfer in aborted:
-        shard = system.scheduler.shard(transfer.source_shard)
-        record = shard.system.token_bank.escrows[transfer.transfer_id]
-        assert record.status == "refunded"
-        assert record.abort_reason
+        shard = system.scheduler.shard(transfer[2])
+        escrow = shard.system.token_bank.escrows[transfer[0]]
+        _, _, _, _, status, abort_reason = escrow
+        assert status == "refunded"
+        assert abort_reason

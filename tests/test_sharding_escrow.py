@@ -1,16 +1,23 @@
 """Escrow state machines: TokenBank (mainchain) and EscrowLedger (shard)."""
 
-from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import pytest
 
-from repro.core.token_bank import EscrowRecord, TokenBank
+from repro.core.token_bank import (
+    ESCROW_PREPARED,
+    ESCROW_REFUNDED,
+    ESCROW_SETTLED,
+    TokenBank,
+)
 from repro.errors import EscrowError
 from repro.mainchain.contracts.erc20 import ERC20Token
 from repro.recovery.journal import ResyncResolve
-from repro.sharding.escrow import EscrowLedger, TransferRecord
+from repro.sharding.escrow import EscrowLedger, TransferRow, transfer_row
 from repro.sharding.shard import Shard
+
+#: Field positions of an ``EscrowRow``.
+STATUS, ABORT_REASON = 4, 5
 
 
 def make_bank() -> TokenBank:
@@ -24,7 +31,7 @@ class TestTokenBankEscrow:
         assert bank.escrow_balance() == (100, 0)
         assert bank.escrow_release("t1") == (100, 0)
         assert bank.escrow_balance() == (0, 0)
-        assert bank.escrows["t1"].status == EscrowRecord.SETTLED
+        assert bank.escrows["t1"][STATUS] == ESCROW_SETTLED
 
     def test_refund_credits_owner_and_emits_event(self):
         bank = make_bank()
@@ -32,9 +39,9 @@ class TestTokenBankEscrow:
         bank.escrow_refund("t1", timestamp=5.0, reason="dest offline")
         assert bank.deposit_of("alice") == (70, 30)
         assert bank.deposit_events == [(5.0, "alice", 70, 30)]
-        record = bank.escrows["t1"]
-        assert record.status == EscrowRecord.REFUNDED
-        assert record.abort_reason == "dest offline"
+        assert bank.escrows["t1"] == (
+            "t1", "alice", 70, 30, ESCROW_REFUNDED, "dest offline"
+        )
 
     def test_double_lock_rejected(self):
         bank = make_bank()
@@ -72,7 +79,7 @@ class TestTokenBankEscrow:
         snapshot = bank.state_snapshot()
         bank.escrow_release("t1")
         bank.restore_state(snapshot)
-        assert bank.escrows["t1"].status == EscrowRecord.PREPARED
+        assert bank.escrows["t1"][STATUS] == ESCROW_PREPARED
         assert bank.escrow_balance() == (9, 9)
 
     @pytest.mark.parametrize(
@@ -95,33 +102,39 @@ class TestTokenBankEscrow:
                 "t1", settle=transition == "resync_settle", reason="fork"
             )
             Shard._apply_resync(shard, resync)
-        assert bank.escrows["t1"].status != EscrowRecord.PREPARED
+        assert bank.escrows["t1"][STATUS] != ESCROW_PREPARED
         assert bank.escrows["t1"] is not shared["t1"]
-        # The snapshot's own records never moved.
+        # The snapshot's own rows never moved.
         assert snapshot["escrows"] == shared
         assert all(snapshot["escrows"][t] is shared[t] for t in shared)
-        assert shared["t1"].status == EscrowRecord.PREPARED
-        assert shared["t1"].abort_reason == ""
+        assert shared["t1"][STATUS] == ESCROW_PREPARED
+        assert shared["t1"][ABORT_REASON] == ""
         bank.restore_state(snapshot)
-        assert bank.escrows["t1"].status == EscrowRecord.PREPARED
+        assert bank.escrows["t1"][STATUS] == ESCROW_PREPARED
         assert bank.escrow_balance() == (10, 4)
         # A second transition after the restore leaves the snapshot intact.
         bank.escrow_release("t2")
-        assert snapshot["escrows"]["t2"].status == EscrowRecord.PREPARED
+        assert snapshot["escrows"]["t2"][STATUS] == ESCROW_PREPARED
 
     def test_records_are_immutable(self):
+        """Escrows are exact tuples of atomics: immutable, and left out
+        of the cyclic GC's scans."""
         bank = make_bank()
-        record = bank.escrow_lock("t1", "alice", 9, 9)
-        with pytest.raises(FrozenInstanceError):
-            record.status = EscrowRecord.SETTLED  # type: ignore[misc]
-        with pytest.raises(FrozenInstanceError):
-            record.abort_reason = "late"  # type: ignore[misc]
+        row = bank.escrow_lock("t1", "alice", 9, 9)
+        assert type(row) is tuple
+        assert row == ("t1", "alice", 9, 9, ESCROW_PREPARED, "")
+        bank.escrow_refund("t1", timestamp=0.0, reason="late")
+        assert type(bank.escrows["t1"]) is tuple
+        assert row[STATUS] == ESCROW_PREPARED
 
 
-def record(tid: str, epoch: int = 0) -> TransferRecord:
-    return TransferRecord(
-        transfer_id=tid, user="alice", source_shard=0, dest_shard=1,
-        dest_pool="pool-1", amount0=10, amount1=0, epoch=epoch,
+def record(tid: str, epoch: int = 0, **fields) -> TransferRow:
+    return transfer_row(
+        **{
+            "transfer_id": tid, "user": "alice", "source_shard": 0,
+            "dest_shard": 1, "dest_pool": "pool-1", "amount0": 10,
+            "amount1": 0, "epoch": epoch, **fields,
+        }
     )
 
 
@@ -139,7 +152,9 @@ class TestEscrowLedger:
         ledger.mark_settled("a")
         ledger.mark_aborted("b", "pool not on shard")
         assert ledger.counts() == {"prepared": 0, "settled": 1, "aborted": 1}
-        assert ledger.records["b"].abort_reason == "pool not on shard"
+        assert ledger.records["b"] == (
+            record("b"), "aborted", "pool not on shard"
+        )
 
     def test_double_prepare_rejected(self):
         ledger = EscrowLedger(0)
@@ -159,7 +174,7 @@ class TestEscrowLedger:
         ledger.prepare(record("x0-0-1", epoch=0))
         ledger.prepare(record("x0-0-0", epoch=0))
         ledger.prepare(record("x0-1-0", epoch=1))
-        assert [r.transfer_id for r in ledger.prepared_in(0)] == [
+        assert [r[0] for r in ledger.prepared_in(0)] == [
             "x0-0-0", "x0-0-1",
         ]
 
@@ -170,7 +185,7 @@ class TestEscrowLedger:
         ledger = EscrowLedger(0)
         for _ in range(12):
             ledger.prepare(record(ledger.next_transfer_id(0), epoch=0))
-        sequence = [r.transfer_id for r in ledger.prepared_in(0)]
+        sequence = [r[0] for r in ledger.prepared_in(0)]
         assert sequence == [f"x0-0-{i}" for i in range(12)]
         # Malformed ids sort after well-formed ones instead of crashing.
         assert transfer_sort_key("x0-0-2") < transfer_sort_key("x0-0-10")
@@ -179,8 +194,6 @@ class TestEscrowLedger:
     def test_prepared_in_matches_a_full_scan(self):
         """Return legs prepared out of id order across interleaved epochs
         come back exactly as a scan of the whole history orders them."""
-        from dataclasses import replace
-
         from repro.sharding.escrow import transfer_sort_key
 
         ledger = EscrowLedger(0)
@@ -188,20 +201,22 @@ class TestEscrowLedger:
             ("x0-1-2", 1), ("x0-0-10", 0), ("x0-1-0", 1), ("x0-0-2", 0),
             ("x0-2-0", 2), ("x0-1-1", 1), ("x0-0-0", 0),
         ):
-            ledger.prepare(
-                replace(record(tid, epoch=epoch), dest_pool="", swap_amount=0)
-            )
-        # A record another shard sourced is never this shard's prepare.
-        ledger.prepare(replace(record("x1-1-0", epoch=1), source_shard=1))
+            ledger.prepare(record(tid, epoch=epoch, dest_pool=""))
+        # A transfer another shard sourced is never this shard's prepare.
+        ledger.prepare(record("x1-1-0", epoch=1, source_shard=1))
         for epoch in range(4):
             scan = sorted(
                 (
-                    r for r in ledger.records.values()
-                    if r.epoch == epoch and r.source_shard == 0
+                    row for row, _, _ in ledger.records.values()
+                    if row[7] == epoch and row[2] == 0
                 ),
-                key=lambda r: transfer_sort_key(r.transfer_id),
+                key=lambda r: transfer_sort_key(r[0]),
             )
             assert ledger.prepared_in(epoch) == scan
-        assert [r.transfer_id for r in ledger.prepared_in(1)] == [
+            assert all(
+                row is ledger.records[row[0]][0]
+                for row in ledger.prepared_in(epoch)
+            )
+        assert [r[0] for r in ledger.prepared_in(1)] == [
             "x0-1-0", "x0-1-1", "x0-1-2",
         ]

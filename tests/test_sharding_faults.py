@@ -6,7 +6,7 @@ from repro.core.system import AmmBoostConfig
 from repro.errors import ConfigurationError
 from repro.faults import Crash, FaultPlan, ShardFault, ShardFaultBook, SyncWithhold
 from repro.sharding import ShardedConfig, ShardedSystem
-from repro.sharding.escrow import TransferRecord
+from repro.sharding.escrow import transfer_row
 
 
 def small_base(seed: int = 0) -> AmmBoostConfig:
@@ -53,18 +53,15 @@ class TestOfflineShard:
         )
         assert report.transfers["aborted"] > 0
         # Every abort is a refund at its source, typed with the reason.
+        assert not system.registry.entries
         aborted = [
-            TransferRecord(*entry.transfer)
-            for entry in system.registry.all_entries().values()
-            if entry.decided and not entry.settle
+            (transfer, reason)
+            for transfer, settle, reason, _ in system.registry.completed.values()
+            if not settle
         ]
         assert aborted
-        assert all(t.dest_shard == 1 for t in aborted)
-        reasons = {
-            entry.reason
-            for entry in system.registry.all_entries().values()
-            if entry.decided and not entry.settle
-        }
+        assert all(transfer[3] == 1 for transfer, _ in aborted)
+        reasons = {reason for _, reason in aborted}
         assert any("partitioned" in reason for reason in reasons)
 
     def test_conservation_holds_under_aborts(self):
@@ -80,10 +77,11 @@ class TestOfflineShard:
         )
         # After healing the shard participates again: some transfers to
         # it settled in later epochs.
+        assert not system.registry.entries
         settled_to_1 = [
-            entry.transfer
-            for entry in system.registry.all_entries().values()
-            if entry.settle and TransferRecord(*entry.transfer).dest_shard == 1
+            transfer
+            for transfer, settle, _, _ in system.registry.completed.values()
+            if settle and transfer[3] == 1
         ]
         assert settled_to_1
 
@@ -157,13 +155,13 @@ class TestMisroutedTransferAborts:
             record for r in records.values() for record in r.prepares
         )
         shard0 = scheduler.shard(0)
-        rogue = TransferRecord(
+        rogue = transfer_row(
             transfer_id="x0-0-999", user="ghost", source_shard=0,
             dest_shard=9, dest_pool="pool-1", amount0=5, amount1=0, epoch=0,
         )
         shard0.ledger.prepare(rogue)
         shard0.system.token_bank.escrow_lock("x0-0-999", "ghost", 5, 0)
-        system.registry.add_prepares([rogue.row()])
+        system.registry.add_prepares([rogue])
         instructions = system.registry.instructions_for(frozenset())
         resolve = [
             i for i in instructions.get(0, [])
@@ -175,7 +173,5 @@ class TestMisroutedTransferAborts:
         assert "unknown destination" in reason
         assert code == "unknown_shard"
         scheduler.run_epoch(1, False, instructions)
-        assert shard0.ledger.records["x0-0-999"].status == "aborted"
-        assert (
-            shard0.system.token_bank.escrows["x0-0-999"].status == "refunded"
-        )
+        assert shard0.ledger.records["x0-0-999"][1] == "aborted"
+        assert shard0.system.token_bank.escrows["x0-0-999"][4] == "refunded"

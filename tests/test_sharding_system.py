@@ -6,7 +6,7 @@ from repro import constants
 from repro.core.system import AmmBoostConfig
 from repro.errors import ConfigurationError
 from repro.sharding import ShardedConfig, ShardedSystem, round_robin
-from repro.sharding.escrow import TransferRecord
+from repro.sharding.escrow import transfer_row
 from repro.sharding.router import CrossShardRouter, TransferRegistry
 from repro.workload.shard_mix import HotShardLoad
 from tests.conftest import EndlessBacklog
@@ -107,11 +107,11 @@ class TestRouterResolution:
         return TransferRegistry(router)
 
     def transfer(self, tid: str, dest_shard: int = 1, dest_pool: str = "pool-1"):
-        return TransferRecord(
+        return transfer_row(
             transfer_id=tid, user="alice", source_shard=0,
             dest_shard=dest_shard, dest_pool=dest_pool,
             amount0=5, amount1=0, epoch=0, swap_amount=5,
-        ).row()
+        )
 
     def test_settle_delivers_credit_and_release(self):
         registry = self.make_registry()

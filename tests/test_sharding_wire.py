@@ -15,6 +15,7 @@ preserve and guard against a dataclass creeping back onto the wire:
 
 import multiprocessing
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -24,7 +25,7 @@ from repro.errors import EscrowError
 from repro.faults import FaultPlan, Rollback, ShardFault
 from repro.recovery.journal import RelockEscrow, ResyncResolve
 from repro.sharding import ShardedConfig, ShardedSystem
-from repro.sharding.escrow import TransferRecord
+from repro.sharding.escrow import transfer_row
 from repro.sharding.router import CrossShardRouter, TransferRegistry
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -109,7 +110,7 @@ def test_outcomes_pinned(name, jobs):
     assert system.registry.counts() == counts
     assert system.registry.abort_codes() == codes
     assert system.journal.counts() == journal
-    assert len(system.journal.entries) == journal_len
+    assert len(system.journal) == journal_len
 
 
 @given(
@@ -133,11 +134,11 @@ def test_outcomes_pinned(name, jobs):
     exact_input=False, swap_amount=0, return_output=True,
 )
 def test_row_round_trips_through_pickle(**fields):
-    record = TransferRecord(**fields)
-    row = pickle.loads(pickle.dumps(record.row()))
-    assert type(row) is tuple and row == record.row()
+    built = transfer_row(**fields)
+    row = pickle.loads(pickle.dumps(built))
+    assert type(row) is tuple and row == built
     assert tuple(type(value) for value in row) == ROW_TYPES
-    assert TransferRecord(*row) == record
+    assert transfer_row(*row) == built
 
 
 def assert_row(row) -> None:
@@ -190,10 +191,10 @@ def test_duplicate_prepare_is_an_escrow_error():
     registry = TransferRegistry(
         CrossShardRouter({"pool-0": 0, "pool-1": 1}, num_shards=2)
     )
-    row = TransferRecord(
+    row = transfer_row(
         transfer_id="x0-0-0", user="alice", source_shard=0, dest_shard=1,
         dest_pool="pool-1", amount0=5, amount1=0, epoch=0, swap_amount=5,
-    ).row()
+    )
     registry.add_prepares([row])
     with pytest.raises(EscrowError, match="x0-0-0 prepared twice"):
         registry.add_prepares([row])
@@ -204,14 +205,16 @@ def test_duplicate_prepare_is_an_escrow_error():
 
 
 def test_shard_refuses_an_instruction_it_does_not_know():
-    """A per-transfer dataclass sent in place of a tagged tuple fails
+    """A per-transfer object sent in place of a tagged tuple fails
     loudly at the shard instead of being skipped."""
     system = ShardedSystem(
         ShardedConfig(num_shards=2, base=small_base(), cross_shard_ratio=0.0)
     )
-    stray = TransferRecord(
-        transfer_id="x1-0-0", user="alice", source_shard=1, dest_shard=0,
-        dest_pool="pool-0", amount0=5, amount1=0, epoch=0,
+    stray = SimpleNamespace(
+        transfer=transfer_row(
+            transfer_id="x1-0-0", user="alice", source_shard=1, dest_shard=0,
+            dest_pool="pool-0", amount0=5, amount1=0, epoch=0,
+        )
     )
     with pytest.raises(EscrowError, match="cannot apply instruction"):
         system.scheduler.shard(0)._apply_instructions([stray])
