@@ -242,11 +242,16 @@ class Mainchain:
     def rollback(self, depth: int) -> list[MainchainTransaction]:
         """Abandon the most recent ``depth`` blocks (fork switch).
 
-        Their transactions return to the mempool as DROPPED-then-PENDING;
-        contract state is *not* rewound — the affected ammBoost syncs are
-        recovered by mass-syncing, which is idempotent by design, and the
-        recovery tests exercise exactly that path.  No fork reaches below
-        :attr:`final_height`.
+        Their transactions are marked DROPPED, lose their block number
+        and inclusion time, and are returned to the caller; nothing puts
+        them back in the mempool, so none is mined again.  Contract state
+        is *not* rewound — the affected ammBoost syncs are recovered by
+        mass-syncing, which is idempotent by design, and the recovery
+        tests exercise exactly that path.  A deposit in an abandoned
+        block thus stays debited from its ERC20 and is never credited
+        again (ROADMAP, "A fork rewinds the chain, not a snapshot of one
+        contract", journals contract writes and resubmits the evicted
+        transactions).  No fork reaches below :attr:`final_height`.
         """
         if depth <= 0:
             raise RollbackError(f"rollback depth must be positive, got {depth}")

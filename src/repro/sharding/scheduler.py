@@ -15,8 +15,8 @@ Everything per transfer in those messages is a plain tuple: the inboxes
 carry tagged :data:`~repro.sharding.escrow.Instruction` tuples and the
 records carry :data:`~repro.sharding.escrow.TransferRow` prepares (see
 "Wire format" in ``sharding/README.md``), so a boundary's pickling cost
-is the tuples', not a dataclass graph's.  The replay log below keeps the
-same tuples.
+is the tuples', not a dataclass graph's.  The replay log below keeps
+each message as the pickled bytes that went down the pipe.
 
 A serial scheduler serves the same messages in-process through the same
 :func:`_serve_message`, so both modes share one serving path.
@@ -29,8 +29,9 @@ parent already paid the import cost); on platforms without ``fork`` the
 scheduler silently degrades to serial execution — same results, one
 process.
 
-**Heal or fail.**  Every message sent to a worker is kept in a per-slot
-list.  Waiting for a response polls the pipe with liveness checks
+**Heal or fail.**  Every message sent to a worker is pickled once, and
+the bytes written to the pipe are kept in a per-slot list.  Waiting for
+a response polls the pipe with liveness checks
 (every :data:`HEARTBEAT_INTERVAL_S`, wedged after
 :data:`HEARTBEAT_TIMEOUT_S`); a dead or wedged worker is respawned — fork
 a replacement, **replay** every message but the in-flight last one
@@ -47,8 +48,10 @@ reproduce it.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import time
 from multiprocessing.connection import Connection
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ShardError, WorkerLostError
@@ -103,13 +106,14 @@ def _serve_message(
 def _worker_main(
     specs: Sequence[ShardSpec],
     conn: Connection,
-    replay: Sequence[tuple[Any, ...]] = (),
+    replay: Sequence[bytes] = (),
     inherited: Sequence[Connection] = (),
 ) -> None:
     """Own ``specs``'s shards for the run; serve epoch/finish requests.
 
-    ``replay`` re-runs already-confirmed messages silently — the respawn
-    path, reconstructing the shards' state at the last boundary.
+    ``replay`` re-runs already-confirmed messages (their pickled bytes)
+    silently — the respawn path, reconstructing the shards' state at the
+    last boundary.
     ``inherited`` are the coordinator's pipe ends the fork copied; they
     are closed first, so the coordinator closing its end reaches this
     worker as EOF.
@@ -118,8 +122,8 @@ def _worker_main(
         other.close()
     try:
         shards = {spec.index: Shard(spec) for spec in specs}
-        for message in replay:
-            _serve_message(shards, message)
+        for sent in replay:
+            _serve_message(shards, pickle.loads(sent))
         # Replayed spans were already delivered to the coordinator
         # before the crash; this also clears any fork-inherited copy of
         # the parent's buffer, so the worker starts from a clean slate.
@@ -161,8 +165,9 @@ class ShardScheduler:
         self._workers: list[multiprocessing.process.BaseProcess] = []
         self._conns: list[Connection] = []
         self._groups: list[list[ShardSpec]] = []
-        #: Per slot, every message sent so far — the respawn replay log.
-        self._sent: list[list[tuple[Any, ...]]] = []
+        #: Per slot, the pickled bytes of every message sent so far —
+        #: the respawn replay log.
+        self._sent: list[list[bytes]] = []
         #: shard index -> owning worker slot (parallel mode only).
         self._owner: dict[int, int] = {}
         if self.jobs <= 1:
@@ -181,7 +186,7 @@ class ShardScheduler:
             self._conns.append(conn)
 
     def _spawn(
-        self, slot: int, replay: Sequence[tuple[Any, ...]]
+        self, slot: int, replay: Sequence[bytes]
     ) -> tuple[multiprocessing.process.BaseProcess, Connection]:
         context = multiprocessing.get_context("fork")
         parent_conn, child_conn = context.Pipe()
@@ -263,10 +268,16 @@ class ShardScheduler:
     # -- healing ---------------------------------------------------------------
 
     def _post(self, slot: int, message: tuple[Any, ...]) -> None:
-        """Log and send; a send failure is healed at collect time."""
-        self._sent[slot].append(message)
+        """Pickle once, log the bytes and send them; a send failure is
+        healed at collect time.
+
+        The bytes are what ``Connection.send`` would write, so the
+        worker's ``recv`` reads them unchanged.
+        """
+        sent = bytes(ForkingPickler.dumps(message))
+        self._sent[slot].append(sent)
         try:
-            self._conns[slot].send(message)
+            self._conns[slot].send_bytes(sent)
         except OSError:
             pass  # worker already dead; _collect respawns and re-sends
 
@@ -330,7 +341,7 @@ class ShardScheduler:
     def _respawn(self, slot: int) -> None:
         """Fork a replacement and bring it to the in-flight message."""
         sent = self._sent[slot]
-        current = sent[-1]
+        current = pickle.loads(sent[-1])
         # Healing is driven by wall-clock liveness, so the only virtual
         # timestamp it has is the in-flight epoch (0.0 for "finish"):
         # the instant lands on the trace's epoch axis next to the work
@@ -350,7 +361,7 @@ class ShardScheduler:
         old.join(timeout=5)
         self._workers[slot], self._conns[slot] = self._spawn(slot, sent[:-1])
         try:
-            self._conns[slot].send(current)
+            self._conns[slot].send_bytes(sent[-1])
         except OSError:
             pass  # dead at birth; the next _receive attempt sees it
 

@@ -57,22 +57,27 @@ class MetaBlock:
         sha3, leaf_head = hashlib.sha3_256, DIGEST_LEAF_HEAD
         word_head, bound = WORD_PART_HEAD, WORD_BOUND
         # Per seal, so nothing outlives the block: the leaf tag and the
-        # type-name part, which together open every leaf.
+        # type-name part, which together open every leaf, and each
+        # issuer's part (a block carries many transactions per user).
         openings: dict[type, bytes] = {}
+        users: dict[str, bytes] = {}
         nodes = []
         for tx in txs:
             cls = type(tx)
             opening = openings.get(cls)
             if opening is None:
                 opening = openings[cls] = _LEAF_TAG + encode_part(cls.__name__)
-            tx_id, size = tx.tx_id, tx.size_bytes
+            tx_id, user, size = tx.tx_id, tx.user, tx.size_bytes
+            user_part = users.get(user)
+            if user_part is None:
+                user_part = users[user] = encode_part(user)
             leaf = sha3(
                 b"".join((
                     opening,
                     word_head + tx_id.to_bytes(32, "big")
                     if 0 <= tx_id < bound
                     else encode_part(tx_id),
-                    encode_part(tx.user),
+                    user_part,
                     word_head + size.to_bytes(32, "big")
                     if 0 <= size < bound
                     else encode_part(size),

@@ -6,11 +6,17 @@ The measured agreement times grow superlinearly with committee size
 it wherever the epoch-level harness needs the consensus duration of a
 large committee.  The message-level PBFT engine produces its own timings
 for small committees; a test cross-checks the two where they overlap.
+
+The fit is exact: the 2×2 normal equations are solved over
+:class:`fractions.Fraction` from the float calibration values, and each
+coefficient is rounded to float once, so the coefficients are the
+correctly rounded least-squares optimum on every platform.  The runtime
+needs no numerical library for it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from fractions import Fraction
 
 from repro import constants
 
@@ -22,23 +28,27 @@ class AgreementTimeModel:
         self, calibration: dict[int, float] | None = None
     ) -> None:
         points = calibration or constants.AGREEMENT_TIME_BY_COMMITTEE
-        sizes = np.array(sorted(points), dtype=float)
-        times = np.array([points[int(c)] for c in sizes], dtype=float)
+        pairs = [(Fraction(c), Fraction(points[c])) for c in sorted(points)]
+        s2 = sum(c**2 for c, _ in pairs)
+        s3 = sum(c**3 for c, _ in pairs)
+        s4 = sum(c**4 for c, _ in pairs)
+        s1t = sum(c * t for c, t in pairs)
+        s2t = sum(c**2 * t for c, t in pairs)
         # Least squares on t = a c^2 + b c (no intercept: zero nodes,
-        # zero time).  A negative curvature would extrapolate to zero at
-        # large committees, so near-linear data falls back to a pure
-        # linear fit (a = 0).
-        design = np.stack([sizes**2, sizes], axis=1)
-        coeffs, *_ = np.linalg.lstsq(design, times, rcond=None)
-        self.a, self.b = float(coeffs[0]), float(coeffs[1])
-        if self.a < 0:
-            # Near-linear data: a pure linear fit.
-            self.a = 0.0
-            self.b = float(np.sum(sizes * times) / np.sum(sizes * sizes))
-        elif self.b < 0:
-            # Near-quadratic data: a pure quadratic fit.
-            self.b = 0.0
-            self.a = float(np.sum(sizes**2 * times) / np.sum(sizes**4))
+        # zero time) through its normal equations
+        #   [s4 s3] [a]   [s2t]
+        #   [s3 s2] [b] = [s1t].
+        # A negative curvature would extrapolate to zero at large
+        # committees, so near-linear data falls back to a pure linear fit
+        # (a = 0) and near-quadratic data to a pure quadratic one (b = 0).
+        det = s4 * s2 - s3 * s3
+        a = (s2t * s2 - s3 * s1t) / det
+        b = (s4 * s1t - s3 * s2t) / det
+        if a < 0:
+            a, b = Fraction(0), s1t / s2
+        elif b < 0:
+            a, b = s2t / s4, Fraction(0)
+        self.a, self.b = float(a), float(b)
         self.calibration = dict(points)
 
     def agreement_time(self, committee_size: int) -> float:

@@ -166,8 +166,9 @@ def assert_inbox_item(item) -> None:
 def test_per_transfer_wire_items_are_plain_tuples():
     system, _ = run(2, OFFLINE_DEST + FORK)
     seen = {"credit": 0, "resolve": 0, "relock": 0, "prepare": 0}
+    # The replay log keeps the bytes each message went down the pipe as.
     for slot_messages in system.scheduler._sent:
-        for message in slot_messages:
+        for message in map(pickle.loads, slot_messages):
             if message[0] != "epoch":
                 continue
             for inbox in message[3].values():
