@@ -2,7 +2,7 @@
 
 A faithful Python port of the Uniswap V3 core math and pool logic:
 Q64.96 sqrt-price arithmetic, tick math, concentrated-liquidity positions
-with fee-growth accounting, exact-input/exact-output swaps, flash loans.
+with fee-growth accounting, exact-input/exact-output swaps.
 
 This engine is the "original AMM logic" of the paper — it is shared by the
 baseline L1 deployment (:mod:`repro.uniswap`) and the ammBoost sidechain

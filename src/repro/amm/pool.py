@@ -1,25 +1,21 @@
 """The liquidity pool: Uniswap V3 core logic in Python.
 
-Implements the complete pool lifecycle — initialize, mint, burn, collect,
-swap (exact input and exact output, both directions, with price limits)
-and flash loans — with the same rounding and fee-accounting behaviour as
-``UniswapV3Pool.sol``.
+Implements the pool lifecycle — initialize, mint, burn, collect and swap
+(exact input and exact output, both directions, with price limits) — with
+the same rounding and fee-accounting behaviour as ``UniswapV3Pool.sol``.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.amm import backend, liquidity_math
-from repro.amm.backend import Q128, mul_div
-from repro.amm.oracle import Oracle
+from repro.amm.backend import Q128
 from repro.amm.position import PositionInfo, PositionKey
 from repro.amm.tick import TickInfo, TickTable
 from repro.errors import (
     AMMError,
-    FlashLoanError,
     LiquidityError,
     NoLiquidityError,
     PositionError,
@@ -93,20 +89,18 @@ class PendingSwap:
             return self.amount0, -self.amount1
         return self.amount1, -self.amount0
 
-    def commit(self, timestamp: float | None = None) -> SwapResult:
+    def commit(self) -> SwapResult:
         """Apply the prepared swap to the pool (no second tick walk).
 
         One-shot: the pool's state version must still match the one seen
         at prepare time, so any intervening mutation — another swap, a
-        mint/burn/collect, a flash, or an earlier commit of this same
-        object — voids the pending swap.
+        mint/burn/collect, or an earlier commit of this same object —
+        voids the pending swap.
         """
         batch = self._batch
         pool = batch.pool
         if pool._state_version != batch._version:
             raise AMMError("pool state changed since swap was prepared")
-        if timestamp is not None:
-            pool.oracle.write(timestamp, pool.tick)
         batch.accept()
         batch.commit()
         return SwapResult(
@@ -488,8 +482,6 @@ class Pool:
         self.balance0 = 0
         self.balance1 = 0
         self.initialized = False
-        #: TWAP oracle; swaps that pass a timestamp checkpoint into it.
-        self.oracle = Oracle(capacity=128)
         #: Bumped on every state mutation; voids outstanding PendingSwaps.
         self._state_version = 0
 
@@ -505,7 +497,6 @@ class Pool:
         self.tick = backend.get_tick_at_sqrt_ratio(sqrt_price_x96)
         self.initialized = True
         self._state_version += 1
-        self.oracle.initialize(timestamp=0.0)
 
     def _require_initialized(self) -> None:
         if not self.initialized:
@@ -680,19 +671,16 @@ class Pool:
         zero_for_one: bool,
         amount_specified: int,
         sqrt_price_limit_x96: int | None = None,
-        timestamp: float | None = None,
     ) -> SwapResult:
         """Execute a swap.
 
         ``amount_specified > 0`` is exact input; ``< 0`` is exact output.
         ``sqrt_price_limit_x96`` bounds the post-swap price (defaults to
-        the extreme ratio in the swap direction).  When ``timestamp`` is
-        given, the pre-swap tick is checkpointed into the TWAP oracle (the
-        Uniswap write-before-move rule).
+        the extreme ratio in the swap direction).
         """
         return self.prepare_swap(
             zero_for_one, amount_specified, sqrt_price_limit_x96
-        ).commit(timestamp)
+        ).commit()
 
     def prepare_swap(
         self,
@@ -720,53 +708,14 @@ class Pool:
         """
         return SwapBatch(self)
 
-    # -- flash loans -----------------------------------------------------------------
-
-    def flash(
-        self,
-        amount0: int,
-        amount1: int,
-        callback: Callable[[int, int], tuple[int, int]],
-    ) -> tuple[int, int]:
-        """Flash-loan ``amount0``/``amount1``; the callback must repay with fees.
-
-        The callback receives the fees owed ``(fee0, fee1)`` and returns the
-        amounts it repays.  Underpayment reverts the whole flash, exactly
-        like the single-transaction semantics on Ethereum (Section IV-B:
-        "the loaned tokens must be returned within one block period or the
-        loan will be inverted").
-        """
-        self._require_initialized()
-        if amount0 < 0 or amount1 < 0:
-            raise FlashLoanError("flash amounts must be non-negative")
-        if amount0 > self.balance0 or amount1 > self.balance1:
-            raise FlashLoanError("flash amount exceeds pool reserves")
-        fee0 = backend.mul_div_rounding_up(
-            amount0, self.config.fee_pips, backend.FEE_PIPS_DENOMINATOR
-        )
-        fee1 = backend.mul_div_rounding_up(
-            amount1, self.config.fee_pips, backend.FEE_PIPS_DENOMINATOR
-        )
-        paid0, paid1 = callback(fee0, fee1)
-        if paid0 < amount0 + fee0 or paid1 < amount1 + fee1:
-            raise FlashLoanError("flash loan not repaid with fees")
-        extra0, extra1 = paid0 - amount0, paid1 - amount1
-        if self.liquidity > 0:
-            self.fee_growth_global0_x128 = (
-                self.fee_growth_global0_x128 + mul_div(extra0, Q128, self.liquidity)
-            ) % Q128
-            self.fee_growth_global1_x128 = (
-                self.fee_growth_global1_x128 + mul_div(extra1, Q128, self.liquidity)
-            ) % Q128
-        self.balance0 += extra0
-        self.balance1 += extra1
-        self._state_version += 1
-        return fee0, fee1
-
     # -- introspection ------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A plain-data snapshot of pool state (used by SnapshotBank)."""
+        """A plain-data snapshot of pool state.
+
+        Read by the shard state digest (``Shard.state_digest``) and by
+        :meth:`PoolSnapshot.snapshot`.
+        """
         return {
             "sqrt_price_x96": self.sqrt_price_x96,
             "tick": self.tick,

@@ -27,10 +27,6 @@ class AmmOpConfig:
     """Rollup parameters (Optimism-inspired, Section VI-D)."""
 
     batch_size_bytes: int = constants.AMMOP_BATCH_SIZE
-    batch_interval: float = constants.AMMOP_BATCH_INTERVAL_S
-    contestation_period: float = constants.AMMOP_CONTESTATION_S
-    #: Mainchain confirmation of the batch/withdrawal transaction.
-    l1_confirmation: float = constants.LATENCY_SYNC_S
     daily_volume: int = constants.DEFAULT_DAILY_VOLUME
     num_users: int = constants.DEFAULT_NUM_USERS
     round_duration: float = constants.DEFAULT_ROUND_DURATION_S
@@ -69,7 +65,7 @@ class AmmOpRollup:
 
         now = 0.0
         next_round = 0.0
-        next_batch = cfg.batch_interval
+        next_batch = constants.AMMOP_BATCH_INTERVAL_S
         drained = 0
         while True:
             # Inject all rounds due before the next batch.
@@ -79,7 +75,7 @@ class AmmOpRollup:
                 next_round += cfg.round_duration
             now = next_batch
             self._build_batch(now)
-            next_batch += cfg.batch_interval
+            next_batch += constants.AMMOP_BATCH_INTERVAL_S
             if next_round < traffic_end:
                 continue
             if not self.queue:
@@ -108,12 +104,12 @@ class AmmOpRollup:
             # (not yet finalised) rollup batch.
             self.metrics.sidechain_latency.record(now - tx.submitted_at)
             # Payout latency: the batch must survive the contestation
-            # window before tokens can be withdrawn on L1.
+            # window, then the withdrawal confirms on L1.
             self.metrics.payout_latency.record(
                 now
                 - tx.submitted_at
-                + self.config.contestation_period
-                + self.config.l1_confirmation
+                + constants.AMMOP_CONTESTATION_S
+                + constants.LATENCY_SYNC_S
             )
         self.batches_built += 1
         # The batch transcript lands on the mainchain (optimistic rollups

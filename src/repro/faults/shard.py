@@ -16,7 +16,7 @@ deployment (:mod:`repro.sharding`), leaving every other shard untouched:
   plan would be; the shard's fault log ends up in its system's
   ``faults.log``.  A per-shard ``Rollback`` rewinds that shard's
   mainchain bank past bridge writes other shards already acted on; the
-  coordinator's bridge journal (:mod:`repro.recovery.journal`) replays
+  coordinator's bridge journal (:mod:`repro.sharding.journal`) replays
   the rewound window and delivers compensating entries at the next
   boundary, so deployment-wide conservation holds through the fork.
 

@@ -325,39 +325,107 @@ def figure5_spec(
 
 
 # ---------------------------------------------------------------------------
-# Table V — scalability
+# Capacity sweeps — Tables V, VI (ammBoost leg), VIII–XI
 # ---------------------------------------------------------------------------
 
-#: Paper rows for Table V.
-PAPER_TABLE5 = {
-    50_000: (0.42, 7.13, 120.71),
-    500_000: (3.41, 7.13, 120.71),
-    5_000_000: (33.04, 7.13, 120.71),
-    25_000_000: (138.06, 231.52, 346.49),
+#: The paper's ``(throughput, latency, payout latency)`` per ``(table,
+#: value)``, ``value`` being the point's swept value (Table VI: the system).
+PAPER_VALUES = {
+    ("table5", 50_000): (0.42, 7.13, 120.71),
+    ("table5", 500_000): (3.41, 7.13, 120.71),
+    ("table5", 5_000_000): (33.04, 7.13, 120.71),
+    ("table5", 25_000_000): (138.06, 231.52, 346.49),
+    ("table6", "ammOP"): (51.16, 2577.28, 604_815.28),
+    ("table6", "ammBoost"): (138.06, 231.52, 346.49),
+    ("table8", 500_000): (68.97, 4357.00, 4472.63),
+    ("table8", 1_000_000): (138.61, 1603.01, 1719.10),
+    ("table8", 1_500_000): (207.52, 687.98, 804.05),
+    ("table8", 2_000_000): (276.43, 230.48, 345.44),
+    ("table9", 7): (138.06, 231.52, 346.49),
+    ("table9", 11): (92.18, 921.64, 1087.95),
+    ("table9", 16): (61.75, 1950.92, 2193.85),
+    ("table9", 21): (46.31, 2975.90, 3295.11),
+    ("table10", 5): (114.27, 517.94, 545.12),
+    ("table10", 10): (128.53, 333.54, 337.86),
+    ("table10", 20): (135.90, 255.57, 334.81),
+    ("table10", 30): (138.06, 231.52, 346.49),
+    ("table10", 60): (140.66, 208.96, 434.94),
+    ("table10", 96): (141.53, 199.55, 546.04),
+}
+
+#: Table -> (the config knob its grid sweeps, how its rows name a value).
+#: Table VI's ammBoost leg sweeps nothing.
+CAPACITY_SWEEPS = {
+    "table5": ("daily_volume", "{:,}".format),
+    "table6": (None, str),
+    "table8": ("meta_block_size", lambda size: f"{size / 1e6:g} MB"),
+    "table9": ("round_duration", "{} s".format),
+    "table10": ("rounds_per_epoch", int),
+    "table11": ("mix", lambda mix: "/".join(map(str, mix))),
 }
 
 
-def table5_point(params) -> dict:
-    volume = params["volume"]
+def capacity_point(params) -> dict:
+    """One point of a capacity sweep.
+
+    Every point runs the same scaled 50-member deployment at
+    ``daily_volume`` with the one knob its table sweeps set to ``value``:
+    the daily volume (V), the meta-block size (VIII), the round duration
+    (IX), the rounds per epoch (X) or the swap/mint/burn/collect mix (XI).
+    The row is the value's label, then throughput, latency and payout
+    latency, each followed by the paper's value.  Table XI has no paper
+    values and ends its row with the peak live sidechain bytes instead.
+
+    Table X holds total traffic time constant across epoch lengths, as
+    the paper does (11 default epochs = 330 rounds).  The last round of
+    each epoch mines the summary-block rather than a meta-block, so
+    effective capacity is ``(omega - 1) / omega`` of the per-round
+    capacity: short epochs visibly hurt throughput, and longer epochs
+    delay payouts.
+    """
+    table, value = params["table"], params["value"]
+    knob, label = CAPACITY_SWEEPS[table]
+    swept = {knob: value}
     config, scale = scaled_ammboost_config(
-        volume,
+        swept.get("daily_volume", params.get("daily_volume")),
         scale=params.get("scale"),
+        meta_block_size=swept.get("meta_block_size", constants.DEFAULT_META_BLOCK_SIZE),
+        round_duration=float(swept.get("round_duration", constants.DEFAULT_ROUND_DURATION_S)),
+        rounds_per_epoch=swept.get("rounds_per_epoch", constants.DEFAULT_ROUNDS_PER_EPOCH),
         seed=params["seed"],
         committee_size=50,
         miner_population=100,
     )
-    metrics = AmmBoostSystem(config).run(num_epochs=params["num_epochs"])
-    paper = PAPER_TABLE5.get(volume, ("-", "-", "-"))
-    row = [
-        f"{volume:,}",
+    if knob == "rounds_per_epoch":
+        num_epochs = max(1, round(constants.DEFAULT_NUM_EPOCHS * 30 / value))
+    else:
+        num_epochs = params["num_epochs"]
+    distribution = TrafficDistribution.from_percentages(*value) if knob == "mix" else None
+    system = AmmBoostSystem(config, distribution=distribution)
+    metrics = system.run(num_epochs=num_epochs)
+    measured = (
         round(metrics.throughput * scale, 2),
-        paper[0],
         round(metrics.sidechain_latency.mean, 2),
-        paper[1],
         round(metrics.payout_latency.mean, 2),
-        paper[2],
-    ]
-    return {"rows": [row]}
+    )
+    if knob == "mix":
+        row = [label(value), *measured, system.ledger.max_live_bytes]
+    else:
+        paper = PAPER_VALUES.get((table, value), ("-", "-", "-"))
+        row = [label(value)]
+        for pair in zip(measured, paper):
+            row.extend(pair)
+    return {"rows": [row], "payout_latency_mean": metrics.payout_latency.mean}
+
+
+def capacity_grid(table: str, values, **shared) -> tuple[dict, ...]:
+    """One capacity point per swept value, all sharing ``shared``."""
+    return tuple({"table": table, "value": value, **shared} for value in values)
+
+
+# ---------------------------------------------------------------------------
+# Table V — scalability
+# ---------------------------------------------------------------------------
 
 
 def table5_spec(
@@ -371,11 +439,8 @@ def table5_spec(
         title="Scalability of ammBoost",
         headers=("daily volume", "tput tx/s", "paper", "sc lat s", "paper",
                  "payout lat s", "paper"),
-        grid=tuple(
-            {"volume": volume, "num_epochs": num_epochs, "seed": seed}
-            for volume in volumes
-        ),
-        point=table5_point,
+        grid=capacity_grid("table5", volumes, num_epochs=num_epochs, seed=seed),
+        point=capacity_point,
         notes=(
             "throughput is capacity-bound at high volume "
             "(~1MB/round x 29/30 meta rounds / 7s ~ 138 tx/s)"
@@ -391,33 +456,26 @@ def table5_spec(
 
 
 def table6_point(params) -> dict:
-    config, scale = scaled_ammboost_config(
-        params["daily_volume"],
-        scale=params.get("scale"),
-        seed=params["seed"],
-        committee_size=50,
-        miner_population=100,
-    )
-    if params["leg"] == "ammboost":
-        metrics = AmmBoostSystem(config).run(num_epochs=params["num_epochs"])
-        row = ["ammBoost", round(metrics.throughput * scale, 2), 138.06,
-               round(metrics.sidechain_latency.mean, 2), 231.52,
-               round(metrics.payout_latency.mean, 2), 346.49]
+    """The ammBoost leg is a capacity point; the ammOP leg runs the rollup
+    on the same scaled volume, its batch scaled like the meta-block."""
+    if params["value"] == "ammBoost":
+        result = capacity_point(params)
     else:
+        config, scale = scaled_ammboost_config(
+            params["daily_volume"], scale=params.get("scale")
+        )
         op_config = AmmOpConfig(
             daily_volume=config.daily_volume,
             batch_size_bytes=max(2_000, round(constants.AMMOP_BATCH_SIZE / scale)),
             seed=params["seed"],
         )
         metrics = AmmOpRollup(op_config).run(num_epochs=params["num_epochs"])
-        row = ["ammOP", round(metrics.throughput * scale, 2), 51.16,
-               round(metrics.sidechain_latency.mean, 2), 2577.28,
-               round(metrics.payout_latency.mean, 2), 604_815.28]
-    return {
-        "rows": [row],
-        "leg": params["leg"],
-        "payout_latency_mean": metrics.payout_latency.mean,
-    }
+        paper = PAPER_VALUES[("table6", "ammOP")]
+        row = ["ammOP", round(metrics.throughput * scale, 2), paper[0],
+               round(metrics.sidechain_latency.mean, 2), paper[1],
+               round(metrics.payout_latency.mean, 2), paper[2]]
+        result = {"rows": [row], "payout_latency_mean": metrics.payout_latency.mean}
+    return {**result, "leg": params["value"]}
 
 
 def table6_finalize(spec, results) -> ExperimentResult:
@@ -425,8 +483,8 @@ def table6_finalize(spec, results) -> ExperimentResult:
     rows = [row for res in results for row in res["rows"]]
     finality_reduction = 100 * (
         1
-        - by_leg["ammboost"]["payout_latency_mean"]
-        / by_leg["ammop"]["payout_latency_mean"]
+        - by_leg["ammBoost"]["payout_latency_mean"]
+        / by_leg["ammOP"]["payout_latency_mean"]
     )
     return ExperimentResult(
         experiment_id=spec.experiment_id,
@@ -445,14 +503,16 @@ def table6_spec(
     num_epochs: int = constants.DEFAULT_NUM_EPOCHS,
     seed: int = 0,
 ) -> ScenarioSpec:
-    shared = dict(daily_volume=daily_volume, num_epochs=num_epochs, seed=seed)
     return ScenarioSpec(
         name="table6",
         experiment_id="Table VI",
         title="ammBoost vs Optimism-inspired rollup (ammOP)",
         headers=("system", "tput tx/s", "paper", "tx lat s", "paper",
                  "payout lat s", "paper"),
-        grid=({"leg": "ammop", **shared}, {"leg": "ammboost", **shared}),
+        grid=capacity_grid(
+            "table6", ("ammOP", "ammBoost"),
+            daily_volume=daily_volume, num_epochs=num_epochs, seed=seed,
+        ),
         point=table6_point,
         finalize=table6_finalize,
         accepts_scale=True,
@@ -521,53 +581,6 @@ def table7_spec(sample_size: int = 100_000, seed: int = 0) -> ScenarioSpec:
 # Tables VIII–XI — Appendix E parameter studies
 # ---------------------------------------------------------------------------
 
-PAPER_TABLE8 = {
-    500_000: (68.97, 4357.00, 4472.63),
-    1_000_000: (138.61, 1603.01, 1719.10),
-    1_500_000: (207.52, 687.98, 804.05),
-    2_000_000: (276.43, 230.48, 345.44),
-}
-
-PAPER_TABLE9 = {
-    7: (138.06, 231.52, 346.49),
-    11: (92.18, 921.64, 1087.95),
-    16: (61.75, 1950.92, 2193.85),
-    21: (46.31, 2975.90, 3295.11),
-}
-
-PAPER_TABLE10 = {
-    5: (114.27, 517.94, 545.12),
-    10: (128.53, 333.54, 337.86),
-    20: (135.90, 255.57, 334.81),
-    30: (138.06, 231.52, 346.49),
-    60: (140.66, 208.96, 434.94),
-    96: (141.53, 199.55, 546.04),
-}
-
-
-def table8_point(params) -> dict:
-    block_size = params["block_size"]
-    config, scale = scaled_ammboost_config(
-        params["daily_volume"],
-        scale=params.get("scale"),
-        meta_block_size=block_size,
-        seed=params["seed"],
-        committee_size=50,
-        miner_population=100,
-    )
-    metrics = AmmBoostSystem(config).run(num_epochs=params["num_epochs"])
-    paper = PAPER_TABLE8.get(block_size, ("-", "-", "-"))
-    row = [
-        f"{block_size / 1e6:g} MB",
-        round(metrics.throughput * scale, 2),
-        paper[0],
-        round(metrics.sidechain_latency.mean, 2),
-        paper[1],
-        round(metrics.payout_latency.mean, 2),
-        paper[2],
-    ]
-    return {"rows": [row]}
-
 
 def table8_spec(
     block_sizes=(500_000, 1_000_000, 1_500_000, 2_000_000),
@@ -581,44 +594,15 @@ def table8_spec(
         title="Impact of sidechain block size (V_D = 50M)",
         headers=("block size", "tput tx/s", "paper", "sc lat s", "paper",
                  "payout lat s", "paper"),
-        grid=tuple(
-            {
-                "block_size": size,
-                "daily_volume": daily_volume,
-                "num_epochs": num_epochs,
-                "seed": seed,
-            }
-            for size in block_sizes
+        grid=capacity_grid(
+            "table8", block_sizes,
+            daily_volume=daily_volume, num_epochs=num_epochs, seed=seed,
         ),
-        point=table8_point,
+        point=capacity_point,
         notes="throughput scales linearly with block size; latency falls sharply",
         accepts_scale=True,
         description="throughput/latency vs sidechain block size at 1000x",
     )
-
-
-def table9_point(params) -> dict:
-    duration = params["duration"]
-    config, scale = scaled_ammboost_config(
-        params["daily_volume"],
-        scale=params.get("scale"),
-        seed=params["seed"],
-        round_duration=float(duration),
-        committee_size=50,
-        miner_population=100,
-    )
-    metrics = AmmBoostSystem(config).run(num_epochs=params["num_epochs"])
-    paper = PAPER_TABLE9.get(duration, ("-", "-", "-"))
-    row = [
-        f"{duration} s",
-        round(metrics.throughput * scale, 2),
-        paper[0],
-        round(metrics.sidechain_latency.mean, 2),
-        paper[1],
-        round(metrics.payout_latency.mean, 2),
-        paper[2],
-    ]
-    return {"rows": [row]}
 
 
 def table9_spec(
@@ -633,53 +617,14 @@ def table9_spec(
         title="Impact of sidechain round duration (V_D = 25M)",
         headers=("round", "tput tx/s", "paper", "sc lat s", "paper",
                  "payout lat s", "paper"),
-        grid=tuple(
-            {
-                "duration": duration,
-                "daily_volume": daily_volume,
-                "num_epochs": num_epochs,
-                "seed": seed,
-            }
-            for duration in durations
+        grid=capacity_grid(
+            "table9", durations,
+            daily_volume=daily_volume, num_epochs=num_epochs, seed=seed,
         ),
-        point=table9_point,
+        point=capacity_point,
         accepts_scale=True,
         description="throughput/latency vs sidechain round duration",
     )
-
-
-def table10_point(params) -> dict:
-    """Table X point.
-
-    The last round of each epoch mines the summary-block rather than a
-    meta-block, so effective capacity is ``(omega - 1) / omega`` of the
-    per-round capacity — short epochs visibly hurt throughput, exactly
-    the Table X shape.  Longer epochs delay payouts.
-    """
-    omega = params["omega"]
-    config, scale = scaled_ammboost_config(
-        params["daily_volume"],
-        scale=params.get("scale"),
-        seed=params["seed"],
-        rounds_per_epoch=omega,
-        committee_size=50,
-        miner_population=100,
-    )
-    # Hold total traffic time constant across epoch lengths, as the
-    # paper does (11 default epochs = 330 rounds).
-    epochs = max(1, round(constants.DEFAULT_NUM_EPOCHS * 30 / omega))
-    metrics = AmmBoostSystem(config).run(num_epochs=epochs)
-    paper = PAPER_TABLE10.get(omega, ("-", "-", "-"))
-    row = [
-        omega,
-        round(metrics.throughput * scale, 2),
-        paper[0],
-        round(metrics.sidechain_latency.mean, 2),
-        paper[1],
-        round(metrics.payout_latency.mean, 2),
-        paper[2],
-    ]
-    return {"rows": [row]}
 
 
 def table10_spec(
@@ -693,36 +638,13 @@ def table10_spec(
         title="Impact of rounds per epoch (V_D = 25M)",
         headers=("epoch len", "tput tx/s", "paper", "sc lat s", "paper",
                  "payout lat s", "paper"),
-        grid=tuple(
-            {"omega": omega, "daily_volume": daily_volume, "seed": seed}
-            for omega in epoch_lengths
+        grid=capacity_grid(
+            "table10", epoch_lengths, daily_volume=daily_volume, seed=seed
         ),
-        point=table10_point,
+        point=capacity_point,
         accepts_scale=True,
         description="throughput/latency vs rounds per epoch",
     )
-
-
-def table11_point(params) -> dict:
-    mix = tuple(params["mix"])
-    distribution = TrafficDistribution.from_percentages(*mix)
-    config, scale = scaled_ammboost_config(
-        params["daily_volume"],
-        scale=params.get("scale"),
-        seed=params["seed"],
-        committee_size=50,
-        miner_population=100,
-    )
-    system = AmmBoostSystem(config, distribution=distribution)
-    metrics = system.run(num_epochs=params["num_epochs"])
-    row = [
-        f"{mix[0]}/{mix[1]}/{mix[2]}/{mix[3]}",
-        round(metrics.throughput * scale, 2),
-        round(metrics.sidechain_latency.mean, 2),
-        round(metrics.payout_latency.mean, 2),
-        system.ledger.max_live_bytes,
-    ]
-    return {"rows": [row]}
 
 
 def table11_spec(
@@ -736,16 +658,11 @@ def table11_spec(
         experiment_id="Table XI",
         title="Impact of traffic distribution (swap/mint/burn/collect %)",
         headers=("mix", "tput tx/s", "sc lat s", "payout lat s", "max sc B"),
-        grid=tuple(
-            {
-                "mix": tuple(mix),
-                "daily_volume": daily_volume,
-                "num_epochs": num_epochs,
-                "seed": seed,
-            }
-            for mix in mixes
+        grid=capacity_grid(
+            "table11", map(tuple, mixes),
+            daily_volume=daily_volume, num_epochs=num_epochs, seed=seed,
         ),
-        point=table11_point,
+        point=capacity_point,
         notes=(
             "metrics stay close across mixes because transaction sizes are "
             "similar (paper's observation); max sidechain growth is bounded "

@@ -119,9 +119,9 @@ Instruction = (
 )
 
 #: One shard's settlement inbox for an epoch.  Beyond the escrow
-#: instructions it may carry the recovery layer's fork compensations
-#: (see :mod:`repro.recovery`); the list type stays permissive so the
-#: escrow module does not depend on the recovery package.
+#: instructions it may carry the bridge journal's fork compensations
+#: (see :mod:`repro.sharding.journal`); the list type stays permissive
+#: so the escrow module does not depend on the journal, which imports it.
 ShardInstructions = list[Any]
 
 

@@ -1,5 +1,14 @@
 """Bridge journal: deterministic fork compensation for cross-shard value.
 
+The coordinator journals every bank-touching bridge action (escrow lock,
+release, refund, ``credit_external``) per shard and per epoch, so when a
+shard's mainchain forks it can replay the journal over the rewound window
+and issue deterministic compensating entries.  This is what lets
+per-shard :class:`~repro.faults.plan.Rollback` fault plans run with
+global supply conservation intact.  A fault-free run records journal
+entries but never draws randomness, never perturbs a counter, and
+produces byte-identical output to a run that journals nothing.
+
 A shard's mainchain fork (:class:`~repro.faults.plan.Rollback`) restores
 its token bank to the snapshot preceding the earliest lost summary sync —
 mid-epoch ``restored_epoch``.  Everything the bridge wrote to that bank
@@ -51,11 +60,10 @@ snapshot of the same epoch).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-if TYPE_CHECKING:  # imported lazily at runtime to keep the packages acyclic
-    from repro.sharding.escrow import TransferRow
-    from repro.sharding.router import OutcomeRow
+from repro.sharding.escrow import TransferRow, transfer_sort_key
+from repro.sharding.router import OutcomeRow
 
 #: Kinds of bank-touching bridge write: :data:`LOCK` (escrow lock for an
 #: outbound transfer), :data:`RELEASE` / :data:`REFUND` (source-side
@@ -182,8 +190,6 @@ class BridgeJournal:
         erase — and returns ``(transfer, settle, reason, code)``, or
         ``None`` for an id it never registered.
         """
-        from repro.sharding.escrow import transfer_sort_key
-
         self.rollbacks.append(report)
         relock_ids: set[str] = set()
         resync_ids: set[str] = set()

@@ -22,10 +22,10 @@ metrics — wrapped with three shard-aware pieces:
   the settlement inbox delivers back as ``("credit", row)`` /
   ``("resolve", ...)`` tuples.
 
-Beyond escrow settlement the boundary inbox carries the recovery
-layer's fork compensations (:mod:`repro.recovery`):
-:class:`~repro.recovery.journal.RelockEscrow` and
-:class:`~repro.recovery.journal.ResyncResolve`, both idempotent.  The
+Beyond escrow settlement the boundary inbox carries the bridge
+journal's fork compensations (:mod:`repro.sharding.journal`):
+:class:`~repro.sharding.journal.RelockEscrow` and
+:class:`~repro.sharding.journal.ResyncResolve`, both idempotent.  The
 pool assignment is fixed when the deployment is built, so a shard's
 routing table and arrival volume never change during a run.
 
@@ -54,11 +54,6 @@ from repro.core.token_bank import (
 from repro.core.transactions import SwapTx
 from repro.errors import DepositError, EscrowError
 from repro.faults.plan import FaultPlan
-from repro.recovery.journal import (
-    RelockEscrow,
-    ResyncResolve,
-    RollbackReport,
-)
 from repro.sharding.escrow import (
     CrossShardSwapTx,
     CrossShardTransferTx,
@@ -66,6 +61,11 @@ from repro.sharding.escrow import (
     ShardInstructions,
     TransferRow,
     transfer_row,
+)
+from repro.sharding.journal import (
+    RelockEscrow,
+    ResyncResolve,
+    RollbackReport,
 )
 from repro.simulation.rng import DeterministicRng
 from repro.telemetry import trace

@@ -19,9 +19,9 @@ settlement instructions each shard applies at the start of *e + 1*.
 After the configured traffic epochs the deployment drains: epochs keep
 running until every queue is empty and no transfer is in flight.
 
-The recovery layer (:mod:`repro.recovery`) threads through the same
-boundary exchange: every bank-touching delivery is recorded in a
-:class:`~repro.recovery.journal.BridgeJournal` so a shard's mainchain
+Fork recovery threads through the same boundary exchange: every
+bank-touching delivery is recorded in a
+:class:`~repro.sharding.journal.BridgeJournal` so a shard's mainchain
 fork can be compensated deterministically at the next boundary, and
 the scheduler respawns crashed workers and replays them to the lost
 boundary (or fails the run with ``WorkerLostError``).  With no faults
@@ -38,13 +38,13 @@ from repro import constants
 from repro.core.system import AmmBoostConfig
 from repro.errors import ConfigurationError, EscrowError
 from repro.faults.shard import ShardFault, ShardFaultBook
-from repro.recovery.journal import (
+from repro.sharding.placement import pools_of, round_robin
+from repro.sharding.escrow import ShardInstructions
+from repro.sharding.journal import (
     BridgeJournal,
     RelockEscrow,
     ResyncResolve,
 )
-from repro.sharding.placement import pools_of, round_robin
-from repro.sharding.escrow import ShardInstructions
 from repro.sharding.router import CrossShardRouter, TransferRegistry
 from repro.sharding.scheduler import ShardScheduler
 from repro.sharding.shard import ShardEpochRecord, ShardFinal, ShardSpec

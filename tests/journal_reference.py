@@ -1,7 +1,7 @@
 """The bridge journal as one tuple per write: the reference the compact
 journal is tested against.
 
-This was ``repro.recovery.journal.BridgeJournal``'s storage until the
+This was ``repro.sharding.journal.BridgeJournal``'s storage until the
 journal kept transfer ids in one list per ``(kind, shard, epoch,
 at_boundary)`` key.  It keeps every write as a :data:`JournalEntry` in
 one list and replays a fork by scanning all of it, every shard's writes
@@ -11,7 +11,7 @@ included.  Only the registry lookup changed: it takes the same
 
 from __future__ import annotations
 
-from repro.recovery.journal import (
+from repro.sharding.journal import (
     CREDIT,
     LOCK,
     REFUND,

@@ -1,4 +1,4 @@
-"""Tests for the pool: lifecycle, liquidity management, swaps, fees, flash."""
+"""Tests for the pool: lifecycle, liquidity management, swaps, fees."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.amm.pool import Pool, PoolConfig
 from repro.amm import tick_math
 from repro.errors import (
     AMMError,
-    FlashLoanError,
     LiquidityError,
     PositionError,
     SlippageError,
@@ -315,53 +314,6 @@ def test_fees_survive_price_leaving_range():
     pool.swap(True, 10**18)  # pushes price below -600
     pool.poke("lp", -600, 600)
     assert pool.position("lp", -600, 600).tokens_owed0 > 0
-
-
-# -- flash loans ----------------------------------------------------------------------------
-
-
-def test_flash_repaid_with_fees():
-    pool = make_pool()
-    pool.mint("lp", -6000, 6000, 10**20)
-    loan0 = pool.balance0 // 2
-
-    def callback(fee0, fee1):
-        return loan0 + fee0, 0
-
-    fee0, fee1 = pool.flash(loan0, 0, callback)
-    assert fee0 == -(-loan0 * 3000 // 10**6)
-    assert fee1 == 0
-
-
-def test_flash_fees_accrue_to_lps():
-    pool = make_pool()
-    pool.mint("lp", -6000, 6000, 10**20)
-    loan = pool.balance0 // 2
-    pool.flash(loan, 0, lambda f0, f1: (loan + f0, 0))
-    pool.poke("lp", -6000, 6000)
-    assert pool.position("lp", -6000, 6000).tokens_owed0 > 0
-
-
-def test_flash_underpayment_rejected():
-    pool = make_pool()
-    pool.mint("lp", -6000, 6000, 10**20)
-    loan = pool.balance0 // 2
-    with pytest.raises(FlashLoanError):
-        pool.flash(loan, 0, lambda f0, f1: (loan, 0))  # no fee paid
-
-
-def test_flash_exceeding_reserves_rejected():
-    pool = make_pool()
-    pool.mint("lp", -6000, 6000, 10**18)
-    with pytest.raises(FlashLoanError):
-        pool.flash(pool.balance0 + 1, 0, lambda f0, f1: (0, 0))
-
-
-def test_flash_negative_amount_rejected():
-    pool = make_pool()
-    pool.mint("lp", -6000, 6000, 10**18)
-    with pytest.raises(FlashLoanError):
-        pool.flash(-1, 0, lambda f0, f1: (0, 0))
 
 
 # -- conservation ------------------------------------------------------------------------------

@@ -17,7 +17,7 @@ def run_rollup(daily_volume=1_000_000, batch_size=72_000, epochs=3, **over):
 
 def test_throughput_capped_by_batch_capacity():
     rollup, metrics = run_rollup()
-    capacity_tps = 72_000 / 1000 / rollup.config.batch_interval
+    capacity_tps = 72_000 / 1000 / constants.AMMOP_BATCH_INTERVAL_S
     assert metrics.throughput <= capacity_tps * 1.05
     assert metrics.throughput >= capacity_tps * 0.8  # congested: at cap
 

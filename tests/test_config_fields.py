@@ -25,11 +25,7 @@ SETTER_DIRS = ("src", "examples", "bench", "benchmarks")
 #: Fields nothing sets yet, each waiting on the ROADMAP item that gives
 #: it a caller or deletes it.
 ALLOWED_UNASSIGNED = {
-    # "Options nothing runs": paper constants already named in
-    # constants.py, and fields only tests set.
-    "AmmOpConfig.batch_interval",
-    "AmmOpConfig.contestation_period",
-    "AmmOpConfig.l1_confirmation",
+    # "Options nothing runs": fields only tests set.
     "UniswapL1Config.bootstrap_amount",
     "UniswapL1Config.size_profile",
     "MainchainConfig.block_interval",

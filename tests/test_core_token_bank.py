@@ -339,11 +339,14 @@ def test_flash_default_rejected(bank_setup):
 
 
 def test_flash_exceeding_pool_rejected(bank_setup):
+    """More than the pool holds, or a negative amount, is refused."""
     bank, *_ = bank_setup
     bank.create_pool(ctx("designer"))
     bank.pool_balance0 = 100
-    with pytest.raises(FlashLoanError):
-        bank.flash(ctx("arber"), 101, 0, lambda f0, f1: (200, 0))
+    for amount0, amount1 in ((101, 0), (-1, 0), (0, -1)):
+        with pytest.raises(FlashLoanError):
+            bank.flash(ctx("arber"), amount0, amount1, lambda f0, f1: (200, 0))
+    assert bank.pool_balance0 == 100
 
 
 # -- misc -------------------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from hypothesis import example, given, strategies as st
 
 from repro.core.system import AmmBoostConfig
 from repro.errors import ShardError, WorkerLostError
-from repro.recovery import BridgeJournal, RollbackReport
 from repro.sharding.escrow import transfer_row
+from repro.sharding.journal import BridgeJournal, RollbackReport
 from repro.sharding.router import RETRYABLE_ABORTS, CrossShardRouter
 from repro.sharding.scheduler import ShardScheduler
 from repro.sharding.shard import ShardSpec

@@ -12,8 +12,8 @@ from repro.core.token_bank import (
 )
 from repro.errors import EscrowError
 from repro.mainchain.contracts.erc20 import ERC20Token
-from repro.recovery.journal import ResyncResolve
 from repro.sharding.escrow import EscrowLedger, TransferRow, transfer_row
+from repro.sharding.journal import ResyncResolve
 from repro.sharding.shard import Shard
 
 #: Field positions of an ``EscrowRow``.

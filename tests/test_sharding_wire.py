@@ -23,9 +23,9 @@ from hypothesis import example, given, strategies as st
 from repro.core.system import AmmBoostConfig
 from repro.errors import EscrowError
 from repro.faults import FaultPlan, Rollback, ShardFault
-from repro.recovery.journal import RelockEscrow, ResyncResolve
 from repro.sharding import ShardedConfig, ShardedSystem
 from repro.sharding.escrow import transfer_row
+from repro.sharding.journal import RelockEscrow, ResyncResolve
 from repro.sharding.router import CrossShardRouter, TransferRegistry
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
